@@ -14,8 +14,7 @@ from .framecheck import (FrameReport, UnbalancedWitness, augment_with_normal,
 from .operators import (DEFAULT_ENUMERATION_CAP, OperatorSet, SignedInvolution,
                         apply, enumerate_full, make_operator, tangency_defect)
 from .presets import s1_basis, s3_basis
-from .sphere import (SpherePoint, project_tangent, random_sphere_point,
-                     sample_sphere, tangent_basis)
+from .sphere import project_tangent, sample_sphere, tangent_basis
 
 __all__ = [
     "BalanceReport", "PairingFamily", "PairingMatrix", "build_minimal_balanced",
@@ -27,6 +26,6 @@ __all__ = [
     "reconstruct", "verify_moving_funtf", "witness_cross_term",
     "witness_unbalanced", "DEFAULT_ENUMERATION_CAP", "OperatorSet",
     "SignedInvolution", "apply", "enumerate_full", "make_operator",
-    "tangency_defect", "s1_basis", "s3_basis", "SpherePoint",
-    "project_tangent", "random_sphere_point", "sample_sphere", "tangent_basis",
+    "tangency_defect", "s1_basis", "s3_basis", "project_tangent",
+    "sample_sphere", "tangent_basis",
 ]

@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .balance import build_minimal_balanced, build_pairing_matrix, is_balanced
 from .documents import DocumentError, document_dict, read_document
-from .framecheck import (operator_images, reconstruct, verify_moving_funtf,
+from .framecheck import (DEFAULT_NUM_SAMPLES, DEFAULT_TIGHTNESS_TOL,
+                         operator_images, reconstruct, verify_moving_funtf,
                          witness_unbalanced)
 from .operators import DEFAULT_ENUMERATION_CAP, enumerate_full
 from .sphere import project_tangent, sample_sphere, tangent_basis
@@ -135,20 +136,20 @@ def cmd_demo_erasure(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-o", "--output", metavar="FILE",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", metavar="FILE",
                         help="write output here instead of stdout")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="tightness tolerance (default 1e-9)")
-    common.add_argument("--samples", type=int, default=100,
-                        help="random sphere points to check (default 100)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random sphere points (default 0)")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the created timestamp from documents")
-    common.add_argument("--cap-override", type=int, metavar="N",
-                        help="raise the enumeration cap for gen-full")
+    document = argparse.ArgumentParser(add_help=False, parents=[output])
+    document.add_argument("--no-timestamp", action="store_true",
+                          help="omit the created timestamp from documents")
 
     parser = argparse.ArgumentParser(
         prog="movingframes",
@@ -157,31 +158,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-full", parents=[common],
+    p = sub.add_parser("gen-full", parents=[document],
                        help="enumerate all operators for dimension 2n")
     p.add_argument("n", type=int)
+    p.add_argument("--cap-override", type=int, metavar="N",
+                   help=f"raise the enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.set_defaults(func=cmd_gen_full)
 
-    p = sub.add_parser("gen-min", parents=[common],
+    p = sub.add_parser("gen-min", parents=[document],
                        help="build the minimal balanced set of (2n-1)*2^(n-1) operators")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_gen_min)
 
-    p = sub.add_parser("check-balance", parents=[common],
+    p = sub.add_parser("check-balance", parents=[output],
                        help="exact balance verdict for an operator-set document")
     p.add_argument("file")
     p.set_defaults(func=cmd_check_balance)
 
-    p = sub.add_parser("check-funtf", parents=[common],
+    p = sub.add_parser("check-funtf", parents=[output],
                        help="certify a moving tight frame numerically")
     p.add_argument("file")
+    p.add_argument("--tol", type=nonnegative_float, default=DEFAULT_TIGHTNESS_TOL,
+                   help=f"tightness tolerance (default {DEFAULT_TIGHTNESS_TOL})")
+    p.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES,
+                   help=f"random sphere points to check (default {DEFAULT_NUM_SAMPLES})")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for random sphere points (default 0)")
     p.set_defaults(func=cmd_check_funtf)
 
-    p = sub.add_parser("matrix", parents=[common], help="print the pairing matrix")
+    p = sub.add_parser("matrix", parents=[output], help="print the pairing matrix")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("demo-erasure", parents=[common],
+    p = sub.add_parser("demo-erasure", parents=[output],
                        help="compare reconstruction error after coefficient erasures")
     p.add_argument("file")
     p.add_argument("--erase", type=int, default=1, metavar="M",

@@ -17,9 +17,10 @@ import numpy as np
 
 from .balance import BalanceReport
 from .operators import OperatorSet
+from .sphere import UNIT_POINT_TOL, sample_sphere
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
-UNIT_POINT_TOL = 1e-6
+DEFAULT_NUM_SAMPLES = 100
 
 
 @dataclass
@@ -67,24 +68,16 @@ class UnbalancedWitness:
         }
 
 
-def index_sign_arrays(a_set: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-operator index and sign arrays for vectorized application.
-
-    Returns (K, E) of shape (#A, dim): row m of the image of a point a is
-    E[m] * a[K[m]].
-    """
-    k = np.array([u.pairing for u in a_set]) - 1
-    signs = np.array([u.signs for u in a_set])
-    return k, np.take_along_axis(signs, k, axis=1)
-
-
 def operator_images(a_set: OperatorSet, a) -> np.ndarray:
-    """Stack of U(a) over the set, shape (#A, dim)."""
+    """U(a) over the set: shape (#A, dim) for one point, (P, #A, dim) for P points.
+
+    ``a`` is one point of shape (dim,) or a batch of shape (P, dim).
+    """
     av = np.asarray(a, dtype=float)
-    if av.size != a_set.dim:
-        raise ValueError(f"vector has length {av.size}, expected {a_set.dim}")
-    k, e = index_sign_arrays(a_set)
-    return e * av[k]
+    if av.ndim not in (1, 2) or av.shape[-1] != a_set.dim:
+        raise ValueError(f"expected points of length {a_set.dim}, got shape {av.shape}")
+    k, e = a_set.index_arrays
+    return e * av[..., k]
 
 
 def frame_operator(vectors) -> np.ndarray:
@@ -129,7 +122,7 @@ def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
     max_diag_dev = float(np.max(np.abs(np.diagonal(s) - reference)))
 
     theoretical = expected_constant
-    if theoretical is None and np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) < UNIT_POINT_TOL):
+    if theoretical is None and np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_POINT_TOL):
         theoretical = k / m
         max_diag_dev = max(max_diag_dev, abs(measured - theoretical))
 
@@ -155,16 +148,17 @@ def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
     return np.vstack([scale * av, operator_images(a_set, av)])
 
 
-def verify_moving_funtf(a_set: OperatorSet, num_samples: int = 100, seed: int = 0,
+def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
+                        seed: int = 0,
                         tolerance: float = DEFAULT_TIGHTNESS_TOL) -> FrameReport:
     """Certify tightness of the tangent images over sampled sphere points.
 
     Checks the augmented system at every probe point (e_p + e_q)/sqrt(2)
     plus ``num_samples`` seeded random points, against the theoretical
-    constant #A/(2n-1).  Reports the point with the largest deviation.
+    constant #A/(2n-1).  Each point's verdict comes from :func:`check_tight`;
+    the report is that of the point with the largest deviation (the first
+    such point on ties), with the verdict over all points.
     """
-    from .sphere import sample_sphere
-
     if len(a_set) == 0:
         raise ValueError("cannot verify an empty operator set")
     if num_samples < 1:
@@ -173,32 +167,20 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = 100, seed: int = 
     expected = len(a_set) / (d - 1)
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
 
+    tight = True
     worst_dev = -1.0
-    worst: dict = {}
+    worst = None
     for a in points:
-        s = frame_operator(augment_with_normal(a_set, a))
-        off = s - np.diag(np.diagonal(s))
-        max_off = float(np.max(np.abs(off)))
-        max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
-        dev = max(max_off, max_diag)
+        report = check_tight(augment_with_normal(a_set, a), tolerance, expected_constant=expected)
+        tight = tight and report.tight
+        dev = max(report.max_offdiag, report.max_diag_dev)
         if dev > worst_dev:
-            worst_dev = dev
-            worst = {
-                "point": a,
-                "max_offdiag": max_off,
-                "max_diag_dev": max_diag,
-                "measured": float(np.trace(s) / d),
-            }
+            worst_dev, worst = dev, report
+            worst.worst_point = a
 
-    return FrameReport(
-        tight=worst_dev <= tolerance,
-        frame_constant=worst["measured"],
-        max_offdiag=worst["max_offdiag"],
-        max_diag_dev=worst["max_diag_dev"],
-        points_checked=len(points),
-        worst_point=worst["point"],
-        theoretical_constant=expected,
-    )
+    worst.tight = tight
+    worst.points_checked = len(points)
+    return worst
 
 
 def reconstruct(a_set: OperatorSet, a, coefficients, constant: float) -> np.ndarray:

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .sphere import UNIT_POINT_TOL
 
 DEFAULT_ENUMERATION_CAP = 5
 
@@ -52,7 +56,7 @@ class SignedInvolution:
                     f"position {i} maps to {k} but {k} maps to {self.pairing[k - 1]}"
                 )
         for i, s in enumerate(self.signs, start=1):
-            if s not in (-1, 1):
+            if not isinstance(s, int) or isinstance(s, bool) or s not in (-1, 1):
                 raise ValueError(f"sign at position {i} must be -1 or +1, got {s!r}")
         for i, k in enumerate(self.pairing, start=1):
             if self.signs[i - 1] != -self.signs[k - 1]:
@@ -98,6 +102,20 @@ class OperatorSet:
     def half_dim(self) -> int:
         return self.dim // 2
 
+    @cached_property
+    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Partner indices K and partner signs E, both of shape (#A, dim).
+
+        Row m of the images of a point a is E[m] * a[K[m]].  Built on first
+        use and then shared read-only by every numerical consumer.
+        """
+        shape = (len(self), self.dim)
+        k = np.array([u.pairing for u in self.members], dtype=np.intp).reshape(shape) - 1
+        signs = np.array([u.signs for u in self.members], dtype=np.int64).reshape(shape)
+        e = np.take_along_axis(signs, k, axis=1)
+        k.flags.writeable = e.flags.writeable = False
+        return k, e
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -109,14 +127,17 @@ class OperatorSet:
 
 
 def make_operator(dim: int, pairing: Sequence[int], signs: Sequence[int]) -> SignedInvolution:
-    """Validate and build a signed involution with 1-based pairing indices."""
+    """Validate and build a signed involution with 1-based pairing indices.
+
+    Entries must be ``int`` (not ``bool``); nothing is coerced.
+    """
     if dim <= 0 or dim % 2 != 0:
         raise ValueError(f"dimension must be a positive even integer, got {dim}")
     if len(pairing) != dim:
         raise ValueError(f"pairing has length {len(pairing)}, expected {dim}")
     if len(signs) != dim:
         raise ValueError(f"signs has length {len(signs)}, expected {dim}")
-    return SignedInvolution(tuple(int(k) for k in pairing), tuple(int(s) for s in signs))
+    return SignedInvolution(tuple(pairing), tuple(signs))
 
 
 def apply(u: SignedInvolution, a):
@@ -133,7 +154,7 @@ def apply(u: SignedInvolution, a):
     return [u.signs[k - 1] * a[k - 1] for k in u.pairing]
 
 
-def tangency_defect(u: SignedInvolution, a, norm_tolerance: float = 1e-6):
+def tangency_defect(u: SignedInvolution, a):
     """Inner product of ``u(a)`` with ``a``; zero exactly when ``a`` is tangentable.
 
     Pure-Python summation so that rational inputs (e.g. Fraction) give an
@@ -141,9 +162,9 @@ def tangency_defect(u: SignedInvolution, a, norm_tolerance: float = 1e-6):
     """
     if len(a) != u.dim:
         raise ValueError(f"vector has length {len(a)}, expected {u.dim}")
-    norm_sq = sum(float(x) * float(x) for x in a)
-    if abs(norm_sq - 1.0) > 3 * norm_tolerance:
-        raise ValueError(f"expected a unit vector, got squared norm {norm_sq}")
+    norm = sqrt(sum(float(x) * float(x) for x in a))
+    if abs(norm - 1.0) > UNIT_POINT_TOL:
+        raise ValueError(f"expected a unit vector, got norm {norm}")
     return sum(u.signs[k - 1] * a[k - 1] * a[i] for i, k in enumerate(u.pairing))
 
 

@@ -1,22 +1,33 @@
-"""Hand-picked operator sets giving moving orthonormal bases for S^1 and S^3."""
+"""Hand-picked operator sets giving moving orthonormal bases for S^1 and S^3,
+loaded from the documents shipped under ``assets/``."""
 
 from __future__ import annotations
 
-from .operators import OperatorSet, make_operator
+import json
 
-# a -> (-a_2, a_1): the counterclockwise unit tangent field on the circle.
+from .documents import parse_document
+from .operators import OperatorSet
+
+
+def _load(name: str) -> OperatorSet:
+    # imported on first use, so that importing the package does not pay for it
+    from importlib.resources import files
+
+    text = (files(__package__) / "assets" / name).read_text(encoding="utf-8")
+    return parse_document(json.loads(text))
+
+
 def s1_basis() -> OperatorSet:
-    return OperatorSet.from_members([make_operator(2, (2, 1), (1, -1))])
+    """a -> (-a_2, a_1): the counterclockwise unit tangent field on the circle."""
+    return _load("s1_preset.json")
 
 
-# The classic triple of tangent fields on S^3:
-#   a -> (-a_2,  a_1,  a_4, -a_3)
-#   a -> (-a_3, -a_4,  a_1,  a_2)
-#   a -> (-a_4,  a_3, -a_2,  a_1)
-# Orthonormal at every point, so the moving frame constant is 1.
 def s3_basis() -> OperatorSet:
-    return OperatorSet.from_members([
-        make_operator(4, (2, 1, 4, 3), (1, -1, -1, 1)),
-        make_operator(4, (3, 4, 1, 2), (1, 1, -1, -1)),
-        make_operator(4, (4, 3, 2, 1), (1, -1, 1, -1)),
-    ])
+    """The classic triple of tangent fields on S^3, orthonormal at every point
+    (so the moving frame constant is 1):
+
+        a -> (-a_2,  a_1,  a_4, -a_3)
+        a -> (-a_3, -a_4,  a_1,  a_2)
+        a -> (-a_4,  a_3, -a_2,  a_1)
+    """
+    return _load("s3_preset.json")

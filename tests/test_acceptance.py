@@ -15,10 +15,9 @@ import pytest
 
 from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           enumerate_full, extract_pairings, frame_operator,
-                          is_balanced, probe_points, s3_basis,
-                          validate_pairing_matrix, witness_cross_term,
-                          witness_unbalanced)
-from movingframes.framecheck import index_sign_arrays
+                          is_balanced, operator_images, probe_points,
+                          s3_basis, validate_pairing_matrix,
+                          witness_cross_term, witness_unbalanced)
 from movingframes.operators import OperatorSet
 from movingframes.sphere import sample_sphere, tangent_basis
 
@@ -36,12 +35,6 @@ def criterion(label, budget_seconds):
     assert elapsed < budget_seconds, f"{label} exceeded {budget_seconds}s budget"
 
 
-def batch_images(a_set, points):
-    """Images U(a) for every operator at every point, shape (P, #A, dim)."""
-    k, e = index_sign_arrays(a_set)
-    return e[None] * points[:, k]
-
-
 @pytest.fixture(scope="module")
 def a4_scan():
     """Exhaustive scan over all nonempty subsets of the 12 dimension-4 operators.
@@ -54,7 +47,7 @@ def a4_scan():
     full = enumerate_full(2)
     points = np.vstack([probe_points(4), sample_sphere(4, 20, seed=2024)])
     n_points = len(points)
-    imgs = batch_images(full, points)                      # (P, 12, 4)
+    imgs = operator_images(full, points)                   # (P, 12, 4)
     bases = np.stack([tangent_basis(a) for a in points])   # (P, 3, 4)
     eye4 = np.eye(4)
     eye3 = np.eye(3)
@@ -122,8 +115,8 @@ def test_criterion_4_pairing_matrices_to_n50():
         for n in range(1, 51):
             matrix = build_pairing_matrix(n)
             validate_pairing_matrix(matrix)
-            # extract_pairings re-validates conditions i-iii, including
-            # exactly-once pair coverage
+            # a valid matrix guarantees conditions i-iii of the family,
+            # including exactly-once pair coverage (see extract_pairings)
             family = extract_pairings(matrix)
             assert len(family.pairings) == 2 * n - 1
 
@@ -135,7 +128,7 @@ def test_criterion_5_tangent_projector_form():
             d = 2 * n
             constant = len(a_set) / (d - 1)
             points = np.vstack([probe_points(d), sample_sphere(d, 100, seed=n)])
-            imgs = batch_images(a_set, points)
+            imgs = operator_images(a_set, points)
             grams = np.einsum("pmi,pmj->pij", imgs, imgs)
             targets = constant * (np.eye(d)[None]
                                   - np.einsum("pi,pj->pij", points, points))
@@ -173,7 +166,7 @@ def test_criterion_8_reconstruction_round_trip():
             rng = np.random.default_rng(200 + n)
             raw = rng.standard_normal((1000, d))
             tangents = raw - np.sum(raw * points, axis=1, keepdims=True) * points
-            imgs = batch_images(a_set, points)
+            imgs = operator_images(a_set, points)
             coeffs = np.einsum("pmd,pd->pm", imgs, tangents)
             rebuilt = np.einsum("pm,pmd->pd", coeffs, imgs) / constant
             rel = (np.linalg.norm(rebuilt - tangents, axis=1)
@@ -203,7 +196,7 @@ def test_criterion_10_cross_validation(a4_scan):
             d = 2 * n
             constant = len(a_set) / (d - 1)
             points = np.vstack([probe_points(d), sample_sphere(d, 100, seed=n)])
-            imgs = batch_images(a_set, points)
+            imgs = operator_images(a_set, points)
             normals = sqrt(constant) * points
             augmented = np.concatenate([normals[:, None, :], imgs], axis=1)
             s_aug = np.einsum("pki,pkj->pij", augmented, augmented)

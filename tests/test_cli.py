@@ -95,6 +95,15 @@ class TestCheckBalance:
         assert code == 3
         assert "record 0" in err
 
+    def test_non_integer_entries_are_malformed(self, tmp_path, capsys):
+        # int() would read this as the S^1 operator; it must be refused
+        bad = tmp_path / "coerced.json"
+        bad.write_text(json.dumps({"n": 1, "operators": [
+            {"pairing": [2.9, "1"], "signs": [True, -1.5]}]}))
+        code, _, err = run(capsys, "check-balance", bad)
+        assert code == 3
+        assert "operator record 0" in err
+
     def test_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
         bad.write_text("{{{")
@@ -140,6 +149,37 @@ class TestCheckFuntf:
         _, out1, _ = run(capsys, "check-funtf", min2_file, "--samples", 10, "--seed", 4)
         _, out2, _ = run(capsys, "check-funtf", min2_file, "--samples", 10, "--seed", 4)
         assert out1 == out2
+
+
+    def test_benchmark_arguments_parse(self, min2_file, capsys):
+        code, out, _ = run(capsys, "check-funtf", min2_file, "--seed", 4, "--tol", "1e-9")
+        assert code == 0
+        assert json.loads(out)["tight"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5e-9"])
+    def test_rejects_nan_or_negative_tolerance(self, min2_file, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "check-funtf", min2_file, "--tol", tol)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["matrix", 2, "--tol", 5],
+        ["matrix", 2, "--seed", 1],
+        ["matrix", 2, "--cap-override", 9],
+        ["gen-min", 2, "--cap-override", 9],
+        ["gen-full", 2, "--samples", 3],
+        ["check-balance", "doc.json", "--no-timestamp"],
+        ["check-funtf", "doc.json", "--erase", 1],
+        ["demo-erasure", "doc.json", "--tol", 1],
+    ])
+    def test_options_of_other_subcommands_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMatrix:

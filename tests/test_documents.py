@@ -1,10 +1,9 @@
-import json
-
 import pytest
 
 from movingframes import (DocumentError, build_minimal_balanced,
                           enumerate_full, read_document, write_document)
 from movingframes.documents import document_dict, parse_document
+from movingframes.operators import OperatorSet, SignedInvolution
 
 
 class TestRoundTrip:
@@ -59,6 +58,19 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="record 0"):
             parse_document(doc)
 
+    @pytest.mark.parametrize("pairing,signs", [
+        ([2.9, "1"], [True, -1.5]),   # every entry of the wrong type
+        ([2.0, 1.0], [1, -1]),        # integral floats
+        (["2", "1"], [1, -1]),
+        ([2, 1], [True, False]),
+        ([2, 1], [True, -1]),         # True == 1, but bool is not a sign
+        ([2, 1], [1.0, -1.0]),
+    ])
+    def test_non_integer_entries_are_not_coerced(self, pairing, signs):
+        doc = {"n": 1, "operators": [{"pairing": pairing, "signs": signs}]}
+        with pytest.raises(DocumentError, match="operator record 0"):
+            parse_document(doc)
+
     def test_duplicate_members(self):
         doc = {"n": 1, "operators": [
             {"pairing": [2, 1], "signs": [1, -1]},
@@ -70,9 +82,11 @@ class TestParseErrors:
 
 class TestAssets:
     def test_presets_match_shipped_documents(self):
-        from importlib.resources import files
-
+        # the presets are loaded from the shipped documents; pin their operators
         from movingframes import s1_basis, s3_basis
-        assets = files("movingframes") / "assets"
-        assert parse_document(json.loads((assets / "s1_preset.json").read_text())) == s1_basis()
-        assert parse_document(json.loads((assets / "s3_preset.json").read_text())) == s3_basis()
+        assert s1_basis() == OperatorSet(2, (SignedInvolution((2, 1), (1, -1)),))
+        assert s3_basis() == OperatorSet(4, (
+            SignedInvolution((2, 1, 4, 3), (1, -1, -1, 1)),
+            SignedInvolution((3, 4, 1, 2), (1, 1, -1, -1)),
+            SignedInvolution((4, 3, 2, 1), (1, -1, 1, -1)),
+        ))

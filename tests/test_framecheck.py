@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from movingframes import (augment_with_normal, build_minimal_balanced,
+from movingframes import (apply, augment_with_normal, build_minimal_balanced,
                           check_tight, enumerate_full, frame_operator,
                           is_balanced, make_operator, operator_images,
                           probe_points, reconstruct, s3_basis,
@@ -14,6 +14,25 @@ from movingframes.operators import OperatorSet
 from movingframes.sphere import project_tangent, sample_sphere
 
 MIN2 = build_minimal_balanced(2)
+
+
+def reference_worst_point(a_set, num_samples, seed):
+    """The per-point deviation loop of verify_moving_funtf, written out.
+
+    Returns (worst point, max off-diagonal, max diagonal deviation) with the
+    first point of largest deviation winning ties.
+    """
+    d = a_set.dim
+    expected = len(a_set) / (d - 1)
+    points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
+    worst_dev, worst = -1.0, None
+    for a in points:
+        s = frame_operator(augment_with_normal(a_set, a))
+        max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
+        max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
+        if max(max_off, max_diag) > worst_dev:
+            worst_dev, worst = max(max_off, max_diag), (a, max_off, max_diag)
+    return worst
 
 
 class TestFrameOperator:
@@ -32,6 +51,18 @@ class TestFrameOperator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             frame_operator(np.empty((0, 3)))
+
+
+class TestOperatorImages:
+    def test_batch_equals_stacked_points(self):
+        a_set = build_minimal_balanced(3)
+        points = sample_sphere(6, 7, seed=11)
+        batch = operator_images(a_set, points)
+        assert batch.shape == (7, 20, 6)
+        assert np.array_equal(batch, np.stack([operator_images(a_set, a) for a in points]))
+        for a, images in zip(points, batch):
+            for u, row in zip(a_set, images):
+                assert np.array_equal(row, apply(u, a))
 
 
 class TestCheckTight:
@@ -104,6 +135,16 @@ class TestVerifyMovingFuntf:
         report = verify_moving_funtf(enumerate_full(2), num_samples=20, seed=1)
         assert report.tight
         assert report.theoretical_constant == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("a_set", [build_minimal_balanced(n) for n in (2, 3, 4, 5)]
+                             + [OperatorSet(4, MIN2.members[:-1])],
+                             ids=["min2", "min3", "min4", "min5", "clipped-min2"])
+    def test_worst_point_matches_reference_loop(self, a_set):
+        report = verify_moving_funtf(a_set, num_samples=10, seed=4)
+        point, max_off, max_diag = reference_worst_point(a_set, 10, 4)
+        assert np.array_equal(report.worst_point, point)
+        assert report.max_offdiag == max_off
+        assert report.max_diag_dev == max_diag
 
     def test_unbalanced_set_fails_at_probe(self):
         clipped = OperatorSet(4, MIN2.members[:-1])

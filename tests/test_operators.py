@@ -47,6 +47,11 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match="sign at position 2"):
             SignedInvolution((2, 1), (1, 0))
 
+    def test_rejects_bool_sign(self):
+        # True == 1, but a boolean is not a sign
+        with pytest.raises(ValueError, match="sign at position 1"):
+            SignedInvolution((2, 1), (True, -1))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             make_operator(4, (2, 1), (1, -1))
@@ -131,6 +136,26 @@ class TestEnumerateFull:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_full(0)
+
+
+class TestIndexArrays:
+    def test_partner_indices_and_signs(self):
+        a_set = enumerate_full(2)
+        k, e = a_set.index_arrays
+        for u, k_row, e_row in zip(a_set, k, e):
+            assert tuple(k_row + 1) == u.pairing
+            assert tuple(e_row) == tuple(u.signs[j] for j in k_row)
+
+    def test_built_once_and_read_only(self):
+        a_set = enumerate_full(2)
+        k, e = a_set.index_arrays
+        again = a_set.index_arrays
+        assert again[0] is k and again[1] is e
+        for array in (k, e):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        # the cache is no field: equality and hashing are by members only
+        assert a_set == enumerate_full(2) and hash(a_set) == hash(enumerate_full(2))
 
 
 class TestTangencyDefect:

@@ -1,38 +1,45 @@
 import numpy as np
 import pytest
 
-from movingframes import (SpherePoint, project_tangent, random_sphere_point,
+from movingframes import (augment_with_normal, project_tangent, s1_basis,
                           sample_sphere, tangent_basis)
+from movingframes.sphere import UNIT_POINT_TOL
 
 
 class TestSpherePoint:
+    """A point where a frame is checked must lie on the sphere."""
+
     def test_accepts_unit_vector(self):
-        p = SpherePoint(np.array([0.6, 0.8]))
-        assert p.dim == 2
+        # within UNIT_POINT_TOL of the sphere counts as on it
+        for a in ([0.6, 0.8], [0.6, 0.8 + 0.5 * UNIT_POINT_TOL]):
+            assert augment_with_normal(s1_basis(), a).shape == (2, 2)
 
     def test_rejects_off_sphere(self):
-        with pytest.raises(ValueError, match="norm"):
-            SpherePoint(np.array([0.6, 0.9]))
+        for a in ([0.6, 0.9], [0.6, 0.8 + 2 * UNIT_POINT_TOL]):
+            with pytest.raises(ValueError, match="norm"):
+                augment_with_normal(s1_basis(), a)
 
     def test_rejects_odd_length(self):
-        with pytest.raises(ValueError, match="even"):
-            SpherePoint(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="length"):
+            augment_with_normal(s1_basis(), [1.0, 0.0, 0.0])
 
 
 class TestRandomSpherePoint:
+    """Seeded random points of the sphere come from sample_sphere."""
+
     def test_unit_norm(self):
         for seed in range(10):
-            p = random_sphere_point(6, seed)
-            assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-12
+            p = sample_sphere(6, 3, seed)
+            assert np.all(np.abs(np.linalg.norm(p, axis=1) - 1.0) <= 1e-12)
 
     def test_deterministic(self):
-        a = random_sphere_point(4, 123)
-        b = random_sphere_point(4, 123)
-        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(sample_sphere(4, 5, 123), sample_sphere(4, 5, 123))
+        assert not np.array_equal(sample_sphere(4, 5, 123), sample_sphere(4, 5, 124))
 
     def test_rejects_odd_dim(self):
-        with pytest.raises(ValueError, match="even"):
-            random_sphere_point(3, 0)
+        for dim in (1, 3, 5):
+            with pytest.raises(ValueError, match="even"):
+                sample_sphere(dim, 1, 0)
 
     def test_coordinate_means_vanish(self):
         # central-limit sanity check on the sampler
