@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .operators import OperatorSet, SignedInvolution, sign_assignments
 
@@ -76,6 +75,30 @@ def _check_index(d: int, name: str, value: int) -> None:
         raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
+def _slice_counts(a_set: OperatorSet) -> tuple[Counter, Counter]:
+    """Count every pair slice and sign slice of the set in one pass.
+
+    Pair slices are keyed (p, q) and sign slices (p, q, r, s, sign), with
+    p < q and r < s, which loses nothing: pair slices are symmetric in (p, q)
+    by involutivity and sign slices in both (p, q) and (r, s).  A member
+    enters the sign slice at (r, s) exactly when k_r != s: a pairing has no
+    fixed points, and k_s == r would force k_r == s, so then {k_r, k_s} and
+    {r, s} are disjoint.  Slices no member enters are absent.
+    """
+    pair_counts: Counter = Counter()
+    sign_counts: Counter = Counter()
+    for u in a_set:
+        k, e = u.pairing, u.signs
+        for r, kr in enumerate(k, start=1):
+            if r < kr:
+                pair_counts[(r, kr)] += 1
+            for s, ks in enumerate(k[r:], start=r + 1):
+                if kr != s:
+                    p, q = (kr, ks) if kr < ks else (ks, kr)
+                    sign_counts[(p, q, r, s, e[p - 1] * e[q - 1])] += 1
+    return pair_counts, sign_counts
+
+
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     """Number of members whose pairing matches coordinate p with coordinate q."""
     d = a_set.dim
@@ -83,7 +106,7 @@ def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     _check_index(d, "q", q)
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
-    return sum(1 for u in a_set if u.pairing[p - 1] == q)
+    return _slice_counts(a_set)[0][(min(p, q), max(p, q))]
 
 
 def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: int) -> int:
@@ -97,12 +120,7 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    return sum(
-        1
-        for u in a_set
-        if u.signs[p - 1] * u.signs[q - 1] == sign
-        and {u.pairing[r - 1], u.pairing[s - 1]} == {p, q}
-    )
+    return _slice_counts(a_set)[1][(min(p, q), max(p, q), min(r, s), max(r, s), sign)]
 
 
 def is_balanced(a_set: OperatorSet) -> BalanceReport:
@@ -111,54 +129,29 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     Condition i requires every pair slice to hold exactly #A/(2n-1) members;
     the comparison is done as #A_{p,q} * (2n-1) == #A so a non-divisible set
     size fails automatically.  Condition ii compares the two sign slices of
-    every four distinct indices; it is vacuous for n = 1.  Slices are
-    canonicalized to p < q (and r < s), which loses nothing: pair slices are
-    symmetric in (p, q) by involutivity and sign slices are symmetric in
-    both (p, q) and (r, s).
+    every four distinct indices; it is vacuous for n = 1.  Only slices some
+    member enters are compared: any other holds 0 at both signs.
     """
     if len(a_set) == 0:
         raise ValueError("balance is undefined for an empty operator set")
     d = a_set.dim
     size = len(a_set)
-
-    pair_counts: Counter = Counter()
-    sign_counts: Counter = Counter()
-    for u in a_set:
-        k = u.pairing
-        e = u.signs
-        for i, ki in enumerate(k, start=1):
-            if i < ki:
-                pair_counts[(i, ki)] += 1
-        for r in range(1, d + 1):
-            for s in range(r + 1, d + 1):
-                kr, ks = k[r - 1], k[s - 1]
-                if kr in (r, s) or ks in (r, s):
-                    continue
-                p, q = min(kr, ks), max(kr, ks)
-                sign_counts[(p, q, r, s, e[p - 1] * e[q - 1])] += 1
+    pair_counts, sign_counts = _slice_counts(a_set)
 
     required = Fraction(size, d - 1)
     cond_i = [
-        (p, q, pair_counts.get((p, q), 0), required)
+        (p, q, pair_counts[(p, q)], required)
         for p in range(1, d + 1)
         for q in range(p + 1, d + 1)
-        if pair_counts.get((p, q), 0) * (d - 1) != size
+        if pair_counts[(p, q)] * (d - 1) != size
     ]
 
     cond_ii = []
-    if d >= 4:
-        for p in range(1, d + 1):
-            for q in range(p + 1, d + 1):
-                for r in range(1, d + 1):
-                    if r in (p, q):
-                        continue
-                    for s in range(r + 1, d + 1):
-                        if s in (p, q):
-                            continue
-                        plus = sign_counts.get((p, q, r, s, 1), 0)
-                        minus = sign_counts.get((p, q, r, s, -1), 0)
-                        if plus != minus:
-                            cond_ii.append((p, q, r, s, plus, minus))
+    for p, q, r, s in sorted({key[:4] for key in sign_counts}):
+        plus = sign_counts[(p, q, r, s, 1)]
+        minus = sign_counts[(p, q, r, s, -1)]
+        if plus != minus:
+            cond_ii.append((p, q, r, s, plus, minus))
 
     return BalanceReport(
         balanced=not cond_i and not cond_ii,

@@ -52,11 +52,11 @@ def _emit_text(text: str, output: str | None) -> None:
 
 
 def cmd_gen_full(args) -> int:
-    cap = args.cap_override if args.cap_override is not None else DEFAULT_ENUMERATION_CAP
     try:
-        a_set = enumerate_full(args.n, cap=cap)
+        a_set = enumerate_full(args.n, cap=args.cap_override)
     except ValueError as exc:
-        print(f"error: {exc} (see --cap-override)", file=sys.stderr)
+        hint = " (see --cap-override)" if args.n > args.cap_override else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
     _emit(document_dict(a_set, generator="full-enumeration",
                         timestamp=not args.no_timestamp), args.output)
@@ -136,11 +136,15 @@ def cmd_demo_erasure(args) -> int:
     return EXIT_OK
 
 
-def nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
-    return value
+def at_least(minimum, kind=int):
+    """An argparse type: a ``kind`` value no smaller than ``minimum``, never NaN."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:  # NaN fails every comparison, so it is refused
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse reports bad text as "invalid <name> value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-full", parents=[document],
                        help="enumerate all operators for dimension 2n")
     p.add_argument("n", type=int)
-    p.add_argument("--cap-override", type=int, metavar="N",
+    p.add_argument("--cap-override", type=at_least(1), metavar="N",
+                   default=DEFAULT_ENUMERATION_CAP,
                    help=f"raise the enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
     p.set_defaults(func=cmd_gen_full)
 
@@ -178,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-funtf", parents=[output],
                        help="certify a moving tight frame numerically")
     p.add_argument("file")
-    p.add_argument("--tol", type=nonnegative_float, default=DEFAULT_TIGHTNESS_TOL,
+    p.add_argument("--tol", type=at_least(0.0, float), default=DEFAULT_TIGHTNESS_TOL,
                    help=f"tightness tolerance (default {DEFAULT_TIGHTNESS_TOL})")
-    p.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES,
+    p.add_argument("--samples", type=at_least(1), default=DEFAULT_NUM_SAMPLES,
                    help=f"random sphere points to check (default {DEFAULT_NUM_SAMPLES})")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=at_least(0), default=0,
                    help="seed for random sphere points (default 0)")
     p.set_defaults(func=cmd_check_funtf)
 
@@ -193,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-erasure", parents=[output],
                        help="compare reconstruction error after coefficient erasures")
     p.add_argument("file")
-    p.add_argument("--erase", type=int, default=1, metavar="M",
+    p.add_argument("--erase", type=at_least(0), default=1, metavar="M",
                    help="coefficients to zero per trial (default 1)")
-    p.add_argument("--point-seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--point-seed", type=at_least(0), default=0)
+    p.add_argument("--trials", type=at_least(1), default=100)
     p.set_defaults(func=cmd_demo_erasure)
 
     return parser

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           count_pair_slice, count_sign_slice, enumerate_full,
@@ -11,7 +13,36 @@ from movingframes.balance import PairingMatrix
 from movingframes.operators import OperatorSet
 
 A4 = enumerate_full(2)
+A6 = enumerate_full(3)
 MIN2 = build_minimal_balanced(2)
+
+
+@st.composite
+def full_subsets(draw):
+    """A random nonempty subset of enumerate_full(2) or enumerate_full(3)."""
+    full = draw(st.sampled_from([A4, A6]))
+    members = draw(st.lists(st.sampled_from(full.members), min_size=1, unique=True))
+    return OperatorSet(full.dim, tuple(members))
+
+
+def failures_from_definitions(a_set):
+    """Both failure lists of is_balanced, counted member by member for every
+    pair (p, q) and every ordered quadruple (p, q, r, s) of distinct indices."""
+    d, size = a_set.dim, len(a_set)
+    cond_i = []
+    for p, q in itertools.permutations(range(1, d + 1), 2):
+        count = sum(1 for u in a_set if u.pairing[p - 1] == q)
+        if p < q and count * (d - 1) != size:
+            cond_i.append((p, q, count, Fraction(size, d - 1)))
+    cond_ii = []
+    for p, q, r, s in itertools.permutations(range(1, d + 1), 4):
+        counts = {1: 0, -1: 0}
+        for u in a_set:
+            if {u.pairing[r - 1], u.pairing[s - 1]} == {p, q}:
+                counts[u.signs[p - 1] * u.signs[q - 1]] += 1
+        if p < q and r < s and counts[1] != counts[-1]:
+            cond_ii.append((p, q, r, s, counts[1], counts[-1]))
+    return cond_i, cond_ii
 
 
 class TestPairSlice:
@@ -66,6 +97,14 @@ class TestSignSlice:
         with pytest.raises(ValueError, match="dimension"):
             count_sign_slice(single, 1, 2, 1, 2, 1)
 
+    def test_symmetric_in_p_q_and_in_r_s(self):
+        a_set = OperatorSet(6, A6.members[:37])
+        for p, q, r, s in itertools.permutations(range(1, 7), 4):
+            for sign in (1, -1):
+                count = count_sign_slice(a_set, p, q, r, s, sign)
+                assert count_sign_slice(a_set, q, p, r, s, sign) == count
+                assert count_sign_slice(a_set, p, q, s, r, sign) == count
+
 
 class TestIsBalanced:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -97,6 +136,20 @@ class TestIsBalanced:
         report = is_balanced(enumerate_full(1))
         assert report.balanced
         assert report.condition_ii_failures == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(full_subsets())
+    def test_failures_match_definitions(self, a_set):
+        report = is_balanced(a_set)
+        cond_i, cond_ii = failures_from_definitions(a_set)
+        assert report.condition_i_failures == cond_i
+        assert report.condition_ii_failures == cond_ii
+        assert report.balanced == (not cond_i and not cond_ii)
+
+    def test_condition_ii_failures_sorted(self):
+        failures = is_balanced(OperatorSet(6, A6.members[:37])).condition_ii_failures
+        assert len(failures) > 1
+        assert failures == sorted(failures)
 
 
 class TestSignFlipBijection:

@@ -50,6 +50,19 @@ class TestGenFull:
         assert code == 0
         assert len(json.loads(out)["operators"]) == 120
 
+    def test_no_cap_hint_for_nonpositive_n(self, capsys):
+        code, _, err = run(capsys, "gen-full", 0)
+        assert code == 2
+        assert "positive" in err
+        assert "--cap-override" not in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_rejects_nonpositive_cap_override(self, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "gen-full", 3, "--cap-override", cap)
+        assert exc.value.code == 2
+        assert "argument --cap-override" in capsys.readouterr().err
+
 
 class TestGenMin:
     @pytest.mark.parametrize("n,size", [(1, 1), (3, 20), (5, 144)])
@@ -165,6 +178,21 @@ class TestCheckFuntf:
 
 
 class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["demo-erasure", "doc.json", "--trials", 0],
+        ["demo-erasure", "doc.json", "--trials", -3],
+        ["demo-erasure", "doc.json", "--erase", -1],
+        ["demo-erasure", "doc.json", "--point-seed", -1],
+        ["check-funtf", "doc.json", "--seed", -1],
+        ["check-funtf", "doc.json", "--samples", 0],
+        ["check-funtf", "doc.json", "--samples", "x"],
+    ])
+    def test_out_of_range_integers_name_the_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[2]}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["matrix", 2, "--tol", 5],
         ["matrix", 2, "--seed", 1],
