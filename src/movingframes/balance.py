@@ -1,18 +1,23 @@
 """Exact combinatorics of balanced operator sets.
 
-Everything here is integer or rational arithmetic: slice counts, the
-balanced decision, the sign-flip bijection between opposite-sign slices,
-and the round-robin style pairing matrix that yields a minimal balanced
-set of (2n-1) * 2^(n-1) operators.
+Everything here is integer or rational arithmetic: slice counts (integer
+numpy arrays from one ``np.bincount`` kernel, so still exact), the balanced
+decision, the sign-flip bijection between opposite-sign slices, and the
+round-robin style pairing matrix that yields a minimal balanced set of
+(2n-1) * 2^(n-1) operators.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .operators import OperatorSet, SignedInvolution, sign_assignments
+
+_BLOCK = 1 << 16  # entries in one working array of the slice counts
 
 
 @dataclass(frozen=True)
@@ -27,10 +32,6 @@ class PairingMatrix:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n
 
     def as_text(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
@@ -75,28 +76,46 @@ def _check_index(d: int, name: str, value: int) -> None:
         raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
-def _slice_counts(a_set: OperatorSet) -> tuple[Counter, Counter]:
-    """Count every pair slice and sign slice of the set in one pass.
+@lru_cache(maxsize=16)
+def _layout(d: int):
+    """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
+    lexicographic, 1-based), ``columns`` (their r and s, 0-based), ``column_code``
+    (2C*c for pair c) and ``key_code`` (key_code[p, q] // 2 numbers {p, q})."""
+    rows, cols = np.triu_indices(d, 1)
+    pair_id = np.zeros((d, d), dtype=np.intp)
+    pair_id[rows, cols] = pair_id[cols, rows] = np.arange(len(rows))
+    partner, positive = np.arange(2 * d) % d, np.arange(2 * d) // d
+    key_code = 2 * pair_id[np.ix_(partner, partner)] + (positive[:, None] == positive)
+    columns, column_code = np.stack([rows, cols]), 2 * len(rows) * np.arange(len(rows))
+    for array in (columns, column_code, key_code):
+        array.flags.writeable = False
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist())), columns, column_code, key_code
 
-    Pair slices are keyed (p, q) and sign slices (p, q, r, s, sign), with
-    p < q and r < s, which loses nothing: pair slices are symmetric in (p, q)
-    by involutivity and sign slices in both (p, q) and (r, s).  A member
-    enters the sign slice at (r, s) exactly when k_r != s: a pairing has no
-    fixed points, and k_s == r would force k_r == s, so then {k_r, k_s} and
-    {r, s} are disjoint.  Slices no member enters are absent.
+
+def _slice_counts(a_set: OperatorSet, start: int, stop: int) -> np.ndarray:
+    """Row C*j + g, column t: members with {k_r, k_s} = pair g and E[r]*E[s] =
+    (+1 if t else -1), for (r, s) the pair start + j of :func:`_layout`.
+
+    With K, E the cached index arrays, E[r]*E[s] = sign[p]*sign[q]; the keys
+    k + d*[E > 0] at r and s give key_code 2g + [E[r] = E[s]].  Row C*j +
+    start + j is the pair slice {r, s} (k_r = s, E[r] = -E[s]); the others
+    are sign slices: k_r != s forces k_s != r, and a pairing has no fixed
+    points, so {k_r, k_s} and {r, s} are disjoint.  Operators go in chunks.
     """
-    pair_counts: Counter = Counter()
-    sign_counts: Counter = Counter()
-    for u in a_set:
-        k, e = u.pairing, u.signs
-        for r, kr in enumerate(k, start=1):
-            if r < kr:
-                pair_counts[(r, kr)] += 1
-            for s, ks in enumerate(k[r:], start=r + 1):
-                if kr != s:
-                    p, q = (kr, ks) if kr < ks else (ks, kr)
-                    sign_counts[(p, q, r, s, e[p - 1] * e[q - 1])] += 1
-    return pair_counts, sign_counts
+    k, e = a_set.index_arrays
+    pairs, columns, column_code, key_code = _layout(a_set.dim)
+    keys, rs = k + (e + 1) * (a_set.dim // 2), columns[:, start:stop]  # (e + 1)/2 = [E > 0]
+    size, step = 2 * len(pairs) * (stop - start), max(1, _BLOCK // (stop - start))
+
+    def count(m: int) -> np.ndarray:
+        kk = keys[m:m + step].take(rs, axis=1)
+        codes = key_code[kk[:, 0], kk[:, 1]] + column_code[:stop - start]
+        return np.bincount(codes.ravel(), minlength=size)
+
+    table = count(0)
+    for m in range(step, len(k), step):
+        table += count(m)
+    return table.reshape(-1, 2)
 
 
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
@@ -106,7 +125,8 @@ def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     _check_index(d, "q", q)
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
-    return _slice_counts(a_set)[0][(min(p, q), max(p, q))]
+    column = int(_layout(d)[3][p - 1, q - 1]) // 2
+    return int(_slice_counts(a_set, column, column + 1)[column, 0])
 
 
 def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: int) -> int:
@@ -120,7 +140,9 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    return _slice_counts(a_set)[1][(min(p, q), max(p, q), min(r, s), max(r, s), sign)]
+    key_code = _layout(d)[3]
+    table = _slice_counts(a_set, key_code[r - 1, s - 1] // 2, key_code[r - 1, s - 1] // 2 + 1)
+    return int(table[key_code[p - 1, q - 1] // 2, int(sign > 0)])
 
 
 def is_balanced(a_set: OperatorSet) -> BalanceReport:
@@ -129,36 +151,31 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     Condition i requires every pair slice to hold exactly #A/(2n-1) members;
     the comparison is done as #A_{p,q} * (2n-1) == #A so a non-divisible set
     size fails automatically.  Condition ii compares the two sign slices of
-    every four distinct indices; it is vacuous for n = 1.  Only slices some
-    member enters are compared: any other holds 0 at both signs.
+    every four distinct indices; it is vacuous for n = 1.  Both are read
+    from :func:`_slice_counts` in blocks of about _BLOCK entries, never a
+    d^4 table, at the rows whose two signs differ.
     """
     if len(a_set) == 0:
         raise ValueError("balance is undefined for an empty operator set")
-    d = a_set.dim
-    size = len(a_set)
-    pair_counts, sign_counts = _slice_counts(a_set)
-
+    d, size = a_set.dim, len(a_set)
+    pairs = _layout(d)[0]
+    pair_counts, cond_ii = [0] * len(pairs), []
+    width = max(1, _BLOCK // (2 * len(pairs)))
+    for start in range(0, len(pairs), width):
+        table = _slice_counts(a_set, start, min(start + width, len(pairs)))
+        differ = (table[:, 1] != table[:, 0]).nonzero()[0]
+        for row, (minus, plus) in zip(differ.tolist(), table.take(differ, axis=0).tolist()):
+            j, g = divmod(row, len(pairs))
+            if g == start + j:  # the pair slice {r, s}, all at sign -1
+                pair_counts[g] = minus
+            else:
+                cond_ii.append((*pairs[g], *pairs[start + j], plus, minus))
+    cond_ii.sort()
     required = Fraction(size, d - 1)
-    cond_i = [
-        (p, q, pair_counts[(p, q)], required)
-        for p in range(1, d + 1)
-        for q in range(p + 1, d + 1)
-        if pair_counts[(p, q)] * (d - 1) != size
-    ]
-
-    cond_ii = []
-    for p, q, r, s in sorted({key[:4] for key in sign_counts}):
-        plus = sign_counts[(p, q, r, s, 1)]
-        minus = sign_counts[(p, q, r, s, -1)]
-        if plus != minus:
-            cond_ii.append((p, q, r, s, plus, minus))
-
-    return BalanceReport(
-        balanced=not cond_i and not cond_ii,
-        set_size=size,
-        condition_i_failures=cond_i,
-        condition_ii_failures=cond_ii,
-    )
+    cond_i = [(*pair, count, required) for pair, count in zip(pairs, pair_counts)
+              if count * (d - 1) != size]
+    return BalanceReport(balanced=not cond_i and not cond_ii, set_size=size,
+                         condition_i_failures=cond_i, condition_ii_failures=cond_ii)
 
 
 def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:

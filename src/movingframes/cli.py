@@ -36,19 +36,15 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 
 
-def _emit(payload, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
 def _emit_text(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
+
+
+def _emit(payload, output: str | None) -> None:
+    _emit_text(json.dumps(payload, indent=2) + "\n", output)
 
 
 def cmd_gen_full(args) -> int:
@@ -137,11 +133,12 @@ def cmd_demo_erasure(args) -> int:
 
 
 def at_least(minimum, kind=int):
-    """An argparse type: a ``kind`` value no smaller than ``minimum``, never NaN."""
+    """An argparse type: a finite ``kind`` value no smaller than ``minimum``."""
     def parse(text: str):
         value = kind(text)
-        if not value >= minimum:  # NaN fails every comparison, so it is refused
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        # NaN fails every comparison and infinity the second, so both are refused
+        if not minimum <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {minimum}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse reports bad text as "invalid <name> value"
     return parse

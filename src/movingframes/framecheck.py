@@ -93,13 +93,10 @@ def probe_points(dim: int) -> np.ndarray:
 
     Tightness failures of unbalanced sets always show up at one of these.
     """
-    points = []
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            a = np.zeros(dim)
-            a[p] = a[q] = 1 / sqrt(2)
-            points.append(a)
-    return np.array(points)
+    rows, cols = np.triu_indices(dim, 1)
+    points = np.zeros((len(rows), dim))
+    points[np.arange(len(rows)), rows] = points[np.arange(len(rows)), cols] = 1 / sqrt(2)
+    return points
 
 
 def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,

@@ -98,21 +98,19 @@ class OperatorSet:
             raise ValueError("cannot infer dimension from an empty member list")
         return cls(members[0].dim, members)
 
-    @property
-    def half_dim(self) -> int:
-        return self.dim // 2
-
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Partner indices K and partner signs E, both of shape (#A, dim).
 
         Row m of the images of a point a is E[m] * a[K[m]].  Built on first
-        use and then shared read-only by every numerical consumer.
+        use and then shared read-only by every numerical consumer.  E is
+        the negated sign row: each member's signs are antisymmetric within
+        every pair {i, k_i}, so the sign at the partner of i is -sign[i].
         """
-        shape = (len(self), self.dim)
-        k = np.array([u.pairing for u in self.members], dtype=np.intp).reshape(shape) - 1
-        signs = np.array([u.signs for u in self.members], dtype=np.int64).reshape(shape)
-        e = np.take_along_axis(signs, k, axis=1)
+        shape, size = (len(self), self.dim), len(self) * self.dim
+        flat = itertools.chain.from_iterable
+        k = np.fromiter(flat(u.pairing for u in self.members), np.intp, size).reshape(shape) - 1
+        e = -np.fromiter(flat(u.signs for u in self.members), np.int64, size).reshape(shape)
         k.flags.writeable = e.flags.writeable = False
         return k, e
 
@@ -171,26 +169,21 @@ def tangency_defect(u: SignedInvolution, a):
 def _fixed_point_free_involutions(d: int) -> Iterator[tuple[int, ...]]:
     """All fixed-point-free involutions of {1..d}, lexicographic by the index map."""
 
-    def rec(remaining: list[int]) -> Iterator[dict[int, int]]:
-        if not remaining:
-            yield {}
-            return
-        i = remaining[0]
-        for j in remaining[1:]:
-            rest = [x for x in remaining[1:] if x != j]
-            for tail in rec(rest):
-                tail[i] = j
-                tail[j] = i
-                yield tail
-                del tail[i], tail[j]
+    partner = [0] * (d + 1)  # partner[i] of index i, 0 while unmatched
 
-    for mapping in rec(list(range(1, d + 1))):
-        yield tuple(mapping[i] for i in range(1, d + 1))
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i > d:
+            yield tuple(partner[1:])
+        elif partner[i]:
+            yield from rec(i + 1)
+        else:
+            for j in range(i + 1, d + 1):
+                if not partner[j]:
+                    partner[i], partner[j] = j, i
+                    yield from rec(i + 1)
+                    partner[i] = partner[j] = 0
 
-
-def pair_list(pairing: Sequence[int]) -> list[tuple[int, int]]:
-    """The pairs {i, k_i} of an involution, as (smaller, larger), sorted."""
-    return [(i, k) for i, k in enumerate(pairing, start=1) if i < k]
+    yield from rec(1)
 
 
 def sign_assignments(pairing: Sequence[int], fix_first: bool = False) -> Iterator[tuple[int, ...]]:
@@ -199,16 +192,12 @@ def sign_assignments(pairing: Sequence[int], fix_first: bool = False) -> Iterato
     With ``fix_first`` the sign of coordinate 1 is pinned to +1, leaving one
     free choice per pair not containing index 1.
     """
-    pairs = pair_list(pairing)
-    free = [p for p in pairs if p[0] != 1] if fix_first else pairs
-    for combo in itertools.product((1, -1), repeat=len(free)):
+    pairs = [(i, k) for i, k in enumerate(pairing, start=1) if i < k]
+    choices = [(1,) if fix_first and i == 1 else (1, -1) for i, _ in pairs]
+    for combo in itertools.product(*choices):
         signs = [0] * len(pairing)
-        if fix_first:
-            signs[0] = 1
-            signs[pairing[0] - 1] = -1
-        for (i, j), s in zip(free, combo):
-            signs[i - 1] = s
-            signs[j - 1] = -s
+        for (i, k), s in zip(pairs, combo):
+            signs[i - 1], signs[k - 1] = s, -s
         yield tuple(signs)
 
 

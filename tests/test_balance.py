@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,17 +12,18 @@ from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           extract_pairings, is_balanced, make_operator,
                           sign_flip_bijection, validate_pairing_matrix)
 from movingframes.balance import PairingMatrix
-from movingframes.operators import OperatorSet
+from movingframes.operators import OperatorSet, SignedInvolution, sign_assignments
 
 A4 = enumerate_full(2)
 A6 = enumerate_full(3)
+A8 = enumerate_full(4)
 MIN2 = build_minimal_balanced(2)
 
 
 @st.composite
 def full_subsets(draw):
-    """A random nonempty subset of enumerate_full(2) or enumerate_full(3)."""
-    full = draw(st.sampled_from([A4, A6]))
+    """A random nonempty subset of enumerate_full(n) for n = 2, 3 or 4."""
+    full = draw(st.sampled_from([A4, A6, A8]))
     members = draw(st.lists(st.sampled_from(full.members), min_size=1, unique=True))
     return OperatorSet(full.dim, tuple(members))
 
@@ -42,6 +45,30 @@ def failures_from_definitions(a_set):
                 counts[u.signs[p - 1] * u.signs[q - 1]] += 1
         if p < q and r < s and counts[1] != counts[-1]:
             cond_ii.append((p, q, r, s, counts[1], counts[-1]))
+    return cond_i, cond_ii
+
+
+def failures_by_pair(a_set):
+    """Both failure lists of is_balanced, from the definitions read per pair
+    p < q of each member: k_p = q puts it in the pair slice {p, q}; else it
+    is in the sign slice with {r, s} = {k_p, k_q}, since {k_r, k_s} = {p, q}
+    exactly when {r, s} = {k_p, k_q} for an involution."""
+    d, size = a_set.dim, len(a_set)
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    pair_counts, sign_counts = Counter(), Counter()
+    for u in a_set:
+        k, signs = u.pairing, u.signs
+        for p, q in pairs:
+            if k[p - 1] == q:
+                pair_counts[p, q] += 1
+            else:
+                r, s = sorted((k[p - 1], k[q - 1]))
+                sign_counts[p, q, r, s, signs[p - 1] * signs[q - 1]] += 1
+    cond_i = [(p, q, pair_counts[p, q], Fraction(size, d - 1))
+              for p, q in pairs if pair_counts[p, q] * (d - 1) != size]
+    cond_ii = sorted((*key, sign_counts[(*key, 1)], sign_counts[(*key, -1)])
+                     for key in {key[:4] for key in sign_counts}
+                     if sign_counts[(*key, 1)] != sign_counts[(*key, -1)])
     return cond_i, cond_ii
 
 
@@ -145,6 +172,25 @@ class TestIsBalanced:
         assert report.condition_i_failures == cond_i
         assert report.condition_ii_failures == cond_ii
         assert report.balanced == (not cond_i and not cond_ii)
+
+    def test_large_dimension_in_bounded_memory(self):
+        # d = 100 from three of the 99 pairings for n = 50 (never the whole
+        # set, which has 99 * 2^49 members)
+        pairings = extract_pairings(build_pairing_matrix(50)).pairings[:3]
+        a_set = OperatorSet(100, tuple(SignedInvolution(k, next(sign_assignments(k)))
+                                       for k in pairings))
+        tracemalloc.start()
+        try:
+            report = is_balanced(a_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cond_i, cond_ii = failures_by_pair(a_set)
+        assert (len(cond_i), len(cond_ii)) == (4950, 14700)
+        assert report.condition_i_failures == cond_i
+        assert report.condition_ii_failures == cond_ii
+        # one table over all (p, q, r, s, sign) codes would take 392 MB
+        assert peak < 32 * 2**20
 
     def test_condition_ii_failures_sorted(self):
         failures = is_balanced(OperatorSet(6, A6.members[:37])).condition_ii_failures

@@ -169,7 +169,7 @@ class TestCheckFuntf:
         assert code == 0
         assert json.loads(out)["tight"] is True
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5e-9"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5e-9", "inf", "1e400"])
     def test_rejects_nan_or_negative_tolerance(self, min2_file, tol, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "check-funtf", min2_file, "--tol", tol)

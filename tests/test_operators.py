@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingframes import (apply, enumerate_full, make_operator,
-                          tangency_defect)
+from movingframes import (apply, build_minimal_balanced, enumerate_full,
+                          make_operator, tangency_defect)
 from movingframes.operators import SignedInvolution
 
 CIRCLE = make_operator(2, (2, 1), (1, -1))
@@ -145,6 +145,15 @@ class TestIndexArrays:
         for u, k_row, e_row in zip(a_set, k, e):
             assert tuple(k_row + 1) == u.pairing
             assert tuple(e_row) == tuple(u.signs[j] for j in k_row)
+
+    @pytest.mark.parametrize("a_set", [*(build_minimal_balanced(n) for n in range(1, 6)),
+                                       enumerate_full(3)],
+                             ids=["min1", "min2", "min3", "min4", "min5", "full3"])
+    def test_partner_signs_of_generated_sets(self, a_set):
+        k, e = a_set.index_arrays
+        signs = np.array([u.signs for u in a_set])
+        assert np.array_equal(k + 1, [u.pairing for u in a_set])
+        assert np.array_equal(e, np.take_along_axis(signs, k, axis=1))
 
     def test_built_once_and_read_only(self):
         a_set = enumerate_full(2)
