@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .balance import (BalanceReport, PairingFamily, PairingMatrix,
-                      build_minimal_balanced, build_pairing_matrix,
-                      count_pair_slice, count_sign_slice, extract_pairings,
-                      is_balanced, sign_flip_bijection, validate_pairing_matrix)
+from .balance import (BalanceReport, PairingMatrix, build_minimal_balanced,
+                      build_pairing_matrix, count_pair_slice, count_sign_slice,
+                      extract_pairings, is_balanced, sign_flip_bijection,
+                      validate_pairing_matrix)
 from .documents import DocumentError, read_document, write_document
 from .framecheck import (FrameReport, UnbalancedWitness, augment_with_normal,
                          check_tight, frame_operator, operator_images,
@@ -17,7 +17,7 @@ from .presets import s1_basis, s3_basis
 from .sphere import project_tangent, sample_sphere, tangent_basis
 
 __all__ = [
-    "BalanceReport", "PairingFamily", "PairingMatrix", "build_minimal_balanced",
+    "BalanceReport", "PairingMatrix", "build_minimal_balanced",
     "build_pairing_matrix", "count_pair_slice", "count_sign_slice",
     "extract_pairings", "is_balanced", "sign_flip_bijection",
     "validate_pairing_matrix", "DocumentError", "read_document",

@@ -37,14 +37,6 @@ class PairingMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class PairingFamily:
-    """2n-1 fixed-point-free involutions covering every index pair exactly once."""
-
-    n: int
-    pairings: tuple[tuple[int, ...], ...]
-
-
 @dataclass
 class BalanceReport:
     """Exact verdict on the two balance conditions, with every failing slice."""
@@ -236,9 +228,9 @@ def validate_pairing_matrix(matrix: PairingMatrix) -> None:
             raise ValueError(f"row {i} is not a permutation of 0..{d - 1}")
 
 
-def extract_pairings(matrix: PairingMatrix) -> PairingFamily:
-    """Read the pairing family off the matrix: label j pairs i with the column
-    of row i whose entry is j.
+def extract_pairings(matrix: PairingMatrix) -> tuple[tuple[int, ...], ...]:
+    """Read the pairing family off the matrix: the 2n-1 fixed-point-free
+    involutions, where label j pairs i with the column of row i whose entry is j.
 
     A matrix that passes :func:`validate_pairing_matrix` needs no further
     check of the family.  Each row is a permutation of 0..2n-1 with its 0 on
@@ -253,10 +245,7 @@ def extract_pairings(matrix: PairingMatrix) -> PairingFamily:
     d = 2 * matrix.n
     # column of each label per row, so extraction is one scan per row
     position = [{value: col + 1 for col, value in enumerate(row)} for row in matrix.rows]
-    pairings = tuple(
-        tuple(position[i][label] for i in range(d)) for label in range(1, d)
-    )
-    return PairingFamily(matrix.n, pairings)
+    return tuple(tuple(position[i][label] for i in range(d)) for label in range(1, d))
 
 
 def build_minimal_balanced(n: int) -> OperatorSet:
@@ -266,10 +255,9 @@ def build_minimal_balanced(n: int) -> OperatorSet:
     sequence pinned to +1 at coordinate 1; free signs are enumerated in
     binary-counting order with +1 first, so the output is reproducible.
     """
-    family = extract_pairings(build_pairing_matrix(n))
     members = [
         SignedInvolution(pairing, signs)
-        for pairing in family.pairings
+        for pairing in extract_pairings(build_pairing_matrix(n))
         for signs in sign_assignments(pairing, fix_first=True)
     ]
     return OperatorSet(2 * n, tuple(members))

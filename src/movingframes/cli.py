@@ -40,7 +40,10 @@ def _emit_text(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a usage error (exit 2), never a verdict
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _emit(payload, output: str | None) -> None:

@@ -78,11 +78,10 @@ def parse_document(doc) -> OperatorSet:
 
 def read_document(path: str | Path) -> OperatorSet:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # bad UTF-8, bad JSON and over-long integers are ValueErrors; deep nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_document(doc)

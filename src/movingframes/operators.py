@@ -36,33 +36,31 @@ class SignedInvolution:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        d = len(self.pairing)
+        pairing, signs = self.pairing, self.signs
+        d = len(pairing)
         if d == 0 or d % 2 != 0:
             raise ValueError(f"dimension must be a positive even integer, got {d}")
-        if len(self.signs) != d:
-            raise ValueError(
-                f"signs has length {len(self.signs)}, expected {d} to match pairing"
-            )
-        for i, k in enumerate(self.pairing, start=1):
+        if len(signs) != d:
+            raise ValueError(f"signs has length {len(signs)}, expected {d} to match pairing")
+        for i in range(d):  # each position on its own; messages count positions from 1
+            k, s = pairing[i], signs[i]
             if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= d:
-                raise ValueError(f"pairing index at position {i} is out of range 1..{d}: {k!r}")
-        for i, k in enumerate(self.pairing, start=1):
-            if k == i:
-                raise ValueError(f"pairing has a fixed point at position {i}")
-        for i, k in enumerate(self.pairing, start=1):
-            if self.pairing[k - 1] != i:
-                raise ValueError(
-                    f"pairing is not an involution at position {i}: "
-                    f"position {i} maps to {k} but {k} maps to {self.pairing[k - 1]}"
-                )
-        for i, s in enumerate(self.signs, start=1):
+                raise ValueError(f"pairing index at position {i + 1} is out of range 1..{d}: {k!r}")
+            if k == i + 1:
+                raise ValueError(f"pairing has a fixed point at position {i + 1}")
             if not isinstance(s, int) or isinstance(s, bool) or s not in (-1, 1):
-                raise ValueError(f"sign at position {i} must be -1 or +1, got {s!r}")
-        for i, k in enumerate(self.pairing, start=1):
-            if self.signs[i - 1] != -self.signs[k - 1]:
+                raise ValueError(f"sign at position {i + 1} must be -1 or +1, got {s!r}")
+        for i in range(d):  # each position against its partner
+            k = pairing[i]
+            if pairing[k - 1] != i + 1:
                 raise ValueError(
-                    f"signs are not antisymmetric within the pair at position {i}: "
-                    f"sign[{i}] = {self.signs[i - 1]} but sign[{k}] = {self.signs[k - 1]}"
+                    f"pairing is not an involution at position {i + 1}: "
+                    f"position {i + 1} maps to {k} but {k} maps to {pairing[k - 1]}"
+                )
+            if signs[i] != -signs[k - 1]:
+                raise ValueError(
+                    f"signs are not antisymmetric within the pair at position {i + 1}: "
+                    f"sign[{i + 1}] = {signs[i]} but sign[{k}] = {signs[k - 1]}"
                 )
 
     @property
@@ -127,14 +125,11 @@ class OperatorSet:
 def make_operator(dim: int, pairing: Sequence[int], signs: Sequence[int]) -> SignedInvolution:
     """Validate and build a signed involution with 1-based pairing indices.
 
-    Entries must be ``int`` (not ``bool``); nothing is coerced.
+    Entries must be ``int`` (not ``bool``); nothing is coerced.  Only the
+    pairing length is checked here; :class:`SignedInvolution` checks the rest.
     """
-    if dim <= 0 or dim % 2 != 0:
-        raise ValueError(f"dimension must be a positive even integer, got {dim}")
     if len(pairing) != dim:
         raise ValueError(f"pairing has length {len(pairing)}, expected {dim}")
-    if len(signs) != dim:
-        raise ValueError(f"signs has length {len(signs)}, expected {dim}")
     return SignedInvolution(tuple(pairing), tuple(signs))
 
 

@@ -176,7 +176,7 @@ class TestIsBalanced:
     def test_large_dimension_in_bounded_memory(self):
         # d = 100 from three of the 99 pairings for n = 50 (never the whole
         # set, which has 99 * 2^49 members)
-        pairings = extract_pairings(build_pairing_matrix(50)).pairings[:3]
+        pairings = extract_pairings(build_pairing_matrix(50))[:3]
         a_set = OperatorSet(100, tuple(SignedInvolution(k, next(sign_assignments(k)))
                                        for k in pairings))
         tracemalloc.start()
@@ -272,21 +272,20 @@ class TestPairingMatrix:
 
 class TestExtractPairings:
     def test_n1(self):
-        family = extract_pairings(build_pairing_matrix(1))
-        assert family.pairings == ((2, 1),)
+        assert extract_pairings(build_pairing_matrix(1)) == ((2, 1),)
 
     def test_n2(self):
-        family = extract_pairings(build_pairing_matrix(2))
-        assert set(family.pairings) == {(4, 3, 2, 1), (2, 1, 4, 3), (3, 4, 1, 2)}
+        pairings = extract_pairings(build_pairing_matrix(2))
+        assert set(pairings) == {(4, 3, 2, 1), (2, 1, 4, 3), (3, 4, 1, 2)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
     def test_pair_coverage_exactly_once(self, n):
-        family = extract_pairings(build_pairing_matrix(n))
+        pairings = extract_pairings(build_pairing_matrix(n))
         d = 2 * n
-        assert len(family.pairings) == d - 1
+        assert len(pairings) == d - 1
         matched = [
             (i, k[i - 1])
-            for k in family.pairings
+            for k in pairings
             for i in range(1, d + 1)
             if i < k[i - 1]
         ]

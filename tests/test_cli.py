@@ -119,9 +119,12 @@ class TestCheckBalance:
 
     def test_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
-        bad.write_text("{{{")
-        code, _, _ = run(capsys, "check-balance", bad)
-        assert code == 3
+        for text in (b"{{{", b'\xff\xfe{"n":1}', b"[" * 200000,
+                     b'{"n": ' + b"1" * 5000 + b', "operators": []}'):
+            bad.write_bytes(text)
+            code, _, err = run(capsys, "check-balance", bad)
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheckFuntf:
@@ -208,6 +211,14 @@ class TestOptions:
             run(capsys, *argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unwritable_output_is_a_usage_error(self, min2_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        # check-balance on a balanced set would exit 0; a failed write must not read as 1
+        for argv in (["gen-min", 2, "-o", target], ["check-balance", min2_file, "-o", target]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 class TestMatrix:

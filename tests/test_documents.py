@@ -29,9 +29,13 @@ class TestRoundTrip:
 class TestParseErrors:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("not json at all")
-        with pytest.raises(DocumentError, match="valid JSON"):
-            read_document(path)
+        # plain garbage, bad UTF-8, nesting past the recursion limit, and an
+        # integer past the digit limit of int()
+        for text in (b"not json at all", b'\xff\xfe{"n":1}', b"[" * 200000,
+                     b'{"n": ' + b"1" * 5000 + b', "operators": []}'):
+            path.write_bytes(text)
+            with pytest.raises(DocumentError, match="valid JSON"):
+                read_document(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError, match="cannot read"):

@@ -53,8 +53,9 @@ class TestMakeOperator:
             SignedInvolution((2, 1), (True, -1))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            make_operator(4, (2, 1), (1, -1))
+        for pairing, signs in [((2, 1), (1, -1)), ((2, 1, 4, 3), (1, -1))]:
+            with pytest.raises(ValueError, match="length"):
+                make_operator(4, pairing, signs)
 
     def test_plain_swap_is_rejected(self):
         # a -> (a_2, a_1) has no sign flip and is not tangent: at (0.6, 0.8)
@@ -63,6 +64,74 @@ class TestMakeOperator:
             make_operator(2, (2, 1), (1, 1))
         swapped = [0.8, 0.6]
         assert abs(np.dot(swapped, [0.6, 0.8]) - 0.96) < 1e-15
+
+
+def five_pass_reference(pairing, signs):
+    """Reference for the constructor: the same checks in five separate passes
+    (ranges, fixed points, involution, sign values, antisymmetry); the first
+    message, or None."""
+    d = len(pairing)
+    if d == 0 or d % 2 != 0:
+        return f"dimension must be a positive even integer, got {d}"
+    if len(signs) != d:
+        return f"signs has length {len(signs)}, expected {d} to match pairing"
+    for i, k in enumerate(pairing, start=1):
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= d:
+            return f"pairing index at position {i} is out of range 1..{d}: {k!r}"
+    for i, k in enumerate(pairing, start=1):
+        if k == i:
+            return f"pairing has a fixed point at position {i}"
+    for i, k in enumerate(pairing, start=1):
+        if pairing[k - 1] != i:
+            return (f"pairing is not an involution at position {i}: "
+                    f"position {i} maps to {k} but {k} maps to {pairing[k - 1]}")
+    for i, s in enumerate(signs, start=1):
+        if not isinstance(s, int) or isinstance(s, bool) or s not in (-1, 1):
+            return f"sign at position {i} must be -1 or +1, got {s!r}"
+    for i, k in enumerate(pairing, start=1):
+        if signs[i - 1] != -signs[k - 1]:
+            return (f"signs are not antisymmetric within the pair at position {i}: "
+                    f"sign[{i}] = {signs[i - 1]} but sign[{k}] = {signs[k - 1]}")
+    return None
+
+
+def constructor_message(pairing, signs):
+    try:
+        SignedInvolution(pairing, signs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+ENTRIES = st.one_of(st.integers(-1, 7), st.booleans(), st.floats(), st.text(max_size=2))
+
+
+@st.composite
+def one_changed_entry(draw):
+    """A valid operator on R^d, d <= 6, with one pairing or sign entry replaced."""
+    d = 2 * draw(st.integers(1, 3))
+    order = draw(st.permutations(range(1, d + 1)))
+    pairing, signs = [0] * d, [0] * d
+    for i, k in zip(order[::2], order[1::2]):
+        pairing[i - 1], pairing[k - 1] = k, i
+        signs[i - 1] = draw(st.sampled_from((1, -1)))
+        signs[k - 1] = -signs[i - 1]
+    changed = draw(st.sampled_from((pairing, signs)))
+    changed[draw(st.integers(0, d - 1))] = draw(st.integers(-1, d + 1) | ENTRIES)
+    return tuple(pairing), tuple(signs)
+
+
+class TestAgainstFivePassReference:
+    @settings(max_examples=300)
+    @given(st.lists(ENTRIES, max_size=6), st.lists(ENTRIES, max_size=6))
+    def test_accept_and_reject_agree(self, pairing, signs):
+        expected = five_pass_reference(tuple(pairing), tuple(signs))
+        assert (constructor_message(tuple(pairing), tuple(signs)) is None) == (expected is None)
+
+    @settings(max_examples=300)
+    @given(one_changed_entry())
+    def test_one_changed_entry_keeps_its_message(self, operator):
+        assert constructor_message(*operator) == five_pass_reference(*operator)
 
 
 class TestApply:
