@@ -3,8 +3,9 @@
 Everything here is integer or rational arithmetic: slice counts (integer
 numpy arrays from one ``np.bincount`` kernel, so still exact), the balanced
 decision, the sign-flip bijection between opposite-sign slices, and the
-round-robin style pairing matrix that yields a minimal balanced set of
-(2n-1) * 2^(n-1) operators.
+round-robin style pairing matrix that yields the balanced set of
+Theorem 3.4: (2n-1) * 2^(n-1) operators, every pairing of the family with
+every sign pattern pinned at coordinate 1.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import OperatorSet, SignedInvolution, sign_assignments
+from .operators import OperatorSet, SignedInvolution, check_cap, signed_pairings
 
 _BLOCK = 1 << 16  # entries in one working array of the slice counts
+# default caps on n: (2n-1) * 2^(n-1) operators (47,104 at n = 12) and a 2n x 2n matrix
+DEFAULT_THEOREM_SET_CAP = 12
+DEFAULT_MATRIX_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -183,15 +187,14 @@ def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:
     return SignedInvolution(u.pairing, signs)
 
 
-def build_pairing_matrix(n: int) -> PairingMatrix:
+def build_pairing_matrix(n: int, cap: int | None = DEFAULT_MATRIX_CAP) -> PairingMatrix:
     """The explicit symmetric scheduling matrix encoding 2n-1 pairings.
 
     Entry (i, j) with i, j < 2n is ((i+j-2) mod (2n-1)) + 1; the last row
     and column hold ((2i-2) mod (2n-1)) + 1, which runs over all labels
-    because 2 and 2n-1 are coprime.
+    because 2 and 2n-1 are coprime.  ``cap`` bounds ``n`` (None lifts it).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    check_cap(n, cap, "size", "build larger matrices")
     d = 2 * n
     m = d - 1
 
@@ -248,16 +251,16 @@ def extract_pairings(matrix: PairingMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(position[i][label] for i in range(d)) for label in range(1, d))
 
 
-def build_minimal_balanced(n: int) -> OperatorSet:
-    """The balanced set of (2n-1) * 2^(n-1) operators from the pairing matrix.
+def build_minimal_balanced(n: int, cap: int | None = DEFAULT_THEOREM_SET_CAP) -> OperatorSet:
+    """The balanced set of Theorem 3.4: (2n-1) * 2^(n-1) operators from the pairing matrix.
 
     Each of the 2n-1 pairings is combined with every antisymmetric sign
     sequence pinned to +1 at coordinate 1; free signs are enumerated in
     binary-counting order with +1 first, so the output is reproducible.
+    The function name is historical: this is not the smallest balanced set
+    (the three operators of ``s3_basis()`` are balanced at n = 2, where this
+    set has six).  ``cap`` bounds ``n`` (None lifts it).
     """
-    members = [
-        SignedInvolution(pairing, signs)
-        for pairing in extract_pairings(build_pairing_matrix(n))
-        for signs in sign_assignments(pairing, fix_first=True)
-    ]
-    return OperatorSet(2 * n, tuple(members))
+    check_cap(n, cap, "size", "build larger sets")
+    pairings = extract_pairings(build_pairing_matrix(n, cap=None))
+    return signed_pairings(np.array(pairings, np.intp), fix_first=True)

@@ -2,13 +2,14 @@
 
 Subcommands:
     gen-full       enumerate every operator for a given n
-    gen-min        build the minimal balanced set for a given n
+    gen-min        build the balanced set of Theorem 3.4 for a given n
     check-balance  exact balance verdict for a stored operator set
     check-funtf    numerical moving-frame certification
     matrix         print the pairing matrix
     demo-erasure   compare erasure robustness of a frame against a basis
 
-Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
+Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error
+(including an n above the size cap of gen-full, gen-min or matrix),
 3 malformed input document.
 """
 
@@ -17,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .balance import build_minimal_balanced, build_pairing_matrix, is_balanced
-from .documents import DocumentError, document_dict, read_document
+from .balance import (DEFAULT_MATRIX_CAP, DEFAULT_THEOREM_SET_CAP, build_minimal_balanced,
+                      build_pairing_matrix, is_balanced)
+from .documents import DocumentError, document_chunks, read_document
 from .framecheck import (DEFAULT_NUM_SAMPLES, DEFAULT_TIGHTNESS_TOL,
                          operator_images, reconstruct, verify_moving_funtf,
                          witness_unbalanced)
@@ -36,43 +38,47 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 
 
-def _emit_text(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the text pieces to ``output``, or to stdout for None or "-"."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
-            Path(output).write_text(text, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
         except OSError as exc:  # a usage error (exit 2), never a verdict
             raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
 
 
-def _emit(payload, output: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2) + "\n", output)
+def _emit_json(payload, output: str | None) -> None:
+    _emit((json.dumps(payload, indent=2), "\n"), output)
+
+
+def _capped(build, args):
+    """``build(args.n, cap=args.cap_override)``; a refusal above the cap names the option."""
+    try:
+        return build(args.n, cap=args.cap_override)
+    except ValueError as exc:
+        hint = " (see --cap-override)" if args.n > args.cap_override else ""
+        raise ValueError(f"{exc}{hint}") from exc
 
 
 def cmd_gen_full(args) -> int:
-    try:
-        a_set = enumerate_full(args.n, cap=args.cap_override)
-    except ValueError as exc:
-        hint = " (see --cap-override)" if args.n > args.cap_override else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(document_dict(a_set, generator="full-enumeration",
-                        timestamp=not args.no_timestamp), args.output)
+    _emit(document_chunks(_capped(enumerate_full, args), generator="full-enumeration",
+                          timestamp=not args.no_timestamp), args.output)
     return EXIT_OK
 
 
 def cmd_gen_min(args) -> int:
-    a_set = build_minimal_balanced(args.n)
-    _emit(document_dict(a_set, generator="theorem-3.4",
-                        timestamp=not args.no_timestamp), args.output)
+    _emit(document_chunks(_capped(build_minimal_balanced, args), generator="theorem-3.4",
+                          timestamp=not args.no_timestamp), args.output)
     return EXIT_OK
 
 
 def cmd_check_balance(args) -> int:
     a_set = read_document(args.file)
     report = is_balanced(a_set)
-    _emit(report.to_dict(), args.output)
+    _emit_json(report.to_dict(), args.output)
     return EXIT_OK if report.balanced else EXIT_VERDICT_FALSE
 
 
@@ -85,12 +91,12 @@ def cmd_check_funtf(args) -> int:
         balance = is_balanced(a_set)
         if not balance.balanced:
             payload["witness"] = witness_unbalanced(a_set, balance).to_dict()
-    _emit(payload, args.output)
+    _emit_json(payload, args.output)
     return EXIT_OK if report.tight else EXIT_VERDICT_FALSE
 
 
 def cmd_matrix(args) -> int:
-    _emit_text(build_pairing_matrix(args.n).as_text() + "\n", args.output)
+    _emit((_capped(build_pairing_matrix, args).as_text(), "\n"), args.output)
     return EXIT_OK
 
 
@@ -126,7 +132,7 @@ def cmd_demo_erasure(args) -> int:
         lost = rng.choice(d - 1, size=min(args.erase, d - 1), replace=False)
         basis_errors.append(float(np.linalg.norm(bcoeffs[lost])))
 
-    _emit({
+    _emit_json({
         "trials": args.trials,
         "erased": args.erase,
         "error_norm_frame": float(np.mean(frame_errors)),
@@ -162,18 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-full", parents=[document],
-                       help="enumerate all operators for dimension 2n")
-    p.add_argument("n", type=int)
-    p.add_argument("--cap-override", type=at_least(1), metavar="N",
-                   default=DEFAULT_ENUMERATION_CAP,
-                   help=f"raise the enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
-    p.set_defaults(func=cmd_gen_full)
+    def sized(name: str, parent, cap: int, func, **kwargs) -> None:
+        p = sub.add_parser(name, parents=[parent], **kwargs)
+        p.add_argument("n", type=int)
+        p.add_argument("--cap-override", type=at_least(1), metavar="N", default=cap,
+                       help=f"raise the cap on n (default {cap})")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("gen-min", parents=[document],
-                       help="build the minimal balanced set of (2n-1)*2^(n-1) operators")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_gen_min)
+    sized("gen-full", document, DEFAULT_ENUMERATION_CAP, cmd_gen_full,
+          help="enumerate all operators for dimension 2n")
+    sized("gen-min", document, DEFAULT_THEOREM_SET_CAP, cmd_gen_min,
+          help="build the balanced set of Theorem 3.4, (2n-1)*2^(n-1) operators")
 
     p = sub.add_parser("check-balance", parents=[output],
                        help="exact balance verdict for an operator-set document")
@@ -191,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for random sphere points (default 0)")
     p.set_defaults(func=cmd_check_funtf)
 
-    p = sub.add_parser("matrix", parents=[output], help="print the pairing matrix")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_matrix)
+    sized("matrix", output, DEFAULT_MATRIX_CAP, cmd_matrix, help="print the pairing matrix")
 
     p = sub.add_parser("demo-erasure", parents=[output],
                        help="compare reconstruction error after coefficient erasures")

@@ -71,49 +71,117 @@ class SignedInvolution:
         return apply(self, a)
 
 
-@dataclass(frozen=True)
 class OperatorSet:
-    """An ordered, duplicate-free collection of signed involutions of one dimension."""
+    """An ordered, duplicate-free collection of signed involutions of one dimension.
 
-    dim: int
-    members: tuple[SignedInvolution, ...]
+    ``OperatorSet(dim, members)`` takes the members as objects;
+    :meth:`from_arrays` takes them as one pairing row and one sign row per
+    member and builds no member objects.  Either way equality and hashing are
+    by dimension and members in order, and ``members``, iteration and indexing
+    give :class:`SignedInvolution` views, built from the arrays on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dim <= 0 or self.dim % 2 != 0:
-            raise ValueError(f"dimension must be a positive even integer, got {self.dim}")
-        for idx, u in enumerate(self.members):
-            if u.dim != self.dim:
-                raise ValueError(
-                    f"member {idx} has dimension {u.dim}, expected {self.dim}"
-                )
-        if len(set(self.members)) != len(self.members):
+    def __init__(self, dim: int, members: Iterable[SignedInvolution]) -> None:
+        members = tuple(members)
+        if dim <= 0 or dim % 2 != 0:
+            raise ValueError(f"dimension must be a positive even integer, got {dim}")
+        for idx, u in enumerate(members):
+            if u.dim != dim:
+                raise ValueError(f"member {idx} has dimension {u.dim}, expected {dim}")
+        if len(set(members)) != len(members):
             raise ValueError("operator set contains duplicate members")
+        self.__dict__.update(dim=dim, members=members, _size=len(members))
 
     @classmethod
-    def from_members(cls, members: Iterable[SignedInvolution]) -> "OperatorSet":
-        members = tuple(members)
-        if not members:
-            raise ValueError("cannot infer dimension from an empty member list")
-        return cls(members[0].dim, members)
+    def from_arrays(cls, pairing: np.ndarray, signs: np.ndarray) -> "OperatorSet":
+        """The set whose member m has pairing ``pairing[m]`` (1-based) and signs
+        ``signs[m]``, both integer arrays of shape (#A, dim).
+
+        All rows are checked at once.  The first invalid row is handed to
+        :class:`SignedInvolution` for its message, so the error reads
+        "operator record m is invalid: ..." exactly as the per-member check
+        words it; duplicate rows are refused after that, as in ``__init__``.
+        """
+        pairing, signs = np.asarray(pairing), np.asarray(signs)
+        if (pairing.ndim != 2 or pairing.shape != signs.shape or pairing.dtype.kind not in "iu"
+                or signs.dtype.kind not in "iu"):
+            raise ValueError("pairing and signs must be integer arrays of one shape (#A, dim)")
+        given = pairing, signs
+        size, dim = pairing.shape
+        if dim == 0 or dim % 2 != 0:
+            raise ValueError(f"dimension must be a positive even integer, got {dim}")
+        position = np.arange(1, dim + 1)
+        bad = ((pairing < 1) | (pairing > dim) | (pairing == position)
+               | ((signs != 1) & (signs != -1)))
+        pairing, signs = pairing.astype(np.intp), signs.astype(np.int8)  # wraps only in bad rows
+        partner = pairing - 1
+        partner[bad] = 0  # any index will do in a row that already fails
+        bad |= np.take_along_axis(pairing, partner, axis=1) != position
+        bad |= np.take_along_axis(signs, partner, axis=1) != -signs
+        del partner
+        bad_rows = bad.any(axis=1).nonzero()[0]
+        if len(bad_rows):
+            row = int(bad_rows[0])
+            try:
+                SignedInvolution(*(tuple(a[row].tolist()) for a in given))
+            except ValueError as exc:
+                raise ValueError(f"operator record {row} is invalid: {exc}") from exc
+        # pairing * signs encodes each row's (pairing, signs) entrywise; compare rows as bytes
+        codes = pairing * signs
+        if len(np.unique(codes.view(np.dtype((np.void, codes.itemsize * dim))))) != size:
+            raise ValueError("operator set contains duplicate members")
+        pairing -= 1
+        e = np.negative(signs, dtype=np.int64)
+        pairing.flags.writeable = e.flags.writeable = False
+        a_set = cls.__new__(cls)
+        a_set.__dict__.update(dim=dim, _size=size, index_arrays=(pairing, e))
+        return a_set
+
+    @cached_property
+    def members(self) -> tuple[SignedInvolution, ...]:
+        k, e = self.index_arrays
+        views = []
+        for pairing, signs in zip((k + 1).tolist(), (-e).tolist()):
+            u = object.__new__(SignedInvolution)  # the rows are checked already
+            u.__dict__.update(pairing=tuple(pairing), signs=tuple(signs))
+            views.append(u)
+        return tuple(views)
 
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Partner indices K and partner signs E, both of shape (#A, dim).
 
         Row m of the images of a point a is E[m] * a[K[m]].  Built on first
-        use and then shared read-only by every numerical consumer.  E is
-        the negated sign row: each member's signs are antisymmetric within
-        every pair {i, k_i}, so the sign at the partner of i is -sign[i].
+        use and then shared read-only by every numerical consumer; a set
+        from :meth:`from_arrays` stores only these.  E is the negated sign
+        row: each member's signs are antisymmetric within every pair
+        {i, k_i}, so the sign at the partner of i is -sign[i].
         """
-        shape, size = (len(self), self.dim), len(self) * self.dim
+        shape, size = (self._size, self.dim), self._size * self.dim
         flat = itertools.chain.from_iterable
         k = np.fromiter(flat(u.pairing for u in self.members), np.intp, size).reshape(shape) - 1
         e = -np.fromiter(flat(u.signs for u in self.members), np.int64, size).reshape(shape)
         k.flags.writeable = e.flags.writeable = False
         return k, e
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OperatorSet):
+            return NotImplemented
+        return (self.dim, self._size) == (other.dim, other._size) and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.index_arrays, other.index_arrays))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, *(a.tobytes() for a in self.index_arrays)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an operator set is immutable")
+
+    def __repr__(self) -> str:
+        return f"OperatorSet(dim={self.dim}, size={self._size})"
+
     def __len__(self) -> int:
-        return len(self.members)
+        return self._size
 
     def __iter__(self) -> Iterator[SignedInvolution]:
         return iter(self.members)
@@ -181,19 +249,40 @@ def _fixed_point_free_involutions(d: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1)
 
 
-def sign_assignments(pairing: Sequence[int], fix_first: bool = False) -> Iterator[tuple[int, ...]]:
-    """All antisymmetric sign sequences for a pairing, lexicographic with +1 first.
+def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
+    """Refuse n < 1, and n above ``cap`` unless ``cap`` is None.
 
-    With ``fix_first`` the sign of coordinate 1 is pinned to +1, leaving one
-    free choice per pair not containing index 1.
+    ``what`` names the cap in the message and ``action`` says what raising
+    it allows.
     """
-    pairs = [(i, k) for i, k in enumerate(pairing, start=1) if i < k]
-    choices = [(1,) if fix_first and i == 1 else (1, -1) for i, _ in pairs]
-    for combo in itertools.product(*choices):
-        signs = [0] * len(pairing)
-        for (i, k), s in zip(pairs, combo):
-            signs[i - 1], signs[k - 1] = s, -s
-        yield tuple(signs)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if cap is not None and n > cap:
+        raise ValueError(f"n={n} exceeds the {what} cap {cap}; "
+                         f"raise the cap explicitly to {action}")
+
+
+def signed_pairings(pairings: np.ndarray, fix_first: bool = False) -> OperatorSet:
+    """Each pairing (a row, 1-based) with each antisymmetric sign pattern.
+
+    A pattern gives every pair {i, k} with i < k a sign at i and the opposite
+    sign at k.  Pairs are ordered by i, and patterns run in lexicographic
+    order with +1 first, the last pair fastest.  With ``fix_first`` the pair
+    holding coordinate 1 keeps +1.  Members go pairing by pairing, each with
+    its patterns in that order: one (patterns x pairs) design broadcast over
+    all pairings, with no per-member objects.
+    """
+    d = pairings.shape[1]
+    free = d // 2 - fix_first
+    bits = (np.arange(2 ** free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
+    design = np.ones((2 ** free, d // 2), np.int8)  # a row per pattern, a column per pair
+    design[:, fix_first:] -= 2 * bits.astype(np.int8)
+    lower = pairings - 1 > np.arange(d)  # position i is the smaller one of its pair
+    pair = np.cumsum(lower, axis=1) - 1  # pairs numbered by their smaller position
+    pair = np.where(lower, pair, np.take_along_axis(pair, pairings - 1, axis=1))
+    orient = np.where(lower, 1, -1).astype(np.int8)
+    signs = design[:, pair].transpose(1, 0, 2) * orient[:, None, :]
+    return OperatorSet.from_arrays(np.repeat(pairings, 2 ** free, axis=0), signs.reshape(-1, d))
 
 
 def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> OperatorSet:
@@ -203,16 +292,5 @@ def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Operato
     then by signs (+1 before -1).  ``cap`` bounds ``n`` because the count
     grows factorially; pass a larger cap (or None) to override.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if cap is not None and n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; "
-            f"raise the cap explicitly to enumerate larger sets"
-        )
-    members = [
-        SignedInvolution(pairing, signs)
-        for pairing in _fixed_point_free_involutions(2 * n)
-        for signs in sign_assignments(pairing)
-    ]
-    return OperatorSet(2 * n, tuple(members))
+    check_cap(n, cap, "enumeration", "enumerate larger sets")
+    return signed_pairings(np.array(list(_fixed_point_free_involutions(2 * n)), np.intp))

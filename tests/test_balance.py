@@ -12,7 +12,7 @@ from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           extract_pairings, is_balanced, make_operator,
                           sign_flip_bijection, validate_pairing_matrix)
 from movingframes.balance import PairingMatrix
-from movingframes.operators import OperatorSet, SignedInvolution, sign_assignments
+from movingframes.operators import OperatorSet, SignedInvolution
 
 A4 = enumerate_full(2)
 A6 = enumerate_full(3)
@@ -78,7 +78,7 @@ class TestPairSlice:
             assert count_pair_slice(A4, p, q) == 4
 
     def test_single_circle_field(self):
-        single = OperatorSet.from_members([make_operator(2, (2, 1), (1, -1))])
+        single = OperatorSet(2, (make_operator(2, (2, 1), (1, -1)),))
         assert count_pair_slice(single, 1, 2) == 1
 
     def test_minimal_set_uniform(self):
@@ -110,7 +110,7 @@ class TestSignSlice:
         assert count_sign_slice(A4, 1, 2, 3, 4, -1) == 4
 
     def test_empty_like_slice(self):
-        single = OperatorSet.from_members([make_operator(4, (2, 1, 4, 3), (1, -1, 1, -1))])
+        single = OperatorSet(4, (make_operator(4, (2, 1, 4, 3), (1, -1, 1, -1)),))
         # k_3 = 4, k_4 = 3, so {k_3, k_4} never equals {1, 2}
         assert count_sign_slice(single, 1, 2, 3, 4, 1) == 0
         assert count_sign_slice(single, 1, 2, 3, 4, -1) == 0
@@ -120,7 +120,7 @@ class TestSignSlice:
             count_sign_slice(A4, 1, 2, 3, 1, 1)
 
     def test_rejects_dim_two(self):
-        single = OperatorSet.from_members([make_operator(2, (2, 1), (1, -1))])
+        single = OperatorSet(2, (make_operator(2, (2, 1), (1, -1)),))
         with pytest.raises(ValueError, match="dimension"):
             count_sign_slice(single, 1, 2, 1, 2, 1)
 
@@ -177,8 +177,10 @@ class TestIsBalanced:
         # d = 100 from three of the 99 pairings for n = 50 (never the whole
         # set, which has 99 * 2^49 members)
         pairings = extract_pairings(build_pairing_matrix(50))[:3]
-        a_set = OperatorSet(100, tuple(SignedInvolution(k, next(sign_assignments(k)))
-                                       for k in pairings))
+        # each with its first sign pattern: +1 at the smaller index of every pair
+        a_set = OperatorSet(100, tuple(
+            SignedInvolution(k, tuple(1 if i < j else -1 for i, j in enumerate(k, 1)))
+            for k in pairings))
         tracemalloc.start()
         try:
             report = is_balanced(a_set)

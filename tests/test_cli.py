@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib.resources import files
 
@@ -199,8 +200,8 @@ class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["matrix", 2, "--tol", 5],
         ["matrix", 2, "--seed", 1],
-        ["matrix", 2, "--cap-override", 9],
-        ["gen-min", 2, "--cap-override", 9],
+        ["matrix", 2, "--no-timestamp"],
+        ["gen-min", 2, "--samples", 9],
         ["gen-full", 2, "--samples", 3],
         ["check-balance", "doc.json", "--no-timestamp"],
         ["check-funtf", "doc.json", "--erase", 1],
@@ -219,6 +220,58 @@ class TestOptions:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+# SHA-256 of `gen-min n --no-timestamp` and `gen-full n --no-timestamp`, as
+# written by json.dumps(doc, indent=2) from one dict per operator
+GEN_MIN_SHA256 = {
+    1: "c754855a1a595426b50f712e9f7e2f77f7c73cd0b1e614fce1fd240165360583",
+    2: "1dcc3cea2d60dfeb0166e20f71d297ae20b5dc3e6d2fddf0ab6922aa6b5ab8ef",
+    3: "7a72383ca34972ee10daf96f12173fdf7391fd4e388821924aa76ec8567f3468",
+    4: "cb6903c583a85b1ce3452dbbfcbee947b20f75674be46ab2ada0cf2f005e2c36",
+    5: "d5dbabf1255014d12a9da1ab7786b8a4b73576c31b995cf9cf073e5220cbcd2a",
+    6: "9685ae7c7ce4b7530358a1201657fb345e2b388afef74fed5c9bbc17abcd0480",
+    7: "53313dd61ae68955c5881ae205d6f8d8d99ca6e14d94289d4560f8977c975b19",
+    8: "49c6772d1c4e7e59e2b45e2675bd0be1705ae0142e562711bfde9ba60aaed572",
+    9: "bb5ec4f913c0fb2fa615ec2a2a29dbef9c8c2cca722291ddfab878e09354b947",
+    10: "f14218c4d6197235bf5edbb7bdcc8e46e8cbb2b9f4556cd5ed94a7aa03d23b3d",
+}
+GEN_FULL_SHA256 = {
+    1: "e775072577cc404325500f77fb5d19da01a69aa03f37f59604da491debeb2556",
+    2: "0ec0c9e1b4eaf29f54c022b633409d165de9b279b24c86080042a93b53be678b",
+    3: "26304336b0f625f09dabc2ce616c3de287bd7ff18e4fb4d1d010a02d9dbb701d",
+    4: "e40c9c29111faa48ea78ea7de91f8ed5baf516fb7504c397ec301526e103575b",
+}
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize("command,n,digest",
+                             [("gen-min", n, h) for n, h in GEN_MIN_SHA256.items()]
+                             + [("gen-full", n, h) for n, h in GEN_FULL_SHA256.items()])
+    def test_document_bytes(self, command, n, digest, capsys):
+        code, out, _ = run(capsys, command, n, "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv", [["gen-min", 13], ["gen-min", 4, "--cap-override", 3],
+                                      ["matrix", 101], ["matrix", 3, "--cap-override", 2]])
+    def test_refused_above_the_cap(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: n={argv[1]} exceeds the size cap ")
+        assert err.endswith(" (see --cap-override)\n")
+
+    @pytest.mark.parametrize("command", ["gen-min", "matrix"])
+    def test_no_cap_hint_for_nonpositive_n(self, command, capsys):
+        code, out, err = run(capsys, command, 0)
+        assert (code, out) == (2, "")
+        assert err == "error: n must be a positive integer, got 0\n"
+
+    def test_override_admits_n(self, capsys):
+        code, out, _ = run(capsys, "matrix", 3, "--cap-override", 3)
+        assert code == 0 and len(out.splitlines()) == 6
 
 
 class TestMatrix:

@@ -1,8 +1,13 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingframes import (DocumentError, build_minimal_balanced,
-                          enumerate_full, read_document, write_document)
-from movingframes.documents import document_dict, parse_document
+                          enumerate_full, make_operator, read_document,
+                          write_document)
+from movingframes.documents import document_chunks, parse_document
 from movingframes.operators import OperatorSet, SignedInvolution
 
 
@@ -20,10 +25,122 @@ class TestRoundTrip:
         assert path.read_bytes().endswith(b"\n")
 
     def test_timestamp_suppression(self):
-        doc = document_dict(enumerate_full(1), generator="g", timestamp=False)
-        assert doc["metadata"] == {"generator": "g"}
-        doc = document_dict(enumerate_full(1), timestamp=False)
+        text = "".join(document_chunks(enumerate_full(1), generator="g", timestamp=False))
+        assert json.loads(text)["metadata"] == {"generator": "g"}
+        doc = json.loads("".join(document_chunks(enumerate_full(1), timestamp=False)))
         assert "metadata" not in doc
+
+
+def json_document(a_set, metadata=None):
+    """The document as json.dumps writes it, from the members one by one."""
+    doc = {"n": a_set.dim // 2,
+           "operators": [{"pairing": list(u.pairing), "signs": list(u.signs)} for u in a_set]}
+    if metadata:
+        doc["metadata"] = metadata
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestWrittenText:
+    SETS = [enumerate_full(1), enumerate_full(3), build_minimal_balanced(4),
+            OperatorSet(4, enumerate_full(2).members[::-1]), OperatorSet(2, ())]
+
+    @pytest.mark.parametrize("a_set", SETS, ids=["full1", "full3", "min4", "reversed", "empty"])
+    def test_same_text_as_json_dumps(self, a_set, tmp_path):
+        path = tmp_path / "ops.json"
+        write_document(path, a_set, timestamp=False)
+        assert path.read_text(encoding="utf-8") == json_document(a_set)
+        write_document(path, a_set, generator="théorème \"3.4\"\n", timestamp=False)
+        assert path.read_text(encoding="utf-8") == json_document(
+            a_set, {"generator": "théorème \"3.4\"\n"})
+        write_document(path, a_set, generator="g")
+        text = path.read_text(encoding="utf-8")
+        created = json.loads(text)["metadata"]["created"]
+        assert text == json_document(a_set, {"generator": "g", "created": created})
+
+    def test_more_records_than_one_chunk(self):
+        a_set = build_minimal_balanced(7)  # 1,664 records
+        assert "".join(document_chunks(a_set, timestamp=False)) == json_document(a_set)
+
+
+def reference_parse_error(doc):
+    """The message of the per-record parse that array reading replaced, or None."""
+    members = []
+    for idx, record in enumerate(doc["operators"]):
+        if not isinstance(record, dict) or "pairing" not in record or "signs" not in record:
+            return f"operator record {idx} must have 'pairing' and 'signs'"
+        try:
+            members.append(make_operator(2 * doc["n"], record["pairing"], record["signs"]))
+        except (ValueError, TypeError) as exc:
+            return f"operator record {idx} is invalid: {exc}"
+    if len(set(members)) != len(members):
+        return "operator set contains duplicate members"
+    return None
+
+
+CORRUPTIONS = ("bool", "float", "string", "length", "range", "huge", "fixed point",
+               "involution", "antisymmetry", "duplicate", "not a record")
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A document of a random subset of a generated set, with one to three
+    records corrupted in one of the CORRUPTIONS ways each."""
+    a_set = draw(st.sampled_from([enumerate_full(1), enumerate_full(2), enumerate_full(3),
+                                  build_minimal_balanced(4)]))
+    records = [{"pairing": list(u.pairing), "signs": list(u.signs)}
+               for u in draw(st.lists(st.sampled_from(a_set.members), min_size=1,
+                                      max_size=12, unique=True))]
+    d = a_set.dim
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.integers(0, len(records) - 1))
+        record = records[idx]
+        if not (isinstance(record, dict) and set(record) == {"pairing", "signs"}
+                and len(record["pairing"]) == len(record["signs"]) == a_set.dim
+                and all(type(x) is int for x in record["pairing"] + record["signs"])):
+            continue  # this record is corrupted already
+        record = records[idx] = {key: list(value) for key, value in record.items()}
+        field = draw(st.sampled_from(["pairing", "signs"]))
+        pos = draw(st.integers(0, d - 1))
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        value = record[field][pos]
+        if kind == "bool":
+            record[field][pos] = draw(st.booleans())
+        elif kind == "float":
+            record[field][pos] = float(value) + draw(st.sampled_from([0.0, 0.5]))
+        elif kind == "string":
+            record[field][pos] = str(value)
+        elif kind == "length":
+            record[field] = record[field][:-1] if draw(st.booleans()) else record[field] + [1]
+        elif kind == "range":
+            record[field][pos] = draw(st.sampled_from([0, -1, d + 1, 2, -2]))
+        elif kind == "huge":
+            record[field][pos] = draw(st.sampled_from([2**70, -(2**70), 2**63]))
+        elif kind == "fixed point":
+            record["pairing"][pos] = pos + 1
+        elif kind == "involution":
+            record["pairing"][pos] = draw(st.sampled_from(
+                [k for k in range(1, d + 1) if k not in (pos + 1, record["pairing"][pos])]
+                or [pos + 1]))
+        elif kind == "antisymmetry":
+            record["signs"][pos] = -record["signs"][pos]
+        elif kind == "duplicate":
+            records.insert(draw(st.integers(0, len(records))), dict(records[idx]))
+        else:
+            records[idx] = draw(st.sampled_from([[1, 2], "x", None, {"pairing": [2, 1]}]))
+    return {"n": d // 2, "operators": records}
+
+
+class TestParseDiagnostics:
+    @settings(max_examples=250, deadline=None)
+    @given(corrupted_documents())
+    def test_same_message_as_per_record_parse(self, doc):
+        expected = reference_parse_error(doc)
+        if expected is None:  # corruptions can cancel out; then the set must parse
+            assert len(parse_document(doc)) == len(doc["operators"])
+            return
+        with pytest.raises(DocumentError) as exc:
+            parse_document(doc)
+        assert str(exc.value) == expected
 
 
 class TestParseErrors:

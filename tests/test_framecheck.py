@@ -210,7 +210,7 @@ class TestWitnessUnbalanced:
         assert witness_cross_term(clipped, witness) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_single_operator(self):
-        single = OperatorSet.from_members([make_operator(4, (3, 4, 1, 2), (1, 1, -1, -1))])
+        single = OperatorSet(4, (make_operator(4, (3, 4, 1, 2), (1, 1, -1, -1)),))
         report = is_balanced(single)
         witness = witness_unbalanced(single, report)
         assert witness.probe_pair == (1, 2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingframes import (apply, build_minimal_balanced, enumerate_full,
-                          make_operator, tangency_defect)
-from movingframes.operators import SignedInvolution
+from movingframes import (apply, build_minimal_balanced, build_pairing_matrix,
+                          enumerate_full, extract_pairings, make_operator,
+                          tangency_defect)
+from movingframes.operators import OperatorSet, SignedInvolution
 
 CIRCLE = make_operator(2, (2, 1), (1, -1))
 
@@ -234,6 +236,121 @@ class TestIndexArrays:
                 array[0, 0] = 0
         # the cache is no field: equality and hashing are by members only
         assert a_set == enumerate_full(2) and hash(a_set) == hash(enumerate_full(2))
+
+
+def reference_involutions(d):
+    """All fixed-point-free involutions of {1..d}, lexicographic (the
+    per-member enumeration the array generators replaced)."""
+    partner = [0] * (d + 1)
+
+    def rec(i):
+        if i > d:
+            yield tuple(partner[1:])
+        elif partner[i]:
+            yield from rec(i + 1)
+        else:
+            for j in range(i + 1, d + 1):
+                if not partner[j]:
+                    partner[i], partner[j] = j, i
+                    yield from rec(i + 1)
+                    partner[i] = partner[j] = 0
+
+    yield from rec(1)
+
+
+def reference_sign_assignments(pairing, fix_first=False):
+    """Antisymmetric sign sequences of a pairing, lexicographic with +1 first."""
+    pairs = [(i, k) for i, k in enumerate(pairing, start=1) if i < k]
+    choices = [(1,) if fix_first and i == 1 else (1, -1) for i, _ in pairs]
+    for combo in itertools.product(*choices):
+        signs = [0] * len(pairing)
+        for (i, k), s in zip(pairs, combo):
+            signs[i - 1], signs[k - 1] = s, -s
+        yield tuple(signs)
+
+
+class TestArrayGenerators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_matches_per_member_enumeration(self, n):
+        expected = [(pairing, signs) for pairing in reference_involutions(2 * n)
+                    for signs in reference_sign_assignments(pairing)]
+        assert [(u.pairing, u.signs) for u in enumerate_full(n)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_theorem_set_matches_per_member_construction(self, n):
+        expected = [(pairing, signs)
+                    for pairing in extract_pairings(build_pairing_matrix(n))
+                    for signs in reference_sign_assignments(pairing, fix_first=True)]
+        assert [(u.pairing, u.signs) for u in build_minimal_balanced(n)] == expected
+
+    def test_caps_refuse_before_building(self):
+        with pytest.raises(ValueError, match="exceeds the size cap 12"):
+            build_minimal_balanced(13)
+        with pytest.raises(ValueError, match="exceeds the size cap 2"):
+            build_minimal_balanced(3, cap=2)
+        with pytest.raises(ValueError, match="exceeds the size cap 100"):
+            build_pairing_matrix(101)
+        with pytest.raises(ValueError, match="positive"):
+            build_minimal_balanced(0)
+        assert len(build_minimal_balanced(3, cap=None)) == 20
+
+
+class TestFromArrays:
+    def test_same_set_either_way(self):
+        for built in (enumerate_full(2), build_minimal_balanced(3)):
+            members = OperatorSet(built.dim, tuple(SignedInvolution(u.pairing, u.signs)
+                                                   for u in built))
+            assert built == members and members == built
+            assert hash(built) == hash(members)
+            assert built.members == members.members
+            assert built[-1] == members[-1] and list(built) == list(members)
+        assert enumerate_full(2) != OperatorSet(4, enumerate_full(2).members[::-1])
+        assert enumerate_full(2) != OperatorSet(4, enumerate_full(2).members[:-1])
+
+    def test_inputs_are_copied(self):
+        pairing, signs = np.array([[2, 1], [2, 1]]), np.array([[1, -1], [-1, 1]])
+        a_set = OperatorSet.from_arrays(pairing, signs)
+        pairing[0, 0], signs[:] = 5, 0
+        assert a_set == enumerate_full(1)
+
+    def test_first_invalid_row_names_the_record(self):
+        pairing = np.array([[2, 1, 4, 3], [2, 1, 4, 3], [3, 4, 2, 1], [1, 2, 3, 4]])
+        signs = np.array([[1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1], [1, 1, 1, 1]])
+        with pytest.raises(ValueError) as exc:
+            OperatorSet.from_arrays(pairing, signs)
+        assert str(exc.value) == ("operator record 2 is invalid: pairing is not an involution "
+                                  "at position 1: position 1 maps to 3 but 3 maps to 2")
+
+    def test_large_entries_keep_their_values_in_the_message(self):
+        with pytest.raises(ValueError, match="got 300$"):
+            OperatorSet.from_arrays(np.array([[2, 1]]), np.array([[300, -1]]))
+
+    def test_duplicates(self):
+        with pytest.raises(ValueError, match="^operator set contains duplicate members$"):
+            OperatorSet.from_arrays(np.array([[2, 1], [2, 1]]), np.array([[1, -1], [1, -1]]))
+
+    @pytest.mark.parametrize("pairing,signs", [
+        (np.array([2, 1]), np.array([1, -1])),
+        (np.array([[2, 1]]), np.array([[1, -1, 1]])),
+        (np.array([[2.0, 1.0]]), np.array([[1, -1]])),
+        (np.array([[2, 1]]), np.array([[True, False]])),
+    ])
+    def test_rejects_shapes_and_dtypes(self, pairing, signs):
+        with pytest.raises(ValueError, match="integer arrays of one shape"):
+            OperatorSet.from_arrays(pairing, signs)
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValueError, match="even"):
+            OperatorSet.from_arrays(np.ones((1, 3), int), np.ones((1, 3), int))
+
+    def test_immutable(self):
+        for a_set in (enumerate_full(1), OperatorSet(2, enumerate_full(1).members)):
+            with pytest.raises(AttributeError, match="immutable"):
+                a_set.dim = 4
+
+    def test_empty(self):
+        empty = OperatorSet.from_arrays(np.zeros((0, 4), int), np.zeros((0, 4), int))
+        assert len(empty) == 0 and empty == OperatorSet(4, ())
 
 
 class TestTangencyDefect:
