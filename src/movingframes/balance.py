@@ -24,23 +24,6 @@ DEFAULT_THEOREM_SET_CAP = 12
 DEFAULT_MATRIX_CAP = 100
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
-    """Symmetric zero-diagonal matrix whose rows permute {0..2n-1}.
-
-    Row i holds, for each column j, the label of the pairing that matches
-    coordinates i and j.  Built by :func:`build_pairing_matrix`; arbitrary
-    entries are accepted at construction so invalid matrices can be fed to
-    :func:`extract_pairings` for diagnosis.
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def as_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
-
 @dataclass
 class BalanceReport:
     """Exact verdict on the two balance conditions, with every failing slice."""
@@ -68,7 +51,7 @@ class BalanceReport:
 
 
 def _check_index(d: int, name: str, value: int) -> None:
-    if not 1 <= value <= d:
+    if isinstance(value, bool) or not 1 <= value <= d:
         raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
@@ -134,7 +117,7 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
         _check_index(d, name, value)
     if len({p, q, r, s}) != 4:
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
-    if sign not in (-1, 1):
+    if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     key_code = _layout(d)[3]
     table = _slice_counts(a_set, key_code[r - 1, s - 1] // 2, key_code[r - 1, s - 1] // 2 + 1)
@@ -187,53 +170,50 @@ def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:
     return SignedInvolution(u.pairing, signs)
 
 
-def build_pairing_matrix(n: int, cap: int | None = DEFAULT_MATRIX_CAP) -> PairingMatrix:
-    """The explicit symmetric scheduling matrix encoding 2n-1 pairings.
-
-    Entry (i, j) with i, j < 2n is ((i+j-2) mod (2n-1)) + 1; the last row
-    and column hold ((2i-2) mod (2n-1)) + 1, which runs over all labels
-    because 2 and 2n-1 are coprime.  ``cap`` bounds ``n`` (None lifts it).
+def build_pairing_matrix(n: int, cap: int | None = DEFAULT_MATRIX_CAP) -> np.ndarray:
+    """The symmetric 2n x 2n integer matrix whose entry (i, j) labels the pairing
+    that matches coordinates i and j.  For 0-based i, j < 2n-1 it is ((i+j) mod
+    (2n-1)) + 1; the last row and column hold (2i mod (2n-1)) + 1, which runs
+    over all labels as 2 and 2n-1 are coprime.  ``cap`` bounds ``n`` (None lifts it).
     """
     check_cap(n, cap, "size", "build larger matrices")
-    d = 2 * n
-    m = d - 1
-
-    def entry(i: int, j: int) -> int:
-        if i == j:
-            return 0
-        if i < d and j < d:
-            return (i + j - 2) % m + 1
-        if j == d:
-            return (2 * i - 2) % m + 1
-        return (2 * j - 2) % m + 1
-
-    rows = tuple(tuple(entry(i, j) for j in range(1, d + 1)) for i in range(1, d + 1))
-    return PairingMatrix(n, rows)
+    i = np.arange(2 * n)
+    matrix = (i[:, None] + i) % (2 * n - 1) + 1
+    matrix[-1] = matrix[:, -1] = 2 * i % (2 * n - 1) + 1
+    np.fill_diagonal(matrix, 0)
+    return matrix
 
 
-def validate_pairing_matrix(matrix: PairingMatrix) -> None:
-    """Raise naming the violated invariant: shape, symmetry, diagonal, or rows."""
-    d = 2 * matrix.n
-    if len(matrix.rows) != d or any(len(row) != d for row in matrix.rows):
-        raise ValueError(f"matrix is not {d}x{d}")
-    for i in range(d):
-        if matrix.rows[i][i] != 0:
-            raise ValueError(f"diagonal entry ({i + 1},{i + 1}) is {matrix.rows[i][i]}, not 0")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if matrix.rows[i][j] != matrix.rows[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric at ({i + 1},{j + 1}): "
-                    f"{matrix.rows[i][j]} != {matrix.rows[j][i]}"
-                )
-    for i, row in enumerate(matrix.rows, start=1):
-        if sorted(row) != list(range(d)):
-            raise ValueError(f"row {i} is not a permutation of 0..{d - 1}")
+def validate_pairing_matrix(matrix) -> np.ndarray:
+    """Raise naming the violated invariant: shape, entry type (int, not bool or
+    float), diagonal, symmetry (first failure in row-major order), or rows
+    that do not permute {0..2n-1}.  Returns the checked matrix as an int array.
+    """
+    entries = np.asarray(matrix, dtype=object)  # every entry exact, with its own type
+    d = entries.shape[0] if entries.ndim == 2 else 0
+    if entries.shape != (d, d) or d == 0 or d % 2:
+        raise ValueError(f"matrix must be square with a positive even side, "
+                         f"got shape {entries.shape}")
+    kinds = {t.__name__ for t in set(map(type, entries.flat))
+             if t is bool or not issubclass(t, (int, np.integer))}
+    if kinds:
+        raise ValueError(f"matrix entries must be integers, got {', '.join(sorted(kinds))}")
+    if (bad := entries.diagonal() != 0).any():  # argmax of a bool array: its first True
+        i = bad.argmax()
+        raise ValueError(f"diagonal entry ({i + 1},{i + 1}) is {entries[i, i]}, not 0")
+    if (bad := np.triu(entries != entries.T, 1)).any():
+        i, j = divmod(bad.argmax(), d)
+        raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1}): "
+                         f"{entries[i, j]} != {entries[j, i]}")
+    if (bad := (np.sort(entries, axis=1) != np.arange(d)).any(axis=1)).any():
+        raise ValueError(f"row {bad.argmax() + 1} is not a permutation of 0..{d - 1}")
+    return entries.astype(np.intp)
 
 
-def extract_pairings(matrix: PairingMatrix) -> tuple[tuple[int, ...], ...]:
-    """Read the pairing family off the matrix: the 2n-1 fixed-point-free
-    involutions, where label j pairs i with the column of row i whose entry is j.
+def extract_pairings(matrix) -> np.ndarray:
+    """Read the pairing family off the matrix: row j-1 of the (2n-1) x 2n
+    result is pairing j, 1-based, which sends i to the column of row i whose
+    entry is j.
 
     A matrix that passes :func:`validate_pairing_matrix` needs no further
     check of the family.  Each row is a permutation of 0..2n-1 with its 0 on
@@ -244,11 +224,8 @@ def extract_pairings(matrix: PairingMatrix) -> tuple[tuple[int, ...], ...]:
     exactly one pairing.  The labels in row i are distinct, so no two
     pairings send i to the same partner.
     """
-    validate_pairing_matrix(matrix)
-    d = 2 * matrix.n
-    # column of each label per row, so extraction is one scan per row
-    position = [{value: col + 1 for col, value in enumerate(row)} for row in matrix.rows]
-    return tuple(tuple(position[i][label] for i in range(d)) for label in range(1, d))
+    # argsort inverts each row's permutation: column j holds the position of label j
+    return np.argsort(validate_pairing_matrix(matrix), axis=1)[:, 1:].T + 1
 
 
 def build_minimal_balanced(n: int, cap: int | None = DEFAULT_THEOREM_SET_CAP) -> OperatorSet:
@@ -262,5 +239,4 @@ def build_minimal_balanced(n: int, cap: int | None = DEFAULT_THEOREM_SET_CAP) ->
     set has six).  ``cap`` bounds ``n`` (None lifts it).
     """
     check_cap(n, cap, "size", "build larger sets")
-    pairings = extract_pairings(build_pairing_matrix(n, cap=None))
-    return signed_pairings(np.array(pairings, np.intp), fix_first=True)
+    return signed_pairings(extract_pairings(build_pairing_matrix(n, cap=None)), fix_first=True)

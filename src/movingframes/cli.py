@@ -9,15 +9,17 @@ Subcommands:
     demo-erasure   compare erasure robustness of a frame against a basis
 
 Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error
-(including an n above the size cap of gen-full, gen-min or matrix),
-3 malformed input document.
+(among them an n above the size cap, a failed allocation and an output
+that cannot be written), 3 malformed input document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from typing import Iterable
 
 import numpy as np
@@ -40,14 +42,16 @@ EXIT_MALFORMED = 3
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:
     """Write the text pieces to ``output``, or to stdout for None or "-"."""
-    if output is None or output == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:  # a usage error (exit 2), never a verdict
-            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
+    to_stdout = output is None or output == "-"
+    try:
+        with nullcontext(sys.stdout) if to_stdout else open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+            fh.flush()  # so that a closed stdout fails here, not at exit
+    except OSError as exc:  # a usage error (exit 2), never a verdict
+        if to_stdout:  # the reader is gone: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write {'stdout' if to_stdout else output}: "
+                         f"{exc.strerror}") from exc
 
 
 def _emit_json(payload, output: str | None) -> None:
@@ -96,7 +100,8 @@ def cmd_check_funtf(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    _emit((_capped(build_pairing_matrix, args).as_text(), "\n"), args.output)
+    rows = _capped(build_pairing_matrix, args).tolist()
+    _emit(("\n".join(" ".join(map(str, row)) for row in rows), "\n"), args.output)
     return EXIT_OK
 
 
@@ -219,6 +224,9 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a sample count too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -229,33 +229,26 @@ def tangency_defect(u: SignedInvolution, a):
     return sum(u.signs[k - 1] * a[k - 1] * a[i] for i, k in enumerate(u.pairing))
 
 
-def _fixed_point_free_involutions(d: int) -> Iterator[tuple[int, ...]]:
-    """All fixed-point-free involutions of {1..d}, lexicographic by the index map."""
-
-    partner = [0] * (d + 1)  # partner[i] of index i, 0 while unmatched
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i > d:
-            yield tuple(partner[1:])
-        elif partner[i]:
-            yield from rec(i + 1)
-        else:
-            for j in range(i + 1, d + 1):
-                if not partner[j]:
-                    partner[i], partner[j] = j, i
-                    yield from rec(i + 1)
-                    partner[i] = partner[j] = 0
-
-    yield from rec(1)
+def _fixed_point_free_involutions(d: int) -> np.ndarray:
+    """All fixed-point-free involutions of {1..d}, a 1-based row each,
+    lexicographic by the index map: a block per partner j of 1, in increasing
+    j, over the involutions of the other d-2 indices relabelled in order."""
+    if d == 0:
+        return np.zeros((1, 0), np.intp)
+    inner, blocks = _fixed_point_free_involutions(d - 2), []
+    for j in range(2, d + 1):  # inner's labels 1..d-2 become the indices other than 1 and j
+        rest = np.delete(np.arange(d + 1), [1, j])[inner]
+        blocks.append(np.insert(np.insert(rest, j - 2, 1, axis=1), 0, j, axis=1))
+    return np.concatenate(blocks)
 
 
 def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
-    """Refuse n < 1, and n above ``cap`` unless ``cap`` is None.
+    """Refuse a bool or n < 1, and n above ``cap`` unless ``cap`` is None.
 
     ``what`` names the cap in the message and ``action`` says what raising
     it allows.
     """
-    if n < 1:
+    if isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {what} cap {cap}; "
@@ -293,4 +286,4 @@ def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Operato
     grows factorially; pass a larger cap (or None) to override.
     """
     check_cap(n, cap, "enumeration", "enumerate larger sets")
-    return signed_pairings(np.array(list(_fixed_point_free_involutions(2 * n)), np.intp))
+    return signed_pairings(_fixed_point_free_involutions(2 * n))

@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           count_pair_slice, count_sign_slice, enumerate_full,
                           extract_pairings, is_balanced, make_operator,
-                          sign_flip_bijection, validate_pairing_matrix)
-from movingframes.balance import PairingMatrix
+                          sign_flip_bijection, validate_pairing_matrix,
+                          verify_moving_funtf, witness_cross_term,
+                          witness_unbalanced)
+from movingframes.cli import main
 from movingframes.operators import OperatorSet, SignedInvolution
 
 A4 = enumerate_full(2)
 A6 = enumerate_full(3)
 A8 = enumerate_full(4)
 MIN2 = build_minimal_balanced(2)
+THEOREM_SETS = {n: build_minimal_balanced(n) for n in range(2, 6)}
 
 
 @st.composite
@@ -26,6 +30,34 @@ def full_subsets(draw):
     full = draw(st.sampled_from([A4, A6, A8]))
     members = draw(st.lists(st.sampled_from(full.members), min_size=1, unique=True))
     return OperatorSet(full.dim, tuple(members))
+
+
+def relabel(a_set, perm):
+    """The set conjugated by the coordinate permutation i -> perm[i] (0-based):
+    each member's partner of perm[i] is perm[k_i], with the sign it had at i."""
+    k, e = a_set.index_arrays
+    pairing, signs = np.empty_like(k), np.empty_like(e)
+    pairing[:, perm], signs[:, perm] = perm[k] + 1, -e
+    return OperatorSet.from_arrays(pairing, signs)
+
+
+@st.composite
+def cross_route_sets(draw):
+    """A set and the same set relabelled at random.  The set is a subset of
+    enumerate_full(2..4), a Theorem 3.4 set for n = 2..5 under a random
+    relabelling, or such a set minus one member."""
+    kind = draw(st.sampled_from(["full subset", "theorem", "theorem minus one"]))
+    if kind == "full subset":
+        a_set = draw(full_subsets())
+    else:
+        theorem = THEOREM_SETS[draw(st.integers(2, 5))]
+        a_set = relabel(theorem, np.array(draw(st.permutations(range(theorem.dim)))))
+        if kind == "theorem minus one":
+            k, e = a_set.index_arrays
+            drop = draw(st.integers(0, len(a_set) - 1))
+            a_set = OperatorSet.from_arrays(np.delete(k, drop, axis=0) + 1,
+                                           -np.delete(e, drop, axis=0))
+    return a_set, relabel(a_set, np.array(draw(st.permutations(range(a_set.dim)))))
 
 
 def failures_from_definitions(a_set):
@@ -100,8 +132,10 @@ class TestPairSlice:
             count_pair_slice(A4, 2, 2)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            count_pair_slice(A4, 1, 5)
+        # True == 1, but a boolean is not an index
+        for p, q in ((1, 5), (True, 2), (1, False)):
+            with pytest.raises(ValueError, match="out of range"):
+                count_pair_slice(A4, p, q)
 
 
 class TestSignSlice:
@@ -118,6 +152,13 @@ class TestSignSlice:
     def test_rejects_repeated_indices(self):
         with pytest.raises(ValueError, match="distinct"):
             count_sign_slice(A4, 1, 2, 3, 1, 1)
+
+    def test_rejects_bad_sign_or_bool_index(self):
+        for sign in (0, 2, True):
+            with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+                count_sign_slice(A4, 1, 2, 3, 4, sign)
+        with pytest.raises(ValueError, match="index p=True out of range"):
+            count_sign_slice(A4, True, 2, 3, 4, 1)
 
     def test_rejects_dim_two(self):
         single = OperatorSet(2, (make_operator(2, (2, 1), (1, -1)),))
@@ -176,7 +217,7 @@ class TestIsBalanced:
     def test_large_dimension_in_bounded_memory(self):
         # d = 100 from three of the 99 pairings for n = 50 (never the whole
         # set, which has 99 * 2^49 members)
-        pairings = extract_pairings(build_pairing_matrix(50))[:3]
+        pairings = map(tuple, extract_pairings(build_pairing_matrix(50))[:3].tolist())
         # each with its first sign pattern: +1 at the smaller index of every pair
         a_set = OperatorSet(100, tuple(
             SignedInvolution(k, tuple(1 if i < j else -1 for i, j in enumerate(k, 1)))
@@ -198,6 +239,19 @@ class TestIsBalanced:
         failures = is_balanced(OperatorSet(6, A6.members[:37])).condition_ii_failures
         assert len(failures) > 1
         assert failures == sorted(failures)
+
+
+class TestCrossRoutes:
+    @settings(max_examples=80, deadline=None)
+    @given(cross_route_sets())
+    def test_numerical_routes_agree_with_exact_verdict(self, sets):
+        a_set, relabelled = sets
+        report = is_balanced(a_set)
+        assert verify_moving_funtf(a_set, num_samples=20).tight == report.balanced
+        assert is_balanced(relabelled).balanced == report.balanced
+        if not report.balanced:
+            witness = witness_unbalanced(a_set, report)
+            assert abs(witness_cross_term(a_set, witness) - float(witness.defect)) <= 1e-10
 
 
 class TestSignFlipBijection:
@@ -233,56 +287,124 @@ class TestSignFlipBijection:
             sign_flip_bijection(A4[0], 5)
 
 
+def reference_validation_message(rows):
+    """The checks of validate_pairing_matrix as three Python loops over nested
+    rows (the form its numpy checks replaced): the first message for a
+    square matrix of even side, or None."""
+    d = len(rows)
+    for i in range(d):
+        if rows[i][i] != 0:
+            return f"diagonal entry ({i + 1},{i + 1}) is {rows[i][i]}, not 0"
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rows[i][j] != rows[j][i]:
+                return (f"matrix is not symmetric at ({i + 1},{j + 1}): "
+                        f"{rows[i][j]} != {rows[j][i]}")
+    for i, row in enumerate(rows, start=1):
+        if sorted(row) != list(range(d)):
+            return f"row {i} is not a permutation of 0..{d - 1}"
+    return None
+
+
+@st.composite
+def corrupted_matrices(draw):
+    """A pairing matrix for n = 1..5 with up to three entries overwritten by
+    integers in -2..2n+1 or far out of int64 range, each alone or together
+    with its mirror entry (so symmetric matrices with bad rows come up)."""
+    rows = build_pairing_matrix(draw(st.integers(1, 5))).tolist()
+    d = len(rows)
+    values = st.one_of(st.integers(-2, d + 1), st.sampled_from([2**70, -2**70]))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, value = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(values)
+        rows[i][j] = value
+        if draw(st.booleans()):
+            rows[j][i] = value
+    return rows
+
+
 class TestPairingMatrix:
     def test_n1(self):
-        assert build_pairing_matrix(1).rows == ((0, 1), (1, 0))
+        assert build_pairing_matrix(1).tolist() == [[0, 1], [1, 0]]
 
     def test_n2(self):
-        assert build_pairing_matrix(2).rows == (
-            (0, 2, 3, 1),
-            (2, 0, 1, 3),
-            (3, 1, 0, 2),
-            (1, 3, 2, 0),
-        )
+        assert build_pairing_matrix(2).tolist() == [
+            [0, 2, 3, 1],
+            [2, 0, 1, 3],
+            [3, 1, 0, 2],
+            [1, 3, 2, 0],
+        ]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 25, 50])
     def test_invariants(self, n):
         validate_pairing_matrix(build_pairing_matrix(n))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            build_pairing_matrix(0)
+        for n in (0, -1, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                build_pairing_matrix(n)
 
-    def test_as_text(self):
-        assert build_pairing_matrix(1).as_text() == "0 1\n1 0"
+    def test_as_text(self, capsys):
+        assert main(["matrix", "1"]) == 0
+        assert capsys.readouterr().out == "0 1\n1 0\n"
 
     def test_validate_reports_asymmetry(self):
-        bad = PairingMatrix(2, ((0, 2, 3, 1), (2, 0, 1, 3), (3, 1, 0, 2), (1, 2, 3, 0)))
+        bad = np.array([[0, 2, 3, 1], [2, 0, 1, 3], [3, 1, 0, 2], [1, 2, 3, 0]])
         with pytest.raises(ValueError, match="symmetric"):
             validate_pairing_matrix(bad)
 
     def test_validate_reports_diagonal(self):
-        bad = PairingMatrix(1, ((1, 0), (0, 1)))
+        bad = np.array([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="diagonal"):
             validate_pairing_matrix(bad)
 
     def test_validate_reports_bad_row(self):
-        bad = PairingMatrix(2, ((0, 2, 2, 1), (2, 0, 1, 3), (2, 1, 0, 2), (1, 3, 2, 0)))
+        bad = np.array([[0, 2, 2, 1], [2, 0, 1, 3], [2, 1, 0, 2], [1, 3, 2, 0]])
         with pytest.raises(ValueError, match="row 1"):
             validate_pairing_matrix(bad)
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 3), int), np.zeros((2, 4), int), np.zeros((0, 0), int),
+        np.zeros((2, 2, 2), int), [[0, 1], [1]], 7,
+    ])
+    def test_validate_reports_shape(self, bad):
+        with pytest.raises(ValueError, match="square with a positive even side"):
+            validate_pairing_matrix(bad)
+
+    @pytest.mark.parametrize("bad,kind", [
+        (((0, 1.0), (1.0, 0)), "float"), (((0, True), (True, 0)), "bool"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "float"),
+        (np.array([[False, True], [True, False]]), "bool"), ((("0", 1), (1, 0)), "str"),
+    ])
+    def test_validate_refuses_non_integer_entries(self, bad, kind):
+        # (0, 1.0) and (0, True) compare equal to (0, 1); the type alone is wrong
+        with pytest.raises(ValueError, match=f"entries must be integers, got {kind}$"):
+            validate_pairing_matrix(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_matrices())
+    def test_validate_matches_reference_loops(self, rows):
+        expected = reference_validation_message(rows)
+        if expected is None:
+            assert validate_pairing_matrix(rows).tolist() == rows
+        else:
+            with pytest.raises(ValueError) as exc:
+                validate_pairing_matrix(rows)
+            assert str(exc.value) == expected
 
 
 class TestExtractPairings:
     def test_n1(self):
-        assert extract_pairings(build_pairing_matrix(1)) == ((2, 1),)
+        assert extract_pairings(build_pairing_matrix(1)).tolist() == [[2, 1]]
 
     def test_n2(self):
-        pairings = extract_pairings(build_pairing_matrix(2))
-        assert set(pairings) == {(4, 3, 2, 1), (2, 1, 4, 3), (3, 4, 1, 2)}
+        # the matrix as an array or as nested int sequences
+        for matrix in (build_pairing_matrix(2), build_pairing_matrix(2).tolist()):
+            pairings = extract_pairings(matrix).tolist()
+            assert set(map(tuple, pairings)) == {(4, 3, 2, 1), (2, 1, 4, 3), (3, 4, 1, 2)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
     def test_pair_coverage_exactly_once(self, n):
-        pairings = extract_pairings(build_pairing_matrix(n))
+        pairings = extract_pairings(build_pairing_matrix(n)).tolist()
         d = 2 * n
         assert len(pairings) == d - 1
         matched = [
@@ -297,7 +419,7 @@ class TestExtractPairings:
 
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError, match="diagonal"):
-            extract_pairings(PairingMatrix(1, ((1, 0), (0, 1))))
+            extract_pairings(np.array([[1, 0], [0, 1]]))
 
 
 class TestBuildMinimalBalanced:
@@ -319,5 +441,6 @@ class TestBuildMinimalBalanced:
         assert build_minimal_balanced(3) == build_minimal_balanced(3)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            build_minimal_balanced(0)
+        for n in (0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                build_minimal_balanced(n)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import movingframes
 from movingframes import read_document
 from movingframes.cli import main
 
@@ -221,6 +226,24 @@ class TestOptions:
             assert (code, out) == (2, "")
             assert err == f"error: cannot write {target}: No such file or directory\n"
 
+    def test_unallocatable_sample_count_is_a_usage_error(self, min2_file, capsys):
+        # 10^15 points of R^4 need 28.4 PiB, more than any address space, so
+        # the allocation is refused at once; exit 1 would read as "not tight"
+        code, out, err = run(capsys, "check-funtf", min2_file, "--samples", 10**15)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_closed_stdout_is_a_usage_error(self):
+        # the reader stops after 10 bytes of a 1.5 MB document
+        env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "movingframes.cli", "gen-min", "8"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == "error: cannot write stdout: Broken pipe\n"
+
 
 # SHA-256 of `gen-min n --no-timestamp` and `gen-full n --no-timestamp`, as
 # written by json.dumps(doc, indent=2) from one dict per operator
@@ -274,7 +297,25 @@ class TestSizeCaps:
         assert code == 0 and len(out.splitlines()) == 6
 
 
+# SHA-256 of `matrix n` stdout, pinned while the matrix was built as nested tuples
+MATRIX_SHA256 = {
+    1: "19d8e8cf6b93224d3388548d5f8bdee4cd4e033d416d8631b8c44db208da788d",
+    2: "1dbb9eb358decacbb58744e1f89f10f657148cb4193ae1cb67a1b7bde5b766f5",
+    3: "854d89ff71ee6db7c5235f8e8acd75d3e3b86ca9a453888334aa729ec1c59493",
+    7: "30e81fcaef9cc4e70e54c6c3c34b15e40ee0050d26b6f9f4ff52ff4cc3f2e9db",
+    25: "17df2ea0f9dea351b86adf8d94906d8690c66371b5c8f49db239811ccc0c4a52",
+    50: "23a50cfb7e3545f73d36876b7f8e1a6a63802005753e8406836486cadbbc6952",
+    100: "bf4c8ec4b437eab6772c1f8aa5134741f8877962569994354181ce541646e829",
+}
+
+
 class TestMatrix:
+    @pytest.mark.parametrize("n,digest", MATRIX_SHA256.items())
+    def test_golden_bytes(self, n, digest, capsys):
+        code, out, _ = run(capsys, "matrix", n)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_n1(self, capsys):
         code, out, _ = run(capsys, "matrix", 1)
         assert code == 0

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from movingframes import (apply, build_minimal_balanced, build_pairing_matrix,
                           enumerate_full, extract_pairings, make_operator,
                           tangency_defect)
-from movingframes.operators import OperatorSet, SignedInvolution
+from movingframes.operators import (OperatorSet, SignedInvolution,
+                                   _fixed_point_free_involutions)
 
 CIRCLE = make_operator(2, (2, 1), (1, -1))
 
@@ -205,8 +206,9 @@ class TestEnumerateFull:
         assert len(enumerate_full(3, cap=None)) == 120
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            enumerate_full(0)
+        for n in (0, True):
+            with pytest.raises(ValueError, match="positive integer"):
+                enumerate_full(n)
 
 
 class TestIndexArrays:
@@ -276,10 +278,16 @@ class TestArrayGenerators:
                     for signs in reference_sign_assignments(pairing)]
         assert [(u.pairing, u.signs) for u in enumerate_full(n)] == expected
 
+    @pytest.mark.parametrize("d", range(0, 13, 2))
+    def test_involution_array_matches_per_member_enumeration(self, d):
+        rows = _fixed_point_free_involutions(d)
+        assert rows.dtype == np.intp
+        assert list(map(tuple, rows.tolist())) == list(reference_involutions(d))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_theorem_set_matches_per_member_construction(self, n):
         expected = [(pairing, signs)
-                    for pairing in extract_pairings(build_pairing_matrix(n))
+                    for pairing in map(tuple, extract_pairings(build_pairing_matrix(n)).tolist())
                     for signs in reference_sign_assignments(pairing, fix_first=True)]
         assert [(u.pairing, u.signs) for u in build_minimal_balanced(n)] == expected
 
