@@ -205,9 +205,11 @@ def validate_pairing_matrix(matrix) -> np.ndarray:
         i, j = divmod(bad.argmax(), d)
         raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1}): "
                          f"{entries[i, j]} != {entries[j, i]}")
-    if (bad := (np.sort(entries, axis=1) != np.arange(d)).any(axis=1)).any():
+    # range-checked while exact; then -1 marks an entry out of 0..d-1 and the sort is on ints
+    ints = np.where((entries >= 0) & (entries < d), entries, -1).astype(np.intp)
+    if (bad := (np.sort(ints, axis=1) != np.arange(d)).any(axis=1)).any():
         raise ValueError(f"row {bad.argmax() + 1} is not a permutation of 0..{d - 1}")
-    return entries.astype(np.intp)
+    return ints
 
 
 def extract_pairings(matrix) -> np.ndarray:

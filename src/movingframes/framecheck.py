@@ -4,7 +4,9 @@ The tangent images of a balanced operator set form a unit tight frame of
 every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
-augmented system is #A/(2n-1).
+augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it from
+an exact integer Gram matrix of the signs per pairing of at least d members
+plus the image rows of the rest, and re-checks the worst point directly.
 """
 
 from __future__ import annotations
@@ -99,6 +101,28 @@ def probe_points(dim: int) -> np.ndarray:
     return points
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+
+
+def _judge(s: np.ndarray, reference: float | None, tolerance: float,
+           theoretical: float | None = None) -> tuple[float, float, float, bool]:
+    """Mean diagonal, largest off-diagonal entry and largest diagonal deviation
+    (from ``reference``, the mean when None, and from ``theoretical`` when
+    given) of the frame operator ``s``, and the verdict at ``tolerance``."""
+    m, diagonal = len(s), s.diagonal()
+    measured = float(s.trace() / m)
+    reference = measured if reference is None else float(reference)
+    off = np.abs(s)
+    off.flat[::m + 1] = 0.0
+    max_offdiag, max_diag_dev = float(off.max()), float(abs(diagonal - reference).max())
+    if theoretical is not None:
+        max_diag_dev = max(max_diag_dev, abs(measured - theoretical))
+    return measured, max_offdiag, max_diag_dev, reference > 0 and max(
+        max_offdiag, max_diag_dev) <= tolerance
+
+
 def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
                 expected_constant: float | None = None) -> FrameReport:
     """Test whether a vector system is a tight frame for its ambient space.
@@ -106,32 +130,20 @@ def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
     The measured constant is the mean diagonal of the frame operator; the
     deviation is taken against ``expected_constant`` when given, else against
     the measured one.  For unit-norm systems the constant is cross-checked
-    against k/m, which any genuine unit tight frame must match.
+    against k/m, which any genuine unit tight frame must match.  The
+    tolerance must be finite and nonnegative.
     """
+    _check_tolerance(tolerance)
     s = frame_operator(vectors)
     v = np.asarray(vectors, dtype=float)
     k, m = v.shape
-    measured = float(np.trace(s) / m)
-    reference = measured if expected_constant is None else float(expected_constant)
-
-    off = s - np.diag(np.diagonal(s))
-    max_offdiag = float(np.max(np.abs(off))) if m > 1 else 0.0
-    max_diag_dev = float(np.max(np.abs(np.diagonal(s) - reference)))
-
-    theoretical = expected_constant
-    if theoretical is None and np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_POINT_TOL):
-        theoretical = k / m
-        max_diag_dev = max(max_diag_dev, abs(measured - theoretical))
-
-    tight = reference > 0 and max(max_offdiag, max_diag_dev) <= tolerance
-    return FrameReport(
-        tight=tight,
-        frame_constant=measured,
-        max_offdiag=max_offdiag,
-        max_diag_dev=max_diag_dev,
-        points_checked=1,
-        theoretical_constant=None if theoretical is None else float(theoretical),
-    )
+    unit = expected_constant is None and np.all(
+        np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_POINT_TOL)
+    theoretical = k / m if unit else expected_constant
+    measured, max_offdiag, max_diag_dev, tight = _judge(s, expected_constant, tolerance,
+                                                        theoretical if unit else None)
+    return FrameReport(tight, measured, max_offdiag, max_diag_dev, points_checked=1,
+                       theoretical_constant=None if theoretical is None else float(theoretical))
 
 
 def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
@@ -150,34 +162,59 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
                         tolerance: float = DEFAULT_TIGHTNESS_TOL) -> FrameReport:
     """Certify tightness of the tangent images over sampled sphere points.
 
-    Checks the augmented system at every probe point (e_p + e_q)/sqrt(2)
-    plus ``num_samples`` seeded random points, against the theoretical
-    constant #A/(2n-1).  Each point's verdict comes from :func:`check_tight`;
-    the report is that of the point with the largest deviation (the first
-    such point on ties), with the verdict over all points.
+    Checks S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), against C*I at
+    every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
+    points.  Members sharing a pairing pi differ only in signs, so they add
+    W_pi o (a[pi] a[pi]^T), W_pi the exact integer Gram matrix of their sign
+    rows.  A pairing of m >= d members gets its W_pi, d*d floats against the
+    m*d of their images per point; the others keep their image rows (Theorem
+    3.4 sets have 2^(n-1) members per pairing, most random subsets of small
+    full sets fewer than d).  The report is that of the first point of largest
+    deviation; its verdict also needs :func:`check_tight` of the directly
+    built augmented system there.
     """
     if len(a_set) == 0:
         raise ValueError("cannot verify an empty operator set")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+    if (isinstance(num_samples, bool) or not isinstance(num_samples, (int, np.integer))
+            or num_samples < 1):
+        raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
+    _check_tolerance(tolerance)
     d = a_set.dim
     expected = len(a_set) / (d - 1)
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
+    norms = np.linalg.norm(points, axis=1)
+    if (bad := np.abs(norms - 1.0) > UNIT_POINT_TOL).any():
+        raise ValueError(f"expected a unit vector, got norm {norms[bad.argmax()]}")
+    k, e = a_set.index_arrays
+    rows = np.ascontiguousarray(k).view(np.dtype((np.void, k.itemsize * d))).ravel()
+    _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
+                                       return_counts=True)
+    heavy = np.flatnonzero(count >= d)
+    heavy = heavy[np.argsort(first[heavy])]  # pairings in order of first appearance
+    w, k_heavy = np.empty((len(heavy), d, d)), k[first[heavy]]
+    if len(heavy):
+        members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
+        for j, g in enumerate(heavy.tolist()):
+            signs = e[members[stops[g] - count[g]:stops[g]]].astype(float)
+            w[j] = signs.T @ signs  # sums of +-1 terms, exact far below 2^53
+        k, e = k[count[group] < d], e[count[group] < d]
 
-    tight = True
-    worst_dev = -1.0
-    worst = None
+    tight, worst_dev = True, -1.0
+    v, scale = np.empty((len(k) + 1, d)), sqrt(expected)  # the scaled normal, then images
     for a in points:
-        report = check_tight(augment_with_normal(a_set, a), tolerance, expected_constant=expected)
-        tight = tight and report.tight
-        dev = max(report.max_offdiag, report.max_diag_dev)
+        np.multiply(scale, a, out=v[0])
+        np.multiply(e, a[k], out=v[1:])
+        s = v.T @ v
+        if len(w):
+            s += np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
+        measured, max_offdiag, max_diag_dev, ok = _judge(s, expected, tolerance)
+        tight, dev = tight and ok, max(max_offdiag, max_diag_dev)
         if dev > worst_dev:
-            worst_dev, worst = dev, report
-            worst.worst_point = a
+            worst_dev, worst, point = dev, (measured, max_offdiag, max_diag_dev), a
 
-    worst.tight = tight
-    worst.points_checked = len(points)
-    return worst
+    del v  # the direct check builds its own images
+    direct = check_tight(augment_with_normal(a_set, point), tolerance, expected_constant=expected)
+    return FrameReport(tight and direct.tight, *worst, len(points), point, expected)
 
 
 def reconstruct(a_set: OperatorSet, a, coefficients, constant: float) -> np.ndarray:
@@ -185,8 +222,8 @@ def reconstruct(a_set: OperatorSet, a, coefficients, constant: float) -> np.ndar
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.size != len(a_set):
         raise ValueError(f"got {coeffs.size} coefficients for {len(a_set)} operators")
-    if constant <= 0:
-        raise ValueError(f"frame constant must be positive, got {constant}")
+    if not 0 < constant < float("inf"):  # NaN fails both comparisons
+        raise ValueError(f"frame constant must be positive and finite, got {constant}")
     return coeffs @ operator_images(a_set, a) / constant
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingframes import (build_minimal_balanced, build_pairing_matrix,
-                          count_pair_slice, count_sign_slice, enumerate_full,
-                          extract_pairings, is_balanced, make_operator,
-                          sign_flip_bijection, validate_pairing_matrix,
-                          verify_moving_funtf, witness_cross_term,
-                          witness_unbalanced)
+from movingframes import (augment_with_normal, build_minimal_balanced,
+                          build_pairing_matrix, count_pair_slice, count_sign_slice,
+                          enumerate_full, extract_pairings, frame_operator,
+                          is_balanced, make_operator, sign_flip_bijection,
+                          validate_pairing_matrix, verify_moving_funtf,
+                          witness_cross_term, witness_unbalanced)
 from movingframes.cli import main
 from movingframes.operators import OperatorSet, SignedInvolution
 
@@ -58,6 +58,46 @@ def cross_route_sets(draw):
             a_set = OperatorSet.from_arrays(np.delete(k, drop, axis=0) + 1,
                                            -np.delete(e, drop, axis=0))
     return a_set, relabel(a_set, np.array(draw(st.permutations(range(a_set.dim)))))
+
+
+@st.composite
+def full_subsets_3_4(draw):
+    """A subset of enumerate_full(3) or enumerate_full(4): a random one, the
+    whole set, or a relabelled Theorem 3.4 set (also a balanced subset), each
+    possibly minus one member."""
+    full = draw(st.sampled_from([A6, A8]))
+    kind = draw(st.sampled_from(["random", "whole", "theorem"]))
+    if kind == "random":
+        keep = draw(st.lists(st.integers(0, len(full) - 1), min_size=1, unique=True))
+        k, e = (a[sorted(keep)] for a in full.index_arrays)
+    elif kind == "whole":
+        k, e = full.index_arrays
+    else:
+        theorem = THEOREM_SETS[full.dim // 2]
+        k, e = relabel(theorem, np.array(draw(st.permutations(range(full.dim))))).index_arrays
+    if len(k) > 1 and draw(st.booleans()):
+        drop = draw(st.integers(0, len(k) - 1))
+        k, e = np.delete(k, drop, axis=0), np.delete(e, drop, axis=0)
+    return OperatorSet.from_arrays(k + 1, -e)
+
+
+def frame_form_coefficients(a_set):
+    """The integer coefficients of the quadratic form (d-1)*S(a) - #A*|a|^2*I,
+    S(a) = C*a*a^T + sum_U U(a)U(a)^T the augmented frame operator with
+    C = #A/(d-1): entry [r, s, p, q] + [r, s, q, p] multiplies a_p*a_q in
+    entry (r, s).  Read member by member from the index arrays: U adds
+    (d-1)*E[r]*E[s] at (r, s, K[r], K[s]); the normal adds #A at (r, s, r, s);
+    the identity takes #A from every (r, r, p, p)."""
+    k, e = a_set.index_arrays
+    d, size = a_set.dim, len(a_set)
+    table = np.zeros((d, d, d, d), dtype=np.int64)
+    r, s = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    np.add.at(table, (r, s, k[:, :, None], k[:, None, :]),
+              (d - 1) * e[:, :, None] * e[:, None, :])
+    table[r, s, r, s] += size
+    diagonal = np.arange(d)
+    table[diagonal[:, None], diagonal[:, None], diagonal, diagonal] -= size
+    return table + table.transpose(0, 1, 3, 2)
 
 
 def failures_from_definitions(a_set):
@@ -247,11 +287,23 @@ class TestCrossRoutes:
     def test_numerical_routes_agree_with_exact_verdict(self, sets):
         a_set, relabelled = sets
         report = is_balanced(a_set)
-        assert verify_moving_funtf(a_set, num_samples=20).tight == report.balanced
+        frame = verify_moving_funtf(a_set, num_samples=20)
+        assert frame.tight == report.balanced
+        # the reported deviation is that of the direct V^T V at the worst point
+        s = frame_operator(augment_with_normal(a_set, frame.worst_point))
+        direct = np.max(np.abs(s - len(a_set) / (a_set.dim - 1) * np.eye(a_set.dim)))
+        assert abs(direct - max(frame.max_offdiag, frame.max_diag_dev)) <= 1e-12
         assert is_balanced(relabelled).balanced == report.balanced
         if not report.balanced:
             witness = witness_unbalanced(a_set, report)
             assert abs(witness_cross_term(a_set, witness) - float(witness.defect)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(full_subsets_3_4())
+    def test_frame_form_vanishes_exactly_when_balanced(self, a_set):
+        # "tight iff balanced" as an exact integer check: S(a) = C*I on the
+        # whole sphere exactly when every coefficient of the form is zero
+        assert (not frame_form_coefficients(a_set).any()) == is_balanced(a_set).balanced
 
 
 class TestSignFlipBijection:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,20 @@ from movingframes.operators import OperatorSet
 from movingframes.sphere import project_tangent, sample_sphere
 
 MIN2 = build_minimal_balanced(2)
+# full n = 2 with pairing (2, 1, 4, 3) whole (4 = d members, a Gram matrix) and
+# one member of each other pairing (image rows): unbalanced
+MIXED = OperatorSet(4, [enumerate_full(2)[i] for i in (0, 1, 2, 3, 4, 8)])
+
+
+def reversed_coordinates(a_set):
+    """The set conjugated by the coordinate reversal i -> d-1-i (0-based)."""
+    k, e = a_set.index_arrays
+    return OperatorSet.from_arrays(a_set.dim - k[:, ::-1], -e[:, ::-1])
 
 
 def reference_worst_point(a_set, num_samples, seed):
-    """The per-point deviation loop of verify_moving_funtf, written out.
+    """The direct per-point loop: the frame operator of the augmented system,
+    the scaled normal and the image rows of every member, at each point.
 
     Returns (worst point, max off-diagonal, max diagonal deviation) with the
     first point of largest deviation winning ties.
@@ -33,6 +44,46 @@ def reference_worst_point(a_set, num_samples, seed):
         if max(max_off, max_diag) > worst_dev:
             worst_dev, worst = max(max_off, max_diag), (a, max_off, max_diag)
     return worst
+
+
+def reduced_worst_point(a_set, num_samples, seed):
+    """The per-point arithmetic of verify_moving_funtf, written out with its
+    own grouping.  A pairing of at least d members becomes the integer Gram
+    matrix of their sign rows (pairings in order of first appearance); the
+    other members keep their image rows, after the scaled normal and in set
+    order.  Returns what reference_worst_point returns.
+    """
+    k, e = a_set.index_arrays
+    d = a_set.dim
+    expected = len(a_set) / (d - 1)
+    groups = {}
+    for m, row in enumerate(k.tolist()):
+        groups.setdefault(tuple(row), []).append(m)
+    heavy = [rows for rows in groups.values() if len(rows) >= d]
+    light = sorted(m for rows in groups.values() if len(rows) < d for m in rows)
+    w = np.zeros((len(heavy), d, d))
+    for j, rows in enumerate(heavy):
+        for m in rows:
+            w[j] += np.outer(e[m], e[m])
+    k_heavy = k[[rows[0] for rows in heavy]]
+    points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
+    worst_dev, worst = -1.0, None
+    for a in points:
+        v = np.vstack([math.sqrt(expected) * a, e[light] * a[k[light]]])
+        s = v.T @ v
+        if heavy:
+            s = s + np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
+        max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
+        max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
+        if max(max_off, max_diag) > worst_dev:
+            worst_dev, worst = max(max_off, max_diag), (a, max_off, max_diag)
+    return worst
+
+
+def direct_deviation(a_set, a):
+    """max |S(a) - C*I| for the directly built augmented system at ``a``."""
+    s = frame_operator(augment_with_normal(a_set, a))
+    return float(np.max(np.abs(s - len(a_set) / (a_set.dim - 1) * np.eye(a_set.dim))))
 
 
 class TestFrameOperator:
@@ -88,6 +139,11 @@ class TestCheckTight:
         with pytest.raises(ValueError):
             check_tight([])
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_tight(np.eye(4), tolerance=tolerance)
+
 
 class TestAugmentWithNormal:
     def test_circle_field_gives_orthonormal_basis(self):
@@ -125,11 +181,19 @@ class TestVerifyMovingFuntf:
         assert report.theoretical_constant == pytest.approx(1.0)
         assert report.frame_constant == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_minimal_sets(self, n):
-        report = verify_moving_funtf(build_minimal_balanced(n), num_samples=20, seed=n)
-        assert report.tight
-        assert report.theoretical_constant == pytest.approx(2 ** (n - 1))
+        whole = build_minimal_balanced(n)
+        k, e = whole.index_arrays
+        clipped = [OperatorSet.from_arrays(k[:-1] + 1, -e[:-1])] if n > 1 else []  # n = 1: empty
+        for a_set in [whole, *clipped]:
+            report = verify_moving_funtf(a_set, num_samples=20, seed=n)
+            balanced = is_balanced(a_set).balanced
+            assert balanced == (a_set is whole)
+            assert report.tight == balanced
+            assert report.theoretical_constant == pytest.approx(len(a_set) / (2 * n - 1))
+            if balanced:
+                assert max(report.max_offdiag, report.max_diag_dev) <= 1e-9
 
     def test_full_set_n2(self):
         report = verify_moving_funtf(enumerate_full(2), num_samples=20, seed=1)
@@ -137,14 +201,49 @@ class TestVerifyMovingFuntf:
         assert report.theoretical_constant == pytest.approx(4.0)
 
     @pytest.mark.parametrize("a_set", [build_minimal_balanced(n) for n in (2, 3, 4, 5)]
-                             + [OperatorSet(4, MIN2.members[:-1])],
-                             ids=["min2", "min3", "min4", "min5", "clipped-min2"])
+                             + [OperatorSet(4, MIN2.members[:-1]), MIXED,
+                                reversed_coordinates(build_minimal_balanced(5))],
+                             ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed",
+                                  "reversed-min5"])
     def test_worst_point_matches_reference_loop(self, a_set):
         report = verify_moving_funtf(a_set, num_samples=10, seed=4)
-        point, max_off, max_diag = reference_worst_point(a_set, 10, 4)
+        point, max_off, max_diag = reduced_worst_point(a_set, 10, 4)
         assert np.array_equal(report.worst_point, point)
         assert report.max_offdiag == max_off
         assert report.max_diag_dev == max_diag
+        # the direct loop over every member's image rows agrees on the worst
+        # deviation and at the reported worst point (its worst point may differ
+        # on near ties)
+        _, direct_off, direct_diag = reference_worst_point(a_set, 10, 4)
+        assert abs(max(direct_off, direct_diag) - max(max_off, max_diag)) <= 1e-12
+        assert abs(direct_deviation(a_set, point) - max(max_off, max_diag)) <= 1e-12
+
+    def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
+        # one seeded member of each of the 945 pairings of R^10: no pairing
+        # reaches the threshold, so every member keeps its image row
+        full = enumerate_full(5)
+        pick = 32 * np.arange(945) + np.random.default_rng(0).integers(32, size=945)
+        k, e = full.index_arrays
+        a_set = OperatorSet.from_arrays(k[pick] + 1, -e[pick])
+        k, e = a_set.index_arrays
+        tracemalloc.start()
+        try:
+            report = verify_moving_funtf(a_set, num_samples=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.tight
+        assert peak <= 3 * (k.nbytes + e.nbytes)
+
+    @pytest.mark.parametrize("bad", [
+        {"tolerance": float("nan")}, {"tolerance": -1e-12}, {"tolerance": float("inf")},
+        {"num_samples": 0}, {"num_samples": True}, {"num_samples": 2.0}, {"num_samples": "3"},
+    ], ids=repr)
+    def test_rejects_bad_arguments(self, bad):
+        # an infinite tolerance used to report this unbalanced set as tight
+        clipped = OperatorSet(4, MIN2.members[:-1])
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            verify_moving_funtf(clipped, **{"num_samples": 5, **bad})
 
     def test_unbalanced_set_fails_at_probe(self):
         clipped = OperatorSet(4, MIN2.members[:-1])
@@ -191,8 +290,9 @@ class TestReconstruct:
 
     def test_rejects_nonpositive_constant(self):
         a = sample_sphere(4, 1, seed=0)[0]
-        with pytest.raises(ValueError, match="positive"):
-            reconstruct(MIN2, a, np.zeros(6), 0.0)
+        for constant in (0.0, -2.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="positive"):
+                reconstruct(MIN2, a, np.zeros(6), constant)
 
 
 class TestWitnessUnbalanced:
