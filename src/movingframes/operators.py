@@ -126,8 +126,9 @@ class OperatorSet:
                 SignedInvolution(*(tuple(a[row].tolist()) for a in given))
             except ValueError as exc:
                 raise ValueError(f"operator record {row} is invalid: {exc}") from exc
-        # pairing * signs encodes each row's (pairing, signs) entrywise; compare rows as bytes
-        codes = pairing * signs
+        # pairing * signs encodes each row's (pairing, signs) entrywise; compare rows as
+        # bytes, in the narrowest signed type that holds -dim - 1 and so +-dim
+        codes = pairing.astype(np.min_scalar_type(-dim - 1)) * signs
         if len(np.unique(codes.view(np.dtype((np.void, codes.itemsize * dim))))) != size:
             raise ValueError("operator set contains duplicate members")
         pairing -= 1

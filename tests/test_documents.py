@@ -1,12 +1,16 @@
 import json
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from movingframes import (DocumentError, build_minimal_balanced,
                           enumerate_full, make_operator, read_document,
                           write_document)
+from movingframes import documents
+from movingframes.cli import main
 from movingframes.documents import document_chunks, parse_document
 from movingframes.operators import OperatorSet, SignedInvolution
 
@@ -123,6 +127,15 @@ def corrupted_documents(draw):
                 or [pos + 1]))
         elif kind == "antisymmetry":
             record["signs"][pos] = -record["signs"][pos]
+        elif kind == "rewrite" and numbers:
+            number = draw(st.sampled_from(numbers))
+            data[number.start():number.end()] = draw(st.one_of(
+                st.sampled_from(ODD_NUMBERS), st.text("-0123456789", max_size=4))).encode()
+        elif kind == "move" and numbers:
+            number = draw(st.sampled_from(numbers))
+            del data[number.start():number.end()]
+            at = draw(st.sampled_from(range(len(data) + 1)))
+            data[at:at] = number[0]
         elif kind == "duplicate":
             records.insert(draw(st.integers(0, len(records))), dict(records[idx]))
         else:
@@ -199,6 +212,164 @@ class TestParseErrors:
         ]}
         with pytest.raises(DocumentError, match="duplicate"):
             parse_document(doc)
+
+
+def json_route(path):
+    """The set or DocumentError of reading a document through read_text,
+    json.loads and parse_document, as every document was read before
+    written ones were read from their bytes."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_document(doc)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except DocumentError as exc:
+        return str(exc)
+
+
+WRITTEN_SETS = [enumerate_full(1), enumerate_full(2), enumerate_full(3),
+                build_minimal_balanced(2), build_minimal_balanced(3), build_minimal_balanced(4)]
+EDIT_BYTES = sorted(set(b' \n\r\t,-.e0123456789[]{}":'
+                       b"noperatorspairingsignsmetadatageneratorcreated"))
+NUMBER = re.compile(rb"(?<= )-?[0-9]+(?=[,\n])")  # the first one is "n"
+# numbers the writer never writes, and the largest that it does; 19 nines overflow intp
+ODD_NUMBERS = ["", "-", "--1", "1-", "1-2", "01", "-01", "00", "-0", "0", "2", "-2", "128",
+               "300", "-129", "9" * 18, "-" + "9" * 17, "9" * 19, "-" + "9" * 19]
+RECORD = re.compile(rb"    \{\n.*?\n    \}", re.S)
+
+
+@st.composite
+def edited_documents(draw):
+    """The bytes of a written document of a subset of a generated set, with
+    one to three edits: a byte replaced, inserted or deleted; a number
+    rewritten canonically (a sign flipped, a pairing entry made a fixed
+    point) or as text of [-0-9] that it never writes, or moved elsewhere;
+    or a record duplicated.  Positions are drawn uniformly."""
+    a_set = draw(st.sampled_from(WRITTEN_SETS))
+    members = draw(st.lists(st.sampled_from(a_set.members), min_size=1, max_size=8, unique=True))
+    generator = draw(st.sampled_from([None, "gen-min", "théorème \"3.4\"\n"]))
+    data = bytearray("".join(document_chunks(OperatorSet(a_set.dim, members), generator,
+                                             timestamp=draw(st.booleans()))).encode())
+    d = a_set.dim
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "flip", "fixed point",
+                                     "rewrite", "move", "duplicate"]))
+        numbers = list(NUMBER.finditer(data))
+        if kind in ("replace", "insert", "delete"):
+            at = draw(st.sampled_from(range(len(data))))
+            data[at:at + (kind != "insert")] = b"" if kind == "delete" else bytes(
+                [draw(st.sampled_from(EDIT_BYTES))])
+        elif kind == "flip" and numbers:
+            number = draw(st.sampled_from(numbers))
+            data[number.start():number.end()] = str(-int(number[0])).encode()
+        elif kind == "fixed point" and len(numbers) > 1:
+            slot = draw(st.integers(0, len(numbers) - 2))
+            if slot % (2 * d) < d:  # a pairing entry
+                number = numbers[slot + 1]
+                data[number.start():number.end()] = str(slot % (2 * d) + 1).encode()
+        elif kind == "rewrite" and numbers:
+            number = draw(st.sampled_from(numbers))
+            data[number.start():number.end()] = draw(st.one_of(
+                st.sampled_from(ODD_NUMBERS), st.text("-0123456789", max_size=4))).encode()
+        elif kind == "move" and numbers:
+            number = draw(st.sampled_from(numbers))
+            del data[number.start():number.end()]
+            at = draw(st.sampled_from(range(len(data) + 1)))
+            data[at:at] = number[0]
+        elif kind == "duplicate":
+            records = list(RECORD.finditer(data))
+            if records:
+                record = draw(st.sampled_from(records))
+                data[record.end():record.end()] = b",\n" + record[0]
+    return bytes(data)
+
+
+class TestByteRoute:
+    @pytest.mark.parametrize("block", [documents._BLOCK, 100], ids=["block", "small-block"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=edited_documents())
+    def test_same_outcome_as_json_route(self, block, data, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "edited.json"
+        path.write_bytes(data)
+        event("byte route" if documents._written_arrays(data) is not None else "json route")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents, "_BLOCK", block)  # 100 bytes: records straddle block cuts
+            assert outcome(read_document, path) == outcome(json_route, path)
+
+    @pytest.mark.parametrize("block", [documents._BLOCK, 100], ids=["block", "small-block"])
+    def test_odd_and_moved_numbers(self, block, tmp_path, monkeypatch):
+        # each odd number in each slot of a two-record document, and its first
+        # number moved to each position: every run check of the byte route
+        monkeypatch.setattr(documents, "_BLOCK", block)
+        a_set = OperatorSet(4, build_minimal_balanced(2).members[:2])
+        written = "".join(document_chunks(a_set, timestamp=False)).encode()
+        numbers = list(NUMBER.finditer(written))[1:]
+        edited = [written[:number.start()] + odd.encode() + written[number.end():]
+                  for number in numbers for odd in ODD_NUMBERS]
+        first = numbers[0]
+        rest = written[:first.start()] + written[first.end():]
+        edited += [rest[:at] + first[0] + rest[at:] for at in range(len(rest) + 1)]
+        path = tmp_path / "doc.json"
+        for data in edited:
+            path.write_bytes(data)
+            assert outcome(read_document, path) == outcome(json_route, path), data
+
+    def test_generated_documents_take_the_byte_route(self, tmp_path, monkeypatch):
+        def refuse(doc):
+            raise AssertionError("the json route was taken")
+
+        monkeypatch.setattr(documents, "parse_document", refuse)
+        path = tmp_path / "doc.json"
+        for command, build, sizes in (("gen-min", build_minimal_balanced, range(1, 11)),
+                                      ("gen-full", enumerate_full, range(1, 5))):
+            for n in sizes:
+                assert main([command, str(n), "-o", str(path)]) == 0
+                assert read_document(path) == build(n)
+        for generator in ("théorème \"3.4\" ✓\n", None):
+            write_document(path, enumerate_full(2), generator=generator, timestamp=True)
+            assert read_document(path) == enumerate_full(2)
+
+    def test_other_json_takes_the_json_route(self, tmp_path):
+        a_set = build_minimal_balanced(3)
+        written = "".join(document_chunks(a_set, generator="g"))
+        copies = {"crlf": written.replace("\n", "\r\n").encode(),
+                  "bom": b"\xef\xbb\xbf" + written.encode(),
+                  "compact": json.dumps(json.loads(written), separators=(",", ":")).encode()}
+        # the inputs of TestParseErrors.test_not_json and TestCheckBalance.test_garbage_file
+        garbage = [b"not json at all", b"{{{", b'\xff\xfe{"n":1}', b"[" * 200000,
+                   b'{"n": ' + b"1" * 5000 + b', "operators": []}']
+        path = tmp_path / "doc.json"
+        for name, data in [*copies.items(), *enumerate(garbage)]:
+            assert documents._written_arrays(data) is None, name
+            path.write_bytes(data)
+            expected = outcome(json_route, path)
+            assert outcome(read_document, path) == expected, name
+            assert (expected == a_set) == (name in ("crlf", "compact")), name
+
+    @pytest.mark.parametrize("dim", [2, 4, 20, 256])
+    def test_number_slots_are_the_space_comma_and_space_newline_pairs(self, dim):
+        # the premise of the exactness argument in documents._written_arrays
+        template = documents._record_template(dim)
+        assert len(re.findall(r" %d[,\n]", template)) == template.count("%") == 2 * dim
+        assert len(re.findall(r" [,\n]", template.replace("%d", ""))) == 2 * dim
+
+    def test_memory_stays_within_the_json_route(self, tmp_path):
+        path = tmp_path / "min10.json"
+        write_document(path, build_minimal_balanced(10))
+        peaks = []
+        for read in (read_document, json_route):
+            tracemalloc.start()
+            try:
+                read(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 * peaks[1]
 
 
 class TestAssets:

@@ -347,6 +347,29 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="integer arrays of one shape"):
             OperatorSet.from_arrays(pairing, signs)
 
+    def test_rows_whose_codes_agree_modulo_256_are_distinct(self):
+        # Duplicates are found on the codes pairing * signs.  Two rows that
+        # differ only at positions 1, 127, 129 and 255, where their codes are
+        # 129/-127, -255/1, -1/255 and 127/-129, would collide in int8.  (At
+        # d = 128 no two rows can: +128 and -128 would mean one pair with
+        # opposite signs, whose partner codes differ by less than 256.)
+        d = 256
+
+        def row(pairs):
+            pairing, signs = np.zeros(d, int), np.zeros(d, int)
+            rest = sorted(set(range(1, d + 1)) - {i for pair in pairs for i in pair[:2]})
+            for i, j, sign in pairs + [(i, j, 1) for i, j in zip(rest[::2], rest[1::2])]:
+                pairing[i - 1], pairing[j - 1], signs[i - 1], signs[j - 1] = j, i, sign, -sign
+            return pairing, signs
+
+        fixed = [(2, 128, 1), (130, 256, 1)]
+        pairing, signs = (np.array(rows) for rows in zip(
+            row([(1, 129, 1), (127, 255, -1)] + fixed), row([(1, 127, -1), (129, 255, 1)] + fixed)))
+        codes = pairing * signs
+        assert (codes[0] != codes[1]).sum() == 4
+        assert (codes[0].astype(np.int8) == codes[1].astype(np.int8)).all()
+        assert len(OperatorSet.from_arrays(pairing, signs)) == 2
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
             OperatorSet.from_arrays(np.ones((1, 3), int), np.ones((1, 3), int))
