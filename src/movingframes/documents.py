@@ -14,16 +14,15 @@ audited by eye against the defining formulas.
 Documents are written in one fixed layout, the text of
 ``json.dumps(doc, indent=2)``.  :func:`read_document` reads a document in
 exactly that layout straight from its bytes with numpy, a block of records at
-a time; any other JSON is decoded with ``json`` and checked by
-:func:`parse_document`.  Either way the set, every message and so every exit
-code are the same.
+a time, and checks all records at once; any other JSON is decoded with
+``json`` and checked record by record by :func:`parse_document`.  Either way
+the set, every message and so every exit code are the same.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import json
 import re
 from datetime import datetime, timezone
@@ -32,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import OperatorSet, SignedInvolution, make_operator
+from .operators import OperatorSet, make_operator
 
 _CHUNK = 1024  # records formatted at a time
 _BLOCK = 1 << 18  # bytes of written records read at a time
@@ -92,30 +91,11 @@ def write_document(path: str | Path, a_set: OperatorSet, generator: str | None =
         fh.writelines(document_chunks(a_set, generator, timestamp))
 
 
-def _record_arrays(records: list, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing and sign arrays of records that are all dicts of int lists of
-    length ``dim`` with signs +-1; TypeError when one is not (the caller then
-    goes record by record)."""
-    if set(map(type, records)) != {dict}:
-        raise TypeError("a record is not a dict")
-    pairings, signs = [r["pairing"] for r in records], [r["signs"] for r in records]
-    lists = pairings + signs
-    flat = itertools.chain.from_iterable
-    if (set(map(type, lists)) != {list} or set(map(len, lists)) != {dim}
-            or set(map(type, flat(lists))) != {int}  # type(x) is int: no bool, no float
-            or not set(flat(signs)) <= {-1, 1}):
-        raise TypeError("a record is not two lists of int of length dim, signs +-1")
-    size = len(records) * dim  # too large an int raises OverflowError here
-    return (np.fromiter(flat(pairings), np.intp, size).reshape(-1, dim),
-            np.fromiter(flat(signs), np.int8, size).reshape(-1, dim))
-
-
 def parse_document(doc) -> OperatorSet:
     """Validate a decoded document and return its operator set.
 
-    Diagnostics name the offending operator record by index.  Records of
-    plain int lists are read into arrays and checked all at once; otherwise
-    each record is checked in turn, which gives the same messages.
+    Records are checked in turn; diagnostics name the first invalid record
+    by index.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"document must be a JSON object, got {type(doc).__name__}")
@@ -125,32 +105,25 @@ def parse_document(doc) -> OperatorSet:
     records = doc.get("operators")
     if not isinstance(records, list) or not records:
         raise DocumentError("field 'operators' must be a nonempty list")
-    try:
-        try:
-            return OperatorSet.from_arrays(*_record_arrays(records, 2 * n))
-        except (TypeError, KeyError, OverflowError):
-            return OperatorSet(2 * n, _members(records, 2 * n))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
-def _members(records: list, dim: int) -> list[SignedInvolution]:
-    """The members, record by record; the first invalid record raises."""
     members = []
     for idx, record in enumerate(records):
         if not isinstance(record, dict) or "pairing" not in record or "signs" not in record:
             raise DocumentError(f"operator record {idx} must have 'pairing' and 'signs'")
         try:
-            members.append(make_operator(dim, record["pairing"], record["signs"]))
+            members.append(make_operator(2 * n, record["pairing"], record["signs"]))
         except (ValueError, TypeError) as exc:
             raise DocumentError(f"operator record {idx} is invalid: {exc}") from exc
-    return members
+    try:
+        return OperatorSet(2 * n, members)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _written_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The pairing and sign arrays that ``_record_arrays`` would give for the
-    decoded ``data``, when ``data`` is the text :func:`document_chunks` writes
-    for some set, with any metadata, and every sign is +-1; otherwise None.
+    """The pairing and sign rows of the records of ``json.loads(data)``, when
+    ``data`` is the text :func:`document_chunks` writes for some set, with any
+    metadata, and every sign is +-1; otherwise None.  ``OperatorSet.from_arrays``
+    of them gives the set, or the message, of ``parse_document(json.loads(data))``.
 
     Why these are exactly the records ``json.loads`` would produce.  Let R be
     the bytes between the header ``{\\n  "n": N,\\n  "operators": [\\n`` (N a
@@ -242,7 +215,7 @@ def _block_arrays(block: bytes, skeleton: bytes, dim: int) -> tuple[np.ndarray, 
         values[more] = values[more] * 10 + digit
     values *= 1 - 2 * negative.view(np.int8)
     values = values.reshape(count, 2 * dim)
-    if not np.all(np.abs(values[:, dim:]) == 1):  # _record_arrays refuses these too
+    if not np.all(np.abs(values[:, dim:]) == 1):  # else the int8 cast wraps 257 to 1
         return None
     return values[:, :dim], values[:, dim:].astype(np.int8)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import movingframes
-from movingframes import read_document
+from movingframes import cli, read_document
 from movingframes.cli import main
 
 
@@ -125,8 +125,9 @@ class TestCheckBalance:
 
     def test_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
+        # the last two are JSON, but not an object
         for text in (b"{{{", b'\xff\xfe{"n":1}', b"[" * 200000,
-                     b'{"n": ' + b"1" * 5000 + b', "operators": []}'):
+                     b'{"n": ' + b"1" * 5000 + b', "operators": []}', b"[1, 2]", b"7"):
             bad.write_bytes(text)
             code, _, err = run(capsys, "check-balance", bad)
             assert code == 3
@@ -358,6 +359,29 @@ class TestDemoErasure:
         code, _, err = run(capsys, "demo-erasure", min2_file, "--erase", 6)
         assert code == 2
         assert "erase" in err
+
+    def test_rejects_unbalanced_set(self, min2_file, tmp_path, capsys):
+        doc = json.loads(min2_file.read_text())
+        doc["operators"] = doc["operators"][:-1]
+        clipped = tmp_path / "clipped.json"
+        clipped.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "demo-erasure", clipped, "--erase", 1)
+        assert (code, out) == (2, "")
+        assert err == "error: erasure demo requires a balanced operator set\n"
+
+
+class TestEntrypoint:
+    @pytest.mark.parametrize("argv,expected", [
+        (["gen-min", "2"], 0),
+        (["check-balance", "missing.json"], 3),
+        (["gen-min", "0"], 2),
+    ])
+    def test_exit_code_is_that_of_main(self, argv, expected, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["movingframes", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == expected
 
 
 class TestRoundTrip:

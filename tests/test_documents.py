@@ -171,6 +171,12 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="cannot read"):
             read_document(tmp_path / "nope.json")
 
+    def test_document_must_be_an_object(self):
+        for doc, kind in (([{"n": 1}], "list"), (7, "int"), (1.5, "float")):
+            with pytest.raises(DocumentError) as exc:
+                parse_document(doc)
+            assert str(exc.value) == f"document must be a JSON object, got {kind}"
+
     def test_missing_n(self):
         with pytest.raises(DocumentError, match="'n'"):
             parse_document({"operators": [{"pairing": [2, 1], "signs": [1, -1]}]})
@@ -237,9 +243,11 @@ WRITTEN_SETS = [enumerate_full(1), enumerate_full(2), enumerate_full(3),
 EDIT_BYTES = sorted(set(b' \n\r\t,-.e0123456789[]{}":'
                        b"noperatorspairingsignsmetadatageneratorcreated"))
 NUMBER = re.compile(rb"(?<= )-?[0-9]+(?=[,\n])")  # the first one is "n"
-# numbers the writer never writes, and the largest that it does; 19 nines overflow intp
+# numbers the writer never writes, and the largest that it does; 19 nines overflow intp,
+# and 257, -255 and -257 would wrap to a sign of +-1 in int8
 ODD_NUMBERS = ["", "-", "--1", "1-", "1-2", "01", "-01", "00", "-0", "0", "2", "-2", "128",
-               "300", "-129", "9" * 18, "-" + "9" * 17, "9" * 19, "-" + "9" * 19]
+               "300", "-129", "257", "-255", "-257", "9" * 18, "-" + "9" * 17, "9" * 19,
+               "-" + "9" * 19]
 RECORD = re.compile(rb"    \{\n.*?\n    \}", re.S)
 
 
@@ -350,6 +358,22 @@ class TestByteRoute:
             expected = outcome(json_route, path)
             assert outcome(read_document, path) == expected, name
             assert (expected == a_set) == (name in ("crlf", "compact")), name
+
+    def test_record_longer_than_any_written_one(self, tmp_path, monkeypatch):
+        # valid JSON whose first record is padded past _BLOCK + the longest written
+        # record: refused by its length, before any block is scanned
+        def scan(*args):
+            raise AssertionError("a block was scanned")
+
+        monkeypatch.setattr(documents, "_BLOCK", 100)
+        monkeypatch.setattr(documents, "_block_arrays", scan)
+        a_set = OperatorSet(4, build_minimal_balanced(2).members[:2])
+        written = "".join(document_chunks(a_set, timestamp=False))
+        data = written.replace('"pairing": [', '"pairing": [' + " " * 500, 1).encode()
+        assert documents._written_arrays(data) is None
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        assert outcome(read_document, path) == outcome(json_route, path) == a_set
 
     @pytest.mark.parametrize("dim", [2, 4, 20, 256])
     def test_number_slots_are_the_space_comma_and_space_newline_pairs(self, dim):

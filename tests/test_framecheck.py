@@ -115,6 +115,12 @@ class TestOperatorImages:
             for u, row in zip(a_set, images):
                 assert np.array_equal(row, apply(u, a))
 
+    def test_rejects_points_of_another_length(self):
+        a_set = build_minimal_balanced(2)
+        for points in (np.ones(3), np.ones((2, 6)), np.ones((1, 2, 4))):
+            with pytest.raises(ValueError, match="expected points of length 4"):
+                operator_images(a_set, points)
+
 
 class TestCheckTight:
     def test_orthonormal_basis(self):
@@ -194,6 +200,10 @@ class TestVerifyMovingFuntf:
             assert report.theoretical_constant == pytest.approx(len(a_set) / (2 * n - 1))
             if balanced:
                 assert max(report.max_offdiag, report.max_diag_dev) <= 1e-9
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="^cannot verify an empty operator set$"):
+            verify_moving_funtf(OperatorSet(4, ()))
 
     def test_full_set_n2(self):
         report = verify_moving_funtf(enumerate_full(2), num_samples=20, seed=1)

@@ -383,6 +383,12 @@ class TestFromArrays:
         empty = OperatorSet.from_arrays(np.zeros((0, 4), int), np.zeros((0, 4), int))
         assert len(empty) == 0 and empty == OperatorSet(4, ())
 
+    def test_refuses_odd_dimension_and_members_of_another(self):
+        with pytest.raises(ValueError, match="^dimension must be a positive even integer, got 3$"):
+            OperatorSet(3, ())
+        with pytest.raises(ValueError, match="^member 1 has dimension 2, expected 4$"):
+            OperatorSet(4, (enumerate_full(2)[0], enumerate_full(1)[0]))
+
 
 class TestTangencyDefect:
     def test_circle_float(self):

@@ -41,6 +41,11 @@ class TestRandomSpherePoint:
             with pytest.raises(ValueError, match="even"):
                 sample_sphere(dim, 1, 0)
 
+    def test_rejects_negative_count(self):
+        assert sample_sphere(4, 0, 0).shape == (0, 4)
+        with pytest.raises(ValueError, match="^count must be nonnegative, got -1$"):
+            sample_sphere(4, -1, 0)
+
     def test_coordinate_means_vanish(self):
         # central-limit sanity check on the sampler
         pts = sample_sphere(4, 10_000, seed=0)
