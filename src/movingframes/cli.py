@@ -58,23 +58,17 @@ def _emit_json(payload, output: str | None) -> None:
     _emit((json.dumps(payload, indent=2), "\n"), output)
 
 
-def _capped(build, args):
-    """``build(args.n, cap=args.cap_override)``; a refusal above the cap names the option."""
+def _capped(args):
+    """``args.build(args.n, cap=args.cap_override)``; a refusal above the cap names the option."""
     try:
-        return build(args.n, cap=args.cap_override)
+        return args.build(args.n, cap=args.cap_override)
     except ValueError as exc:
         hint = " (see --cap-override)" if args.n > args.cap_override else ""
         raise ValueError(f"{exc}{hint}") from exc
 
 
-def cmd_gen_full(args) -> int:
-    _emit(document_chunks(_capped(enumerate_full, args), generator="full-enumeration",
-                          timestamp=not args.no_timestamp), args.output)
-    return EXIT_OK
-
-
-def cmd_gen_min(args) -> int:
-    _emit(document_chunks(_capped(build_minimal_balanced, args), generator="theorem-3.4",
+def cmd_gen(args) -> int:
+    _emit(document_chunks(_capped(args), generator=args.generator,
                           timestamp=not args.no_timestamp), args.output)
     return EXIT_OK
 
@@ -100,7 +94,7 @@ def cmd_check_funtf(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    rows = _capped(build_pairing_matrix, args).tolist()
+    rows = _capped(args).tolist()
     _emit(("\n".join(" ".join(map(str, row)) for row in rows), "\n"), args.output)
     return EXIT_OK
 
@@ -108,13 +102,9 @@ def cmd_matrix(args) -> int:
 def cmd_demo_erasure(args) -> int:
     a_set = read_document(args.file)
     if args.erase >= len(a_set):
-        print(f"error: cannot erase {args.erase} of {len(a_set)} coefficients",
-              file=sys.stderr)
-        return EXIT_USAGE
-    balance = is_balanced(a_set)
-    if not balance.balanced:
-        print("error: erasure demo requires a balanced operator set", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot erase {args.erase} of {len(a_set)} coefficients")
+    if not is_balanced(a_set).balanced:
+        raise ValueError("erasure demo requires a balanced operator set")
 
     d = a_set.dim
     constant = len(a_set) / (d - 1)
@@ -173,17 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sized(name: str, parent, cap: int, func, **kwargs) -> None:
-        p = sub.add_parser(name, parents=[parent], **kwargs)
+    def sized(name: str, parent, cap: int, func, build, help: str,
+              generator: str | None = None) -> None:
+        p = sub.add_parser(name, parents=[parent], help=help)
         p.add_argument("n", type=int)
         p.add_argument("--cap-override", type=at_least(1), metavar="N", default=cap,
                        help=f"raise the cap on n (default {cap})")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, build=build, generator=generator)
 
-    sized("gen-full", document, DEFAULT_ENUMERATION_CAP, cmd_gen_full,
-          help="enumerate all operators for dimension 2n")
-    sized("gen-min", document, DEFAULT_THEOREM_SET_CAP, cmd_gen_min,
-          help="build the balanced set of Theorem 3.4, (2n-1)*2^(n-1) operators")
+    sized("gen-full", document, DEFAULT_ENUMERATION_CAP, cmd_gen, enumerate_full,
+          "enumerate all operators for dimension 2n", "full-enumeration")
+    sized("gen-min", document, DEFAULT_THEOREM_SET_CAP, cmd_gen, build_minimal_balanced,
+          "build the balanced set of Theorem 3.4, (2n-1)*2^(n-1) operators", "theorem-3.4")
 
     p = sub.add_parser("check-balance", parents=[output],
                        help="exact balance verdict for an operator-set document")
@@ -201,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for random sphere points (default 0)")
     p.set_defaults(func=cmd_check_funtf)
 
-    sized("matrix", output, DEFAULT_MATRIX_CAP, cmd_matrix, help="print the pairing matrix")
+    sized("matrix", output, DEFAULT_MATRIX_CAP, cmd_matrix, build_pairing_matrix,
+          "print the pairing matrix")
 
     p = sub.add_parser("demo-erasure", parents=[output],
                        help="compare reconstruction error after coefficient erasures")

@@ -21,7 +21,6 @@ the set, every message and so every exit code are the same.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import re
@@ -76,7 +75,6 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     yield "\n}\n"
 
 
-@functools.lru_cache(maxsize=8)
 def _record_template(dim: int) -> str:
     """One written record of dimension ``dim``, with a ``%d`` for each of its
     2 * dim numbers, pairing first, as ``json.dumps(doc, indent=2)`` lays it out."""

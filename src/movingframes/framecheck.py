@@ -18,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from .balance import BalanceReport
-from .operators import OperatorSet
+from .operators import OperatorSet, is_integer
 from .sphere import UNIT_POINT_TOL, sample_sphere
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
@@ -175,15 +175,14 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     """
     if len(a_set) == 0:
         raise ValueError("cannot verify an empty operator set")
-    if (isinstance(num_samples, bool) or not isinstance(num_samples, (int, np.integer))
-            or num_samples < 1):
+    if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)
     d = a_set.dim
     expected = len(a_set) / (d - 1)
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
     k, e = a_set.index_arrays
-    rows = np.ascontiguousarray(k).view(np.dtype((np.void, k.itemsize * d))).ravel()
+    rows = k.view(np.dtype((np.void, k.itemsize * d))).ravel()
     _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
                                        return_counts=True)
     heavy = np.flatnonzero(count >= d)

@@ -74,22 +74,23 @@ class SignedInvolution:
 class OperatorSet:
     """An ordered, duplicate-free collection of signed involutions of one dimension.
 
-    ``OperatorSet(dim, members)`` takes the members as objects;
-    :meth:`from_arrays` takes them as one pairing row and one sign row per
-    member and builds no member objects.  Either way equality and hashing are
-    by dimension and members in order, and ``members``, iteration and indexing
-    give :class:`SignedInvolution` views, built from the arrays on first use.
+    ``OperatorSet(dim, members)`` takes the members as objects, and ``dim``
+    must be an ``int`` or numpy integer (not ``bool``); :meth:`from_arrays`
+    takes them as one pairing row and one sign row per member and builds no
+    member objects.  Both refuse duplicates by one rule, a ``set`` of the
+    members or of the rows.  Either way equality and hashing are by dimension
+    and members in order, and ``members``, iteration and indexing give
+    :class:`SignedInvolution` views, built from the arrays on first use.
     """
 
     def __init__(self, dim: int, members: Iterable[SignedInvolution]) -> None:
         members = tuple(members)
-        if dim <= 0 or dim % 2 != 0:
+        if not is_integer(dim) or dim <= 0 or dim % 2 != 0:
             raise ValueError(f"dimension must be a positive even integer, got {dim}")
         for idx, u in enumerate(members):
             if u.dim != dim:
                 raise ValueError(f"member {idx} has dimension {u.dim}, expected {dim}")
-        if len(set(members)) != len(members):
-            raise ValueError("operator set contains duplicate members")
+        _refuse_duplicates(members)
         self.__dict__.update(dim=dim, members=members, _size=len(members))
 
     @classmethod
@@ -113,7 +114,8 @@ class OperatorSet:
         position = np.arange(1, dim + 1)
         bad = ((pairing < 1) | (pairing > dim) | (pairing == position)
                | ((signs != 1) & (signs != -1)))
-        pairing, signs = pairing.astype(np.intp), signs.astype(np.int8)  # wraps only in bad rows
+        # C order, so that rows can be viewed as bytes; the cast wraps only in bad rows
+        pairing, signs = pairing.astype(np.intp, order="C"), signs.astype(np.int8, order="C")
         partner = pairing - 1
         partner[bad] = 0  # any index will do in a row that already fails
         bad |= np.take_along_axis(pairing, partner, axis=1) != position
@@ -129,8 +131,7 @@ class OperatorSet:
         # pairing * signs encodes each row's (pairing, signs) entrywise; compare rows as
         # bytes, in the narrowest signed type that holds -dim - 1 and so +-dim
         codes = pairing.astype(np.min_scalar_type(-dim - 1)) * signs
-        if len(np.unique(codes.view(np.dtype((np.void, codes.itemsize * dim))))) != size:
-            raise ValueError("operator set contains duplicate members")
+        _refuse_duplicates(codes.view(np.dtype((np.void, codes.itemsize * dim))).ravel().tolist())
         pairing -= 1
         e = np.negative(signs, dtype=np.int64)
         pairing.flags.writeable = e.flags.writeable = False
@@ -141,12 +142,8 @@ class OperatorSet:
     @cached_property
     def members(self) -> tuple[SignedInvolution, ...]:
         k, e = self.index_arrays
-        views = []
-        for pairing, signs in zip((k + 1).tolist(), (-e).tolist()):
-            u = object.__new__(SignedInvolution)  # the rows are checked already
-            u.__dict__.update(pairing=tuple(pairing), signs=tuple(signs))
-            views.append(u)
-        return tuple(views)
+        return tuple(SignedInvolution(tuple(pairing), tuple(signs))
+                     for pairing, signs in zip((k + 1).tolist(), (-e).tolist()))
 
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +186,17 @@ class OperatorSet:
 
     def __getitem__(self, idx: int) -> SignedInvolution:
         return self.members[idx]
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _refuse_duplicates(rows: Sequence) -> None:
+    """Refuse a set whose members, or rows of codes, are not all distinct."""
+    if len(set(rows)) != len(rows):
+        raise ValueError("operator set contains duplicate members")
 
 
 def make_operator(dim: int, pairing: Sequence[int], signs: Sequence[int]) -> SignedInvolution:
@@ -244,12 +252,13 @@ def _fixed_point_free_involutions(d: int) -> np.ndarray:
 
 
 def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
-    """Refuse a bool or n < 1, and n above ``cap`` unless ``cap`` is None.
+    """Refuse an n that is not an ``int`` or numpy integer, a bool or n < 1,
+    and n above ``cap`` unless ``cap`` is None.
 
     ``what`` names the cap in the message and ``action`` says what raising
     it allows.
     """
-    if isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {what} cap {cap}; "

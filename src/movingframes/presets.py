@@ -3,18 +3,14 @@ loaded from the documents shipped under ``assets/``."""
 
 from __future__ import annotations
 
-import json
+from pathlib import Path
 
-from .documents import parse_document
+from .documents import read_document
 from .operators import OperatorSet
 
 
 def _load(name: str) -> OperatorSet:
-    # imported on first use, so that importing the package does not pay for it
-    from importlib.resources import files
-
-    text = (files(__package__) / "assets" / name).read_text(encoding="utf-8")
-    return parse_document(json.loads(text))
+    return read_document(Path(__file__).with_name("assets") / name)
 
 
 def s1_basis() -> OperatorSet:

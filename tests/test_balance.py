@@ -391,7 +391,7 @@ class TestPairingMatrix:
         validate_pairing_matrix(build_pairing_matrix(n))
 
     def test_rejects_nonpositive(self):
-        for n in (0, -1, True):
+        for n in (0, -1, True, 2.5, "3"):
             with pytest.raises(ValueError, match="positive integer"):
                 build_pairing_matrix(n)
 
@@ -493,6 +493,6 @@ class TestBuildMinimalBalanced:
         assert build_minimal_balanced(3) == build_minimal_balanced(3)
 
     def test_rejects_nonpositive(self):
-        for n in (0, True):
+        for n in (0, True, 2.5, "3"):
             with pytest.raises(ValueError, match="positive integer"):
                 build_minimal_balanced(n)

@@ -384,6 +384,26 @@ class TestEntrypoint:
         assert exc.value.code == expected
 
 
+class TestImports:
+    def test_cli_calls_load_no_numpy_ma(self, tmp_path):
+        # numpy 2.4 loads numpy.ma on first use (np.unique without return flags
+        # does), some 15 ms of a CLI call; numpy 1.x loads it with numpy
+        script = "\n".join([
+            "import sys",
+            "from movingframes.cli import main",
+            "before = 'numpy.ma' in sys.modules",
+            "for argv in ('gen-min 3 -o F', 'check-balance F -o B', 'check-funtf F -o T'):",
+            "    assert main(argv.split()) == 0, argv",
+            "print(before, 'numpy.ma' in sys.modules)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        before, after = proc.stdout.split()
+        assert after == before
+
+
 class TestRoundTrip:
     def test_document_reload_matches(self, tmp_path, capsys):
         path = tmp_path / "full3.json"

@@ -127,15 +127,6 @@ def corrupted_documents(draw):
                 or [pos + 1]))
         elif kind == "antisymmetry":
             record["signs"][pos] = -record["signs"][pos]
-        elif kind == "rewrite" and numbers:
-            number = draw(st.sampled_from(numbers))
-            data[number.start():number.end()] = draw(st.one_of(
-                st.sampled_from(ODD_NUMBERS), st.text("-0123456789", max_size=4))).encode()
-        elif kind == "move" and numbers:
-            number = draw(st.sampled_from(numbers))
-            del data[number.start():number.end()]
-            at = draw(st.sampled_from(range(len(data) + 1)))
-            data[at:at] = number[0]
         elif kind == "duplicate":
             records.insert(draw(st.integers(0, len(records))), dict(records[idx]))
         else:

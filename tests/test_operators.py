@@ -206,7 +206,7 @@ class TestEnumerateFull:
         assert len(enumerate_full(3, cap=None)) == 120
 
     def test_rejects_nonpositive(self):
-        for n in (0, True):
+        for n in (0, True, 2.5, "3"):
             with pytest.raises(ValueError, match="positive integer"):
                 enumerate_full(n)
 
@@ -337,6 +337,15 @@ class TestFromArrays:
         with pytest.raises(ValueError, match="^operator set contains duplicate members$"):
             OperatorSet.from_arrays(np.array([[2, 1], [2, 1]]), np.array([[1, -1], [1, -1]]))
 
+    def test_column_major_input(self):
+        k, e = build_minimal_balanced(3).index_arrays
+        a_set = OperatorSet.from_arrays(np.asfortranarray(k + 1), np.asfortranarray(-e))
+        assert a_set == OperatorSet.from_arrays(k + 1, -e)
+        assert all(a.flags.c_contiguous for a in a_set.index_arrays)
+        with pytest.raises(ValueError, match="^operator set contains duplicate members$"):
+            OperatorSet.from_arrays(np.asfortranarray(k[[0, 1, 0]] + 1),
+                                    np.asfortranarray(-e[[0, 1, 0]]))
+
     @pytest.mark.parametrize("pairing,signs", [
         (np.array([2, 1]), np.array([1, -1])),
         (np.array([[2, 1]]), np.array([[1, -1, 1]])),
@@ -386,6 +395,10 @@ class TestFromArrays:
     def test_refuses_odd_dimension_and_members_of_another(self):
         with pytest.raises(ValueError, match="^dimension must be a positive even integer, got 3$"):
             OperatorSet(3, ())
+        for dim in (4.0, np.float64(4), True):
+            with pytest.raises(ValueError, match="^dimension must be a positive even integer"):
+                OperatorSet(dim, ())
+        assert OperatorSet(np.int64(4), ()) == OperatorSet(4, ())
         with pytest.raises(ValueError, match="^member 1 has dimension 2, expected 4$"):
             OperatorSet(4, (enumerate_full(2)[0], enumerate_full(1)[0]))
 
