@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import OperatorSet, SignedInvolution, check_cap, signed_pairings
+from .operators import OperatorSet, SignedInvolution, check_cap, sign_design, signed_pairings
+from .sphere import is_integer
 
 _BLOCK = 1 << 16  # entries in one working array of the slice counts
 # default caps on n: (2n-1) * 2^(n-1) operators (47,104 at n = 12) and a 2n x 2n matrix
@@ -50,9 +51,10 @@ class BalanceReport:
         }
 
 
-def _check_index(d: int, name: str, value: int) -> None:
-    if isinstance(value, bool) or not 1 <= value <= d:
-        raise ValueError(f"index {name}={value} out of range 1..{d}")
+def _check_indices(d: int, **indices: int) -> None:
+    for name, value in indices.items():
+        if not is_integer(value) or not 1 <= value <= d:
+            raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
 @lru_cache(maxsize=16)
@@ -100,8 +102,7 @@ def _slice_counts(a_set: OperatorSet, start: int, stop: int) -> np.ndarray:
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     """Number of members whose pairing matches coordinate p with coordinate q."""
     d = a_set.dim
-    _check_index(d, "p", p)
-    _check_index(d, "q", q)
+    _check_indices(d, p=p, q=q)
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
     column = int(_layout(d)[3][p - 1, q - 1]) // 2
@@ -113,11 +114,10 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
     d = a_set.dim
     if d < 4:
         raise ValueError("sign slices need four distinct indices, so dimension >= 4")
-    for name, value in (("p", p), ("q", q), ("r", r), ("s", s)):
-        _check_index(d, name, value)
+    _check_indices(d, p=p, q=q, r=r, s=s)
     if len({p, q, r, s}) != 4:
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
-    if isinstance(sign, bool) or sign not in (-1, 1):
+    if not is_integer(sign) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     key_code = _layout(d)[3]
     table = _slice_counts(a_set, key_code[r - 1, s - 1] // 2, key_code[r - 1, s - 1] // 2 + 1)
@@ -164,7 +164,7 @@ def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:
     sign slice at -1 onto the slice at +1, which is how the full set earns
     condition ii.
     """
-    _check_index(u.dim, "p", p)
+    _check_indices(u.dim, p=p)
     kp = u.pairing[p - 1]
     signs = tuple(-s if i in (p, kp) else s for i, s in enumerate(u.signs, start=1))
     return SignedInvolution(u.pairing, signs)
@@ -241,4 +241,5 @@ def build_minimal_balanced(n: int, cap: int | None = DEFAULT_THEOREM_SET_CAP) ->
     set has six).  ``cap`` bounds ``n`` (None lifts it).
     """
     check_cap(n, cap, "size", "build larger sets")
-    return signed_pairings(extract_pairings(build_pairing_matrix(n, cap=None)), fix_first=True)
+    return signed_pairings(extract_pairings(build_pairing_matrix(n, cap=None)),
+                           sign_design(n)[:2 ** (n - 1)])

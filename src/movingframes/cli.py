@@ -107,7 +107,6 @@ def cmd_demo_erasure(args) -> int:
         raise ValueError("erasure demo requires a balanced operator set")
 
     d = a_set.dim
-    constant = len(a_set) / (d - 1)
     rng = np.random.default_rng(args.point_seed)
     frame_errors = []
     basis_errors = []
@@ -119,7 +118,7 @@ def cmd_demo_erasure(args) -> int:
         coeffs = operator_images(a_set, a) @ x
         erased = rng.choice(len(a_set), size=args.erase, replace=False)
         coeffs[erased] = 0.0
-        frame_errors.append(float(np.linalg.norm(reconstruct(a_set, a, coeffs, constant) - x)))
+        frame_errors.append(float(np.linalg.norm(reconstruct(a_set, a, coeffs) - x)))
 
         basis = tangent_basis(a)
         bcoeffs = basis @ x

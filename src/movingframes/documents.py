@@ -31,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .operators import OperatorSet, make_operator
+from .sphere import is_integer
 
 _CHUNK = 1024  # records formatted at a time
 _BLOCK = 1 << 18  # bytes of written records read at a time
@@ -98,7 +99,7 @@ def parse_document(doc) -> OperatorSet:
     if not isinstance(doc, dict):
         raise DocumentError(f"document must be a JSON object, got {type(doc).__name__}")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_integer(n) or n < 1:
         raise DocumentError(f"field 'n' must be a positive integer, got {n!r}")
     records = doc.get("operators")
     if not isinstance(records, list) or not records:

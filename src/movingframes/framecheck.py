@@ -18,8 +18,8 @@ from math import sqrt
 import numpy as np
 
 from .balance import BalanceReport
-from .operators import OperatorSet, is_integer
-from .sphere import UNIT_POINT_TOL, sample_sphere
+from .operators import OperatorSet
+from .sphere import UNIT_POINT_TOL, is_integer, sample_sphere, unit_point
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
@@ -148,11 +148,7 @@ def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
 
 def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
     """The scaled normal sqrt(#A/(2n-1)) * a followed by the images U(a)."""
-    av = np.asarray(a, dtype=float)
-    if av.size != a_set.dim:
-        raise ValueError(f"point has length {av.size}, expected {a_set.dim}")
-    if abs(np.linalg.norm(av) - 1.0) > UNIT_POINT_TOL:
-        raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(av)}")
+    av = unit_point(a, a_set.dim)
     scale = sqrt(len(a_set) / (a_set.dim - 1))
     return np.vstack([scale * av, operator_images(a_set, av)])
 
@@ -213,14 +209,12 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     return FrameReport(tight and direct.tight, *worst, len(points), point, expected)
 
 
-def reconstruct(a_set: OperatorSet, a, coefficients, constant: float) -> np.ndarray:
-    """Resynthesize (1/C) * sum_U c_U U(a) from frame coefficients."""
+def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:
+    """Resynthesize (1/C) * sum_U c_U U(a) from frame coefficients; C = #A/(2n-1)."""
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.size != len(a_set):
         raise ValueError(f"got {coeffs.size} coefficients for {len(a_set)} operators")
-    if not 0 < constant < float("inf"):  # NaN fails both comparisons
-        raise ValueError(f"frame constant must be positive and finite, got {constant}")
-    return coeffs @ operator_images(a_set, a) / constant
+    return coeffs @ operator_images(a_set, a) / (len(a_set) / (a_set.dim - 1))
 
 
 def witness_unbalanced(a_set: OperatorSet, report: BalanceReport) -> UnbalancedWitness:

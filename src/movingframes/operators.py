@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sphere import UNIT_POINT_TOL
+from .sphere import is_integer, unit_point
 
 DEFAULT_ENUMERATION_CAP = 5
 
@@ -188,11 +187,6 @@ class OperatorSet:
         return self.members[idx]
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an ``int`` or numpy integer, and not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _refuse_duplicates(rows: Sequence) -> None:
     """Refuse a set whose members, or rows of codes, are not all distinct."""
     if len(set(rows)) != len(rows):
@@ -225,16 +219,12 @@ def apply(u: SignedInvolution, a):
 
 
 def tangency_defect(u: SignedInvolution, a):
-    """Inner product of ``u(a)`` with ``a``; zero exactly when ``a`` is tangentable.
+    """Inner product of ``u(a)`` with the unit point ``a``: zero when u(a) is tangent at a.
 
     Pure-Python summation so that rational inputs (e.g. Fraction) give an
     exact 0 rather than a rounded one.
     """
-    if len(a) != u.dim:
-        raise ValueError(f"vector has length {len(a)}, expected {u.dim}")
-    norm = sqrt(sum(float(x) * float(x) for x in a))
-    if abs(norm - 1.0) > UNIT_POINT_TOL:
-        raise ValueError(f"expected a unit vector, got norm {norm}")
+    unit_point(a, u.dim)
     return sum(u.signs[k - 1] * a[k - 1] * a[i] for i, k in enumerate(u.pairing))
 
 
@@ -265,27 +255,29 @@ def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
                          f"raise the cap explicitly to {action}")
 
 
-def signed_pairings(pairings: np.ndarray, fix_first: bool = False) -> OperatorSet:
-    """Each pairing (a row, 1-based) with each antisymmetric sign pattern.
+def sign_design(n: int) -> np.ndarray:
+    """All 2^n patterns of n signs +-1, a row each: lexicographic with +1 first,
+    the last column fastest, so the first 2^(n-1) rows are those with +1 first."""
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (1 - 2 * bits).astype(np.int8)
 
-    A pattern gives every pair {i, k} with i < k a sign at i and the opposite
-    sign at k.  Pairs are ordered by i, and patterns run in lexicographic
-    order with +1 first, the last pair fastest.  With ``fix_first`` the pair
-    holding coordinate 1 keeps +1.  Members go pairing by pairing, each with
-    its patterns in that order: one (patterns x pairs) design broadcast over
-    all pairings, with no per-member objects.
+
+def signed_pairings(pairings: np.ndarray, design: np.ndarray) -> OperatorSet:
+    """Each pairing (a row, 1-based) with each sign pattern of ``design``.
+
+    ``design`` is a (patterns x pairs) array of +-1.  A pattern gives every
+    pair {i, k} with i < k its sign at i and the opposite sign at k; pairs are
+    ordered by i.  Members go pairing by pairing, each with the patterns in
+    the design's order: the design broadcast over all pairings, with no
+    per-member objects.
     """
     d = pairings.shape[1]
-    free = d // 2 - fix_first
-    bits = (np.arange(2 ** free)[:, None] >> np.arange(free - 1, -1, -1)) & 1
-    design = np.ones((2 ** free, d // 2), np.int8)  # a row per pattern, a column per pair
-    design[:, fix_first:] -= 2 * bits.astype(np.int8)
     lower = pairings - 1 > np.arange(d)  # position i is the smaller one of its pair
     pair = np.cumsum(lower, axis=1) - 1  # pairs numbered by their smaller position
     pair = np.where(lower, pair, np.take_along_axis(pair, pairings - 1, axis=1))
     orient = np.where(lower, 1, -1).astype(np.int8)
     signs = design[:, pair].transpose(1, 0, 2) * orient[:, None, :]
-    return OperatorSet.from_arrays(np.repeat(pairings, 2 ** free, axis=0), signs.reshape(-1, d))
+    return OperatorSet.from_arrays(np.repeat(pairings, len(design), axis=0), signs.reshape(-1, d))
 
 
 def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> OperatorSet:
@@ -296,4 +288,4 @@ def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Operato
     grows factorially; pass a larger cap (or None) to override.
     """
     check_cap(n, cap, "enumeration", "enumerate larger sets")
-    return signed_pairings(_fixed_point_free_involutions(2 * n))
+    return signed_pairings(_fixed_point_free_involutions(2 * n), sign_design(n))

@@ -1,4 +1,5 @@
-"""Geometry helpers for unit spheres embedded in R^{2n}."""
+"""Geometry of unit spheres in R^{2n}, and the argument rules every module shares:
+:func:`unit_point` decides what is a point of the sphere, :func:`is_integer` an integer."""
 
 from __future__ import annotations
 
@@ -10,11 +11,28 @@ import numpy as np
 UNIT_POINT_TOL = 1e-6
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def unit_point(a, dim: int) -> np.ndarray:
+    """``a`` as floats, refused unless its shape is (dim,) and its norm within UNIT_POINT_TOL of 1."""
+    av = np.asarray(a, dtype=float)
+    if av.shape != (dim,):
+        raise ValueError(f"point has length {av.size}, expected {dim}")
+    if not abs(np.linalg.norm(av) - 1.0) <= UNIT_POINT_TOL:  # so NaN fails too
+        raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(av)}")
+    return av
+
+
 def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     """``count`` unit vectors in R^dim, rows of the result; deterministic in seed.
 
     Normalized standard Gaussians, so the distribution is rotation invariant.
     """
+    if not all(map(is_integer, (dim, count, seed))):
+        raise ValueError(f"dim, count and seed must be integers, got {(dim, count, seed)!r}")
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dimension must be even and at least 2, got {dim}")
     if count < 0:
@@ -26,8 +44,8 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
 
 
 def project_tangent(a, x) -> np.ndarray:
-    """Orthogonal projection of x onto the tangent space at a: x - <x,a> a."""
-    av = np.asarray(a, dtype=float)
+    """Orthogonal projection of x onto the tangent space at the unit point a: x - <x,a> a."""
+    av = unit_point(a, np.size(a))
     xv = np.asarray(x, dtype=float)
     if av.shape != xv.shape:
         raise ValueError(f"length mismatch: point has {av.size}, vector has {xv.size}")
@@ -35,13 +53,13 @@ def project_tangent(a, x) -> np.ndarray:
 
 
 def tangent_basis(a) -> np.ndarray:
-    """An orthonormal basis of the tangent space at a, rows of a (d-1) x d array.
+    """Rows of a (d-1) x d array: an orthonormal basis of the tangent space at the unit point a.
 
     Gram-Schmidt on the standard basis vectors, dropping the coordinate where
     |a_i| is largest so the remaining directions stay well separated from a.
     One reorthogonalization pass keeps the basis orthonormal to ~1e-15.
     """
-    av = np.asarray(a, dtype=float)
+    av = unit_point(a, np.size(a))
     d = av.size
     pivot = int(np.argmax(np.abs(av)))
     basis: list[np.ndarray] = []

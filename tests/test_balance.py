@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from collections import Counter
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from movingframes import (augment_with_normal, build_minimal_balanced,
                           build_pairing_matrix, count_pair_slice, count_sign_slice,
                           enumerate_full, extract_pairings, frame_operator,
-                          is_balanced, make_operator, sign_flip_bijection,
-                          validate_pairing_matrix, verify_moving_funtf,
-                          witness_cross_term, witness_unbalanced)
+                          is_balanced, make_operator, operator_images,
+                          probe_points, sample_sphere, sign_flip_bijection,
+                          tangent_basis, validate_pairing_matrix,
+                          verify_moving_funtf, witness_cross_term,
+                          witness_unbalanced)
 from movingframes.cli import main
 from movingframes.operators import OperatorSet, SignedInvolution
 
@@ -39,6 +42,14 @@ def relabel(a_set, perm):
     pairing, signs = np.empty_like(k), np.empty_like(e)
     pairing[:, perm], signs[:, perm] = perm[k] + 1, -e
     return OperatorSet.from_arrays(pairing, signs)
+
+
+@functools.lru_cache(maxsize=None)
+def tangent_frames(d):
+    """The points verify_moving_funtf(..., num_samples=20) checks in R^d, the
+    probe points and 20 samples of seed 0, and an orthonormal tangent basis at each."""
+    points = np.vstack([probe_points(d), sample_sphere(d, 20, 0)])
+    return points, np.stack([tangent_basis(a) for a in points])
 
 
 @st.composite
@@ -172,10 +183,11 @@ class TestPairSlice:
             count_pair_slice(A4, 2, 2)
 
     def test_rejects_out_of_range(self):
-        # True == 1, but a boolean is not an index
-        for p, q in ((1, 5), (True, 2), (1, False)):
+        # True == 1 == 1.0, but neither a boolean nor a float is an index
+        for p, q in ((1, 5), (True, 2), (1, False), (1.0, 2), (1.5, 2), ("1", 2), (2, 1.0)):
             with pytest.raises(ValueError, match="out of range"):
                 count_pair_slice(A4, p, q)
+        assert count_pair_slice(A4, np.int64(1), np.int64(2)) == count_pair_slice(A4, 1, 2)
 
 
 class TestSignSlice:
@@ -194,11 +206,13 @@ class TestSignSlice:
             count_sign_slice(A4, 1, 2, 3, 1, 1)
 
     def test_rejects_bad_sign_or_bool_index(self):
-        for sign in (0, 2, True):
+        for sign in (0, 2, True, 1.0):
             with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
                 count_sign_slice(A4, 1, 2, 3, 4, sign)
-        with pytest.raises(ValueError, match="index p=True out of range"):
-            count_sign_slice(A4, True, 2, 3, 4, 1)
+        for p in (True, 1.0, 1.5, "1"):
+            with pytest.raises(ValueError, match=f"index p={p} out of range"):
+                count_sign_slice(A4, p, 2, 3, 4, 1)
+        assert count_sign_slice(A4, *map(np.int64, (1, 2, 3, 4, 1))) == 4
 
     def test_rejects_dim_two(self):
         single = OperatorSet(2, (make_operator(2, (2, 1), (1, -1)),))
@@ -290,9 +304,16 @@ class TestCrossRoutes:
         frame = verify_moving_funtf(a_set, num_samples=20)
         assert frame.tight == report.balanced
         # the reported deviation is that of the direct V^T V at the worst point
+        constant = len(a_set) / (a_set.dim - 1)
         s = frame_operator(augment_with_normal(a_set, frame.worst_point))
-        direct = np.max(np.abs(s - len(a_set) / (a_set.dim - 1) * np.eye(a_set.dim)))
+        direct = np.max(np.abs(s - constant * np.eye(a_set.dim)))
         assert abs(direct - max(frame.max_offdiag, frame.max_diag_dev)) <= 1e-12
+        # coordinates G of the images in a tangent basis: G^T G = C*I at every point
+        points, bases = tangent_frames(a_set.dim)
+        g = np.einsum("pmd,pbd->pmb", operator_images(a_set, points), bases)
+        gram = np.einsum("pmb,pmc->pbc", g, g)
+        tangent_dev = np.max(np.abs(gram - constant * np.eye(a_set.dim - 1)))
+        assert (tangent_dev <= 1e-9) == report.balanced
         assert is_balanced(relabelled).balanced == report.balanced
         if not report.balanced:
             witness = witness_unbalanced(a_set, report)
@@ -335,8 +356,10 @@ class TestSignFlipBijection:
                 assert {v.pairing[r - 1], v.pairing[s - 1]} == {p, q}
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            sign_flip_bijection(A4[0], 5)
+        for p in (5, True, 1.0, 1.5, "1"):
+            with pytest.raises(ValueError, match="out of range"):
+                sign_flip_bijection(A4[0], p)
+        assert sign_flip_bijection(A4[0], np.int64(3)) == sign_flip_bijection(A4[0], 3)
 
 
 def reference_validation_message(rows):

@@ -172,8 +172,9 @@ class TestAugmentWithNormal:
             assert np.allclose(s, expected * np.eye(6), atol=1e-12)
 
     def test_rejects_non_unit_point(self):
-        with pytest.raises(ValueError, match="unit"):
-            augment_with_normal(MIN2, np.array([1.0, 1.0, 0.0, 0.0]))
+        for a in ([1.0, 1.0, 0.0, 0.0], [math.nan] * 4, [0.0] * 4):
+            with pytest.raises(ValueError, match="expected a unit vector"):
+                augment_with_normal(MIN2, np.array(a))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -268,18 +269,17 @@ class TestReconstruct:
     def test_round_trip(self, n):
         a_set = build_minimal_balanced(n)
         d = 2 * n
-        constant = len(a_set) / (d - 1)
         rng = np.random.default_rng(n)
         a = rng.standard_normal(d)
         a /= np.linalg.norm(a)
         x = project_tangent(a, rng.standard_normal(d))
         coeffs = operator_images(a_set, a) @ x
-        rebuilt = reconstruct(a_set, a, coeffs, constant)
+        rebuilt = reconstruct(a_set, a, coeffs)
         assert np.linalg.norm(rebuilt - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_zero_coefficients(self):
         a = sample_sphere(4, 1, seed=0)[0]
-        assert np.allclose(reconstruct(MIN2, a, np.zeros(6), 2.0), np.zeros(4))
+        assert np.allclose(reconstruct(MIN2, a, np.zeros(6)), np.zeros(4))
 
     def test_single_erasure_error_is_bounded(self):
         constant = 2.0
@@ -290,19 +290,19 @@ class TestReconstruct:
         coeffs = operator_images(MIN2, a) @ x
         erased = coeffs.copy()
         erased[3] = 0.0
-        error = np.linalg.norm(reconstruct(MIN2, a, erased, constant) - x)
+        error = np.linalg.norm(reconstruct(MIN2, a, erased) - x)
         assert error == pytest.approx(abs(coeffs[3]) / constant, abs=1e-12)
 
     def test_rejects_wrong_count(self):
         a = sample_sphere(4, 1, seed=0)[0]
         with pytest.raises(ValueError, match="coefficients"):
-            reconstruct(MIN2, a, np.zeros(5), 2.0)
+            reconstruct(MIN2, a, np.zeros(5))
 
-    def test_rejects_nonpositive_constant(self):
-        a = sample_sphere(4, 1, seed=0)[0]
-        for constant in (0.0, -2.0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="positive"):
-                reconstruct(MIN2, a, np.zeros(6), constant)
+    def test_divides_by_the_frame_constant(self):
+        for a_set, constant in ((enumerate_full(2), 4), (build_minimal_balanced(1), 1)):
+            a = sample_sphere(a_set.dim, 1, seed=3)[0]
+            c = np.random.default_rng(3).standard_normal(len(a_set))
+            assert np.array_equal(reconstruct(a_set, a, c), c @ operator_images(a_set, a) / constant)
 
 
 class TestWitnessUnbalanced:

@@ -420,8 +420,11 @@ class TestTangencyDefect:
             assert abs(tangency_defect(u, a)) < 1e-15
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            tangency_defect(CIRCLE, [3.0, 4.0])
+        u = make_operator(4, (2, 1, 4, 3), (1, -1, 1, -1))
+        for v, a in ((CIRCLE, [3.0, 4.0]), (CIRCLE, [0.0, 0.0]), (CIRCLE, [0.6, math.nan]),
+                     (u, [math.nan] * 4), (u, [1.0, 1.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="expected a unit vector"):
+                tangency_defect(v, a)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

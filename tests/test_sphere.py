@@ -5,6 +5,10 @@ from movingframes import (augment_with_normal, project_tangent, s1_basis,
                           sample_sphere, tangent_basis)
 from movingframes.sphere import UNIT_POINT_TOL
 
+# points of R^4 off the unit sphere, NaN and zero among them
+OFF_SPHERE = ([1.0, 1.0, 0.0, 0.0], [np.nan] * 4, [0.0] * 4, [0.6, np.nan, 0.0, 0.8],
+              [0.6, 0.8 + 2 * UNIT_POINT_TOL, 0.0, 0.0])
+
 
 class TestSpherePoint:
     """A point where a frame is checked must lie on the sphere."""
@@ -15,7 +19,7 @@ class TestSpherePoint:
             assert augment_with_normal(s1_basis(), a).shape == (2, 2)
 
     def test_rejects_off_sphere(self):
-        for a in ([0.6, 0.9], [0.6, 0.8 + 2 * UNIT_POINT_TOL]):
+        for a in ([0.6, 0.9], [0.6, 0.8 + 2 * UNIT_POINT_TOL], [np.nan, np.nan], [0.0, 0.0]):
             with pytest.raises(ValueError, match="norm"):
                 augment_with_normal(s1_basis(), a)
 
@@ -40,6 +44,13 @@ class TestRandomSpherePoint:
         for dim in (1, 3, 5):
             with pytest.raises(ValueError, match="even"):
                 sample_sphere(dim, 1, 0)
+
+    def test_rejects_non_integer_arguments(self):
+        for dim, count, seed in ((4.0, 1, 0), (4, 2.5, 0), (4, True, 0), (4, 1, 1.5)):
+            with pytest.raises(ValueError, match="must be integers"):
+                sample_sphere(dim, count, seed)
+        assert np.array_equal(sample_sphere(np.int64(4), np.int64(2), np.int64(7)),
+                              sample_sphere(4, 2, 7))
 
     def test_rejects_negative_count(self):
         assert sample_sphere(4, 0, 0).shape == (0, 4)
@@ -82,6 +93,11 @@ class TestProjectTangent:
         with pytest.raises(ValueError, match="mismatch"):
             project_tangent(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
+    def test_rejects_off_sphere(self):
+        for a in OFF_SPHERE:
+            with pytest.raises(ValueError, match="expected a unit vector"):
+                project_tangent(a, [1.0, 0.0, 0.0, 0.0])
+
 
 class TestTangentBasis:
     def test_coordinate_point(self):
@@ -95,6 +111,12 @@ class TestTangentBasis:
             assert basis.shape == (7, 8)
             assert np.allclose(basis @ basis.T, np.eye(7), atol=1e-12)
             assert np.all(np.abs(basis @ a) <= 1e-12)
+
+    def test_rejects_off_sphere(self):
+        # at [1, 1, 0, 0] the rows would not be tangent: 0.707 against the unit point
+        for a in OFF_SPHERE:
+            with pytest.raises(ValueError, match="expected a unit vector"):
+                tangent_basis(a)
 
     def test_near_axis_point_stays_stable(self):
         a = np.array([np.sqrt(1 - 3e-16), 1e-8, 1e-8, 1e-8])
