@@ -32,7 +32,7 @@ from .framecheck import (DEFAULT_NUM_SAMPLES, DEFAULT_TIGHTNESS_TOL,
                          operator_images, reconstruct, verify_moving_funtf,
                          witness_unbalanced)
 from .operators import DEFAULT_ENUMERATION_CAP, enumerate_full
-from .sphere import project_tangent, sample_sphere, tangent_basis
+from .sphere import project_tangent, tangent_basis
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1

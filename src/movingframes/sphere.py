@@ -3,12 +3,18 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 # The one unit-norm test of the package: a vector counts as a unit vector
 # (a point of the sphere) when its norm is within this of 1.  Tightness
 # deviations are judged separately, against the tolerance of each check.
 UNIT_POINT_TOL = 1e-6
+
+# Box-Muller pairs per draw of sample_sphere: one randbytes call of 1 MiB, so
+# the temporaries stay small and getrandbits never meets its C-int bit limit.
+_DRAW_PAIRS = 2 ** 16
 
 
 def is_integer(value) -> bool:
@@ -30,6 +36,12 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     """``count`` unit vectors in R^dim, rows of the result; deterministic in seed.
 
     Normalized standard Gaussians, so the distribution is rotation invariant.
+    They are Box-Muller pairs from the bytes of ``random.Random(seed)``, the
+    standard library's Mersenne Twister, so no ``numpy.random`` is imported.
+    The flattened result is filled in slices of at most 2^17 numbers, one
+    ``randbytes`` call each: of a slice's 53-bit uniforms the first half give
+    the radii and the rest the angles, and cosines fill the first half of the
+    slice, sines the second.
     """
     if not all(map(is_integer, (dim, count, seed))):
         raise ValueError(f"dim, count and seed must be integers, got {(dim, count, seed)!r}")
@@ -37,8 +49,19 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"dimension must be even and at least 2, got {dim}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((count, dim))
+    if seed < 0:  # random.Random would take |seed|
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    points = np.empty((count, dim))  # first, so that an impossible count fails before any draw
+    flat, rng = points.reshape(-1), random.Random(int(seed))
+    for start in range(0, count * dim // 2, _DRAW_PAIRS):  # dim is even
+        pairs = min(_DRAW_PAIRS, count * dim // 2 - start)
+        bits = np.frombuffer(rng.randbytes(16 * pairs), dtype="<u8")
+        uniform = (bits >> 11) * 2.0 ** -53  # 53-bit uniforms in [0, 1)
+        radius = np.sqrt(-2.0 * np.log1p(-uniform[:pairs]))
+        angle = 2 * np.pi * uniform[pairs:]
+        out = flat[2 * start:2 * (start + pairs)]
+        np.multiply(radius, np.cos(angle), out=out[:pairs])
+        np.multiply(radius, np.sin(angle), out=out[pairs:])
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     return points
 

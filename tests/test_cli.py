@@ -384,23 +384,37 @@ class TestEntrypoint:
         assert exc.value.code == expected
 
 
+def loaded_by_cli_calls(module: str, tmp_path) -> tuple[str, str]:
+    """Whether ``module`` is in sys.modules after importing the CLI, and after
+    gen-min, check-balance and check-funtf in that interpreter."""
+    script = "\n".join([
+        "import sys",
+        "from movingframes.cli import main",
+        f"before = {module!r} in sys.modules",
+        "for argv in ('gen-min 3 -o F', 'check-balance F -o B', 'check-funtf F -o T'):",
+        "    assert main(argv.split()) == 0, argv",
+        f"print(before, {module!r} in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, after = proc.stdout.split()
+    return before, after
+
+
 class TestImports:
     def test_cli_calls_load_no_numpy_ma(self, tmp_path):
         # numpy 2.4 loads numpy.ma on first use (np.unique without return flags
         # does), some 15 ms of a CLI call; numpy 1.x loads it with numpy
-        script = "\n".join([
-            "import sys",
-            "from movingframes.cli import main",
-            "before = 'numpy.ma' in sys.modules",
-            "for argv in ('gen-min 3 -o F', 'check-balance F -o B', 'check-funtf F -o T'):",
-            "    assert main(argv.split()) == 0, argv",
-            "print(before, 'numpy.ma' in sys.modules)",
-        ])
-        env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, cwd=tmp_path, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        before, after = proc.stdout.split()
+        before, after = loaded_by_cli_calls("numpy.ma", tmp_path)
+        assert after == before
+
+    def test_cli_calls_load_no_numpy_random(self, tmp_path):
+        # sample_sphere draws from the standard library; importing numpy.random,
+        # which numpy 2.x loads on first use and 1.x with numpy, would add some
+        # 15 ms and 5 MB to every check-funtf call
+        before, after = loaded_by_cli_calls("numpy.random", tmp_path)
         assert after == before
 
 

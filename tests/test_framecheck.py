@@ -20,6 +20,19 @@ MIN2 = build_minimal_balanced(2)
 MIXED = OperatorSet(4, [enumerate_full(2)[i] for i in (0, 1, 2, 3, 4, 8)])
 
 
+def subset(a_set, pick):
+    """The members of ``a_set`` at the indices ``pick``, in set order."""
+    k, e = a_set.index_arrays
+    return OperatorSet.from_arrays(k[pick] + 1, -e[pick])
+
+
+def one_member_per_pairing():
+    """One seeded member of each of the 945 pairings of R^10: no pairing
+    reaches the Gram-matrix threshold, so every member keeps its image row."""
+    return subset(enumerate_full(5), 32 * np.arange(945) + np.random.default_rng(0).integers(
+        32, size=945))
+
+
 def reversed_coordinates(a_set):
     """The set conjugated by the coordinate reversal i -> d-1-i (0-based)."""
     k, e = a_set.index_arrays
@@ -211,31 +224,31 @@ class TestVerifyMovingFuntf:
         assert report.tight
         assert report.theoretical_constant == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("a_set", [build_minimal_balanced(n) for n in (2, 3, 4, 5)]
-                             + [OperatorSet(4, MIN2.members[:-1]), MIXED,
-                                reversed_coordinates(build_minimal_balanced(5))],
-                             ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed",
-                                  "reversed-min5"])
-    def test_worst_point_matches_reference_loop(self, a_set):
-        report = verify_moving_funtf(a_set, num_samples=10, seed=4)
-        point, max_off, max_diag = reduced_worst_point(a_set, 10, 4)
+    @pytest.mark.parametrize("a_set,num_samples", [
+        *((build_minimal_balanced(n), 10) for n in (2, 3, 4, 5)),
+        (OperatorSet(4, MIN2.members[:-1]), 10), (MIXED, 10),
+        (reversed_coordinates(build_minimal_balanced(5)), 10),
+        # points in several blocks: 3 blocks of up to 105 points, and 55 of one
+        (subset(enumerate_full(3), np.sort(np.random.default_rng(0).choice(120, 100, replace=False))),
+         200),
+        (one_member_per_pairing(), 10),
+    ], ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed", "reversed-min5",
+            "full3-subset", "one-per-pairing"])
+    def test_worst_point_matches_reference_loop(self, a_set, num_samples):
+        report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
+        point, max_off, max_diag = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
         assert report.max_offdiag == max_off
         assert report.max_diag_dev == max_diag
         # the direct loop over every member's image rows agrees on the worst
         # deviation and at the reported worst point (its worst point may differ
         # on near ties)
-        _, direct_off, direct_diag = reference_worst_point(a_set, 10, 4)
+        _, direct_off, direct_diag = reference_worst_point(a_set, num_samples, 4)
         assert abs(max(direct_off, direct_diag) - max(max_off, max_diag)) <= 1e-12
         assert abs(direct_deviation(a_set, point) - max(max_off, max_diag)) <= 1e-12
 
     def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
-        # one seeded member of each of the 945 pairings of R^10: no pairing
-        # reaches the threshold, so every member keeps its image row
-        full = enumerate_full(5)
-        pick = 32 * np.arange(945) + np.random.default_rng(0).integers(32, size=945)
-        k, e = full.index_arrays
-        a_set = OperatorSet.from_arrays(k[pick] + 1, -e[pick])
+        a_set = one_member_per_pairing()
         k, e = a_set.index_arrays
         tracemalloc.start()
         try:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,47 @@ class TestRandomSpherePoint:
         with pytest.raises(ValueError, match="^count must be nonnegative, got -1$"):
             sample_sphere(4, -1, 0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random would silently take |seed|, so -7 would repeat seed 7
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -7$"):
+            sample_sphere(4, 2, -7)
+
+    def test_stream_is_pinned(self):
+        # the points every fixed-seed report is computed at; a changed stream
+        # moves them by O(1), while the platform's cos and log may move the
+        # last bits
+        pinned = {(4, 2, 7): [
+            [0.8965817631723637, -0.3864366960278188, 0.11789622249393328, 0.18140645697300714],
+            [0.5837012077924486, -0.21455553882278044, -0.0728218815083333, 0.7797152007981436]],
+            (2, 1, 0): [[0.7714892434111882, -0.6362423652200727]]}
+        for args, points in pinned.items():
+            assert np.allclose(sample_sphere(*args), points, rtol=0, atol=1e-14)
+
+    def test_draws_in_bounded_slices(self, monkeypatch):
+        # randbytes(n) is getrandbits(8 * n), which takes a C int before
+        # Python 3.13: one draw for all of --samples 2000000 in R^20 would
+        # raise OverflowError, so every draw is capped at 2^16 pairs
+        sizes, draw = [], random.Random.randbytes
+        monkeypatch.setattr(random.Random, "randbytes",
+                            lambda self, n: sizes.append(n) or draw(self, n))
+        points = sample_sphere(4, 2 ** 16 + 1, 5)
+        assert sizes == [2 ** 20, 2 ** 20, 32]  # 16 bytes per pair
+        assert np.allclose(np.linalg.norm(points, axis=1), 1.0, rtol=0, atol=1e-12)
+        # a count that fits one draw gives the first slice of a longer stream
+        first = sample_sphere(4, 2 ** 15, 5)
+        assert np.array_equal(points[:2 ** 15], first)
+        assert not np.allclose(points[2 ** 15:2 ** 16], first)
+
     def test_coordinate_means_vanish(self):
         # central-limit sanity check on the sampler
         pts = sample_sphere(4, 10_000, seed=0)
         assert np.all(np.abs(pts.mean(axis=0)) < 0.05)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 10])
+    def test_coordinate_mean_squares_are_one_over_dim(self, dim):
+        # a uniform point of the sphere has E[x_i^2] = 1/dim for every i
+        pts = sample_sphere(dim, 10_000, seed=0)
+        assert np.all(np.abs((pts ** 2).mean(axis=0) - 1 / dim) <= 0.01)
 
 
 class TestProjectTangent:
