@@ -74,18 +74,18 @@ def _layout(d: int):
 
 
 def _slice_counts(a_set: OperatorSet, start: int, stop: int) -> np.ndarray:
-    """Row C*j + g, column t: members with {k_r, k_s} = pair g and E[r]*E[s] =
+    """Row C*j + g, column t: members with {k_r, k_s} = pair g and S[r]*S[s] =
     (+1 if t else -1), for (r, s) the pair start + j of :func:`_layout`.
 
-    With K, E the cached index arrays, E[r]*E[s] = sign[p]*sign[q]; the keys
-    k + d*[E > 0] at r and s give key_code 2g + [E[r] = E[s]].  Row C*j +
-    start + j is the pair slice {r, s} (k_r = s, E[r] = -E[s]); the others
+    With K, S the cached index arrays, S[r]*S[s] = sign[p]*sign[q]; the keys
+    k + d*[S < 0] at r and s give key_code 2g + [S[r] = S[s]].  Row C*j +
+    start + j is the pair slice {r, s} (k_r = s, S[r] = -S[s]); the others
     are sign slices: k_r != s forces k_s != r, and a pairing has no fixed
     points, so {k_r, k_s} and {r, s} are disjoint.  Operators go in chunks.
     """
-    k, e = a_set.index_arrays
+    k, sign = a_set.index_arrays
     pairs, columns, column_code, key_code = _layout(a_set.dim)
-    keys, rs = k + (e + 1) * (a_set.dim // 2), columns[:, start:stop]  # (e + 1)/2 = [E > 0]
+    keys, rs = k + (1 - sign) * (a_set.dim // 2), columns[:, start:stop]  # (1 - S)/2 = [S < 0]
     size, step = 2 * len(pairs) * (stop - start), max(1, _BLOCK // (stop - start))
 
     def count(m: int) -> np.ndarray:

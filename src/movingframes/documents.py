@@ -56,21 +56,22 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     so the whole text is never held at once; only the metadata goes through
     ``json``.
     """
+    if not len(a_set):  # read_document refuses a document without operators
+        raise ValueError("cannot write an empty operator set")
     metadata = {}
     if generator is not None:
         metadata["generator"] = generator
     if timestamp:
         metadata["created"] = datetime.now(timezone.utc).isoformat()
-    yield f'{{\n  "n": {a_set.dim // 2},\n  "operators": ' + ("[" if len(a_set) else "[]")
+    yield f'{{\n  "n": {a_set.dim // 2},\n  "operators": ['
     record = _record_template(a_set.dim)
-    k, e = a_set.index_arrays
-    rows = np.hstack([k + 1, -e])
+    k, sign = a_set.index_arrays
+    rows = np.hstack([k + 1, sign])
     for start in range(0, len(rows), _CHUNK):
         chunk = rows[start:start + _CHUNK]
         yield ",\n" if start else "\n"
         yield ",\n".join([record] * len(chunk)) % tuple(chunk.ravel().tolist())
-    if len(a_set):
-        yield "\n  ]"
+    yield "\n  ]"
     if metadata:  # json.dumps escapes newlines in strings, so each "\n" starts a line
         yield ',\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  ")
     yield "\n}\n"
@@ -86,8 +87,11 @@ def _record_template(dim: int) -> str:
 
 def write_document(path: str | Path, a_set: OperatorSet, generator: str | None = None,
                    timestamp: bool = True) -> None:
+    chunks = document_chunks(a_set, generator, timestamp)
+    head = next(chunks)  # an empty set is refused here, before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(document_chunks(a_set, generator, timestamp))
+        fh.write(head)
+        fh.writelines(chunks)
 
 
 def parse_document(doc) -> OperatorSet:

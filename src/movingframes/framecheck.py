@@ -74,13 +74,13 @@ class UnbalancedWitness:
 def operator_images(a_set: OperatorSet, a) -> np.ndarray:
     """U(a) over the set: shape (#A, dim) for one point, (P, #A, dim) for P points.
 
-    ``a`` is one point of shape (dim,) or a batch of shape (P, dim).
+    ``a`` is one point of shape (dim,) or a batch (P, dim); U(a)_i = -S_i * a[K_i].
     """
     av = np.asarray(a, dtype=float)
     if av.ndim not in (1, 2) or av.shape[-1] != a_set.dim:
         raise ValueError(f"expected points of length {a_set.dim}, got shape {av.shape}")
-    k, e = a_set.index_arrays
-    return e * av[..., k]
+    k, sign = a_set.index_arrays
+    return sign * np.negative(av)[..., k]
 
 
 def frame_operator(vectors) -> np.ndarray:
@@ -185,7 +185,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     _check_tolerance(tolerance)
     d, expected = a_set.dim, _frame_constant(a_set)
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
-    k, e = a_set.index_arrays
+    k, sign = a_set.index_arrays
     narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
     rows = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
     _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
@@ -196,9 +196,9 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     if len(heavy):
         members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
         for j, g in enumerate(heavy.tolist()):
-            signs = e[members[stops[g] - count[g]:stops[g]]].astype(float)
+            signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
             w[j] = signs.T @ signs  # sums of +-1 terms, exact far below 2^53
-        k, e = k[count[group] < d], e[count[group] < d]
+        k, sign = k[count[group] < d], sign[count[group] < d]
 
     # points go in blocks of about 2^14 floats of what grows with the set: the
     # scaled normal and image rows, and the heavy pairings' coordinates
@@ -209,7 +209,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
         a = points[start:start + block]
         vb = v[:len(a)]
         np.multiply(sqrt(expected), a, out=vb[:, 0])
-        np.multiply(e, a[:, k], out=vb[:, 1:])
+        np.multiply(sign, np.negative(a)[:, k], out=vb[:, 1:])
         s = np.matmul(vb.transpose(0, 2, 1), vb)
         if len(w):
             a_heavy = a[:, k_heavy]

@@ -113,8 +113,8 @@ class OperatorSet:
         position = np.arange(1, dim + 1)
         bad = ((pairing < 1) | (pairing > dim) | (pairing == position)
                | ((signs != 1) & (signs != -1)))
-        # C order, so that rows can be viewed as bytes; the cast wraps only in bad rows
-        pairing, signs = pairing.astype(np.intp, order="C"), signs.astype(np.int8, order="C")
+        # C order, so that rows can be viewed as bytes; the casts wrap only in bad rows
+        pairing, signs = pairing.astype(np.intp, order="C"), signs.astype(np.int64, order="C")
         partner = pairing - 1
         partner[bad] = 0  # any index will do in a row that already fails
         bad |= np.take_along_axis(pairing, partner, axis=1) != position
@@ -129,37 +129,33 @@ class OperatorSet:
                 raise ValueError(f"operator record {row} is invalid: {exc}") from exc
         # pairing * signs encodes each row's (pairing, signs) entrywise; compare rows as
         # bytes, in the narrowest signed type that holds -dim - 1 and so +-dim
-        codes = pairing.astype(np.min_scalar_type(-dim - 1)) * signs
+        codes = np.multiply(pairing, signs, dtype=np.min_scalar_type(-dim - 1))
         _refuse_duplicates(codes.view(np.dtype((np.void, codes.itemsize * dim))).ravel().tolist())
         pairing -= 1
-        e = np.negative(signs, dtype=np.int64)
-        pairing.flags.writeable = e.flags.writeable = False
+        pairing.flags.writeable = signs.flags.writeable = False
         a_set = cls.__new__(cls)
-        a_set.__dict__.update(dim=dim, _size=size, index_arrays=(pairing, e))
+        a_set.__dict__.update(dim=dim, _size=size, index_arrays=(pairing, signs))
         return a_set
 
     @cached_property
     def members(self) -> tuple[SignedInvolution, ...]:
-        k, e = self.index_arrays
-        return tuple(SignedInvolution(tuple(pairing), tuple(signs))
-                     for pairing, signs in zip((k + 1).tolist(), (-e).tolist()))
+        k, sign = self.index_arrays
+        return tuple(map(SignedInvolution, map(tuple, (k + 1).tolist()), map(tuple, sign.tolist())))
 
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Partner indices K and partner signs E, both of shape (#A, dim).
-
-        Row m of the images of a point a is E[m] * a[K[m]].  Built on first
-        use and then shared read-only by every numerical consumer; a set
-        from :meth:`from_arrays` stores only these.  E is the negated sign
-        row: each member's signs are antisymmetric within every pair
-        {i, k_i}, so the sign at the partner of i is -sign[i].
+        """Partner indices K = pairing - 1 and the members' own signs S, as
+        documents write them, both of shape (#A, dim); the images of a point a
+        are -S * a[K], as signs are antisymmetric within every pair.  Built on
+        first use and then shared read-only by every numerical consumer; a set
+        from :meth:`from_arrays` stores only these.
         """
         shape, size = (self._size, self.dim), self._size * self.dim
         flat = itertools.chain.from_iterable
         k = np.fromiter(flat(u.pairing for u in self.members), np.intp, size).reshape(shape) - 1
-        e = -np.fromiter(flat(u.signs for u in self.members), np.int64, size).reshape(shape)
-        k.flags.writeable = e.flags.writeable = False
-        return k, e
+        sign = np.fromiter(flat(u.signs for u in self.members), np.int64, size).reshape(shape)
+        k.flags.writeable = sign.flags.writeable = False
+        return k, sign
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorSet):

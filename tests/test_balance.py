@@ -38,9 +38,9 @@ def full_subsets(draw):
 def relabel(a_set, perm):
     """The set conjugated by the coordinate permutation i -> perm[i] (0-based):
     each member's partner of perm[i] is perm[k_i], with the sign it had at i."""
-    k, e = a_set.index_arrays
-    pairing, signs = np.empty_like(k), np.empty_like(e)
-    pairing[:, perm], signs[:, perm] = perm[k] + 1, -e
+    k, sign = a_set.index_arrays
+    pairing, signs = np.empty_like(k), np.empty_like(sign)
+    pairing[:, perm], signs[:, perm] = perm[k] + 1, sign
     return OperatorSet.from_arrays(pairing, signs)
 
 
@@ -64,10 +64,10 @@ def cross_route_sets(draw):
         theorem = THEOREM_SETS[draw(st.integers(2, 5))]
         a_set = relabel(theorem, np.array(draw(st.permutations(range(theorem.dim)))))
         if kind == "theorem minus one":
-            k, e = a_set.index_arrays
+            k, sign = a_set.index_arrays
             drop = draw(st.integers(0, len(a_set) - 1))
             a_set = OperatorSet.from_arrays(np.delete(k, drop, axis=0) + 1,
-                                           -np.delete(e, drop, axis=0))
+                                           np.delete(sign, drop, axis=0))
     return a_set, relabel(a_set, np.array(draw(st.permutations(range(a_set.dim)))))
 
 
@@ -80,16 +80,16 @@ def full_subsets_3_4(draw):
     kind = draw(st.sampled_from(["random", "whole", "theorem"]))
     if kind == "random":
         keep = draw(st.lists(st.integers(0, len(full) - 1), min_size=1, unique=True))
-        k, e = (a[sorted(keep)] for a in full.index_arrays)
+        k, sign = (a[sorted(keep)] for a in full.index_arrays)
     elif kind == "whole":
-        k, e = full.index_arrays
+        k, sign = full.index_arrays
     else:
         theorem = THEOREM_SETS[full.dim // 2]
-        k, e = relabel(theorem, np.array(draw(st.permutations(range(full.dim))))).index_arrays
+        k, sign = relabel(theorem, np.array(draw(st.permutations(range(full.dim))))).index_arrays
     if len(k) > 1 and draw(st.booleans()):
         drop = draw(st.integers(0, len(k) - 1))
-        k, e = np.delete(k, drop, axis=0), np.delete(e, drop, axis=0)
-    return OperatorSet.from_arrays(k + 1, -e)
+        k, sign = np.delete(k, drop, axis=0), np.delete(sign, drop, axis=0)
+    return OperatorSet.from_arrays(k + 1, sign)
 
 
 def frame_form_coefficients(a_set):
@@ -97,14 +97,14 @@ def frame_form_coefficients(a_set):
     S(a) = C*a*a^T + sum_U U(a)U(a)^T the augmented frame operator with
     C = #A/(d-1): entry [r, s, p, q] + [r, s, q, p] multiplies a_p*a_q in
     entry (r, s).  Read member by member from the index arrays: U adds
-    (d-1)*E[r]*E[s] at (r, s, K[r], K[s]); the normal adds #A at (r, s, r, s);
-    the identity takes #A from every (r, r, p, p)."""
-    k, e = a_set.index_arrays
+    (d-1)*S[r]*S[s] at (r, s, K[r], K[s]), as U(a)_r = -S[r]*a[K[r]]; the
+    normal adds #A at (r, s, r, s); the identity takes #A from every (r, r, p, p)."""
+    k, sign = a_set.index_arrays
     d, size = a_set.dim, len(a_set)
     table = np.zeros((d, d, d, d), dtype=np.int64)
     r, s = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     np.add.at(table, (r, s, k[:, :, None], k[:, None, :]),
-              (d - 1) * e[:, :, None] * e[:, None, :])
+              (d - 1) * sign[:, :, None] * sign[:, None, :])
     table[r, s, r, s] += size
     diagonal = np.arange(d)
     table[diagonal[:, None], diagonal[:, None], diagonal, diagonal] -= size

@@ -22,8 +22,8 @@ MIXED = OperatorSet(4, [enumerate_full(2)[i] for i in (0, 1, 2, 3, 4, 8)])
 
 def subset(a_set, pick):
     """The members of ``a_set`` at the indices ``pick``, in set order."""
-    k, e = a_set.index_arrays
-    return OperatorSet.from_arrays(k[pick] + 1, -e[pick])
+    k, sign = a_set.index_arrays
+    return OperatorSet.from_arrays(k[pick] + 1, sign[pick])
 
 
 def one_member_per_pairing():
@@ -35,8 +35,8 @@ def one_member_per_pairing():
 
 def reversed_coordinates(a_set):
     """The set conjugated by the coordinate reversal i -> d-1-i (0-based)."""
-    k, e = a_set.index_arrays
-    return OperatorSet.from_arrays(a_set.dim - k[:, ::-1], -e[:, ::-1])
+    k, sign = a_set.index_arrays
+    return OperatorSet.from_arrays(a_set.dim - k[:, ::-1], sign[:, ::-1])
 
 
 def reference_worst_point(a_set, num_samples, seed):
@@ -66,7 +66,7 @@ def reduced_worst_point(a_set, num_samples, seed):
     other members keep their image rows, after the scaled normal and in set
     order.  Returns what reference_worst_point returns.
     """
-    k, e = a_set.index_arrays
+    k, sign = a_set.index_arrays
     d = a_set.dim
     expected = len(a_set) / (d - 1)
     groups = {}
@@ -77,12 +77,12 @@ def reduced_worst_point(a_set, num_samples, seed):
     w = np.zeros((len(heavy), d, d))
     for j, rows in enumerate(heavy):
         for m in rows:
-            w[j] += np.outer(e[m], e[m])
+            w[j] += np.outer(sign[m], sign[m])
     k_heavy = k[[rows[0] for rows in heavy]]
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
     worst_dev, worst = -1.0, None
     for a in points:
-        v = np.vstack([math.sqrt(expected) * a, e[light] * a[k[light]]])
+        v = np.vstack([math.sqrt(expected) * a, -sign[light] * a[k[light]]])
         s = v.T @ v
         if heavy:
             s = s + np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
@@ -204,8 +204,8 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_minimal_sets(self, n):
         whole = build_minimal_balanced(n)
-        k, e = whole.index_arrays
-        clipped = [OperatorSet.from_arrays(k[:-1] + 1, -e[:-1])] if n > 1 else []  # n = 1: empty
+        k, sign = whole.index_arrays
+        clipped = [OperatorSet.from_arrays(k[:-1] + 1, sign[:-1])] if n > 1 else []  # n = 1: empty
         for a_set in [whole, *clipped]:
             report = verify_moving_funtf(a_set, num_samples=20, seed=n)
             balanced = is_balanced(a_set).balanced
@@ -249,7 +249,7 @@ class TestVerifyMovingFuntf:
 
     def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
         a_set = one_member_per_pairing()
-        k, e = a_set.index_arrays
+        k, sign = a_set.index_arrays
         tracemalloc.start()
         try:
             report = verify_moving_funtf(a_set, num_samples=20)
@@ -257,7 +257,7 @@ class TestVerifyMovingFuntf:
         finally:
             tracemalloc.stop()
         assert not report.tight
-        assert peak <= 3 * (k.nbytes + e.nbytes)
+        assert peak <= 3 * (k.nbytes + sign.nbytes)
 
     @pytest.mark.parametrize("bad", [
         {"tolerance": float("nan")}, {"tolerance": -1e-12}, {"tolerance": float("inf")},

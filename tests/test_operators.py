@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from movingframes import (apply, build_minimal_balanced, build_pairing_matrix,
                           enumerate_full, extract_pairings, make_operator,
-                          tangency_defect)
+                          read_document, tangency_defect, write_document)
 from movingframes.operators import (OperatorSet, SignedInvolution,
                                    _fixed_point_free_involutions)
 
@@ -211,29 +212,43 @@ class TestEnumerateFull:
                 enumerate_full(n)
 
 
-class TestIndexArrays:
-    def test_partner_indices_and_signs(self):
-        a_set = enumerate_full(2)
-        k, e = a_set.index_arrays
-        for u, k_row, e_row in zip(a_set, k, e):
-            assert tuple(k_row + 1) == u.pairing
-            assert tuple(e_row) == tuple(u.signs[j] for j in k_row)
+def assert_stores_own_signs(a_set):
+    """index_arrays is (pairing - 1, signs) of the members, and from_arrays of
+    it, with the signs as they are, gives the set back."""
+    k, sign = a_set.index_arrays
+    assert np.array_equal(k, [np.subtract(u.pairing, 1) for u in a_set])
+    assert np.array_equal(sign, [u.signs for u in a_set])
+    assert sign.dtype == np.int64
+    assert OperatorSet.from_arrays(k + 1, sign) == a_set
 
+
+class TestIndexArrays:
     @pytest.mark.parametrize("a_set", [*(build_minimal_balanced(n) for n in range(1, 6)),
-                                       enumerate_full(3)],
-                             ids=["min1", "min2", "min3", "min4", "min5", "full3"])
-    def test_partner_signs_of_generated_sets(self, a_set):
-        k, e = a_set.index_arrays
-        signs = np.array([u.signs for u in a_set])
-        assert np.array_equal(k + 1, [u.pairing for u in a_set])
-        assert np.array_equal(e, np.take_along_axis(signs, k, axis=1))
+                                       enumerate_full(2), enumerate_full(3)],
+                             ids=["min1", "min2", "min3", "min4", "min5", "full2", "full3"])
+    def test_generated_sets_store_own_signs(self, a_set):
+        assert_stores_own_signs(a_set)
+
+    def test_member_built_set_stores_own_signs(self):
+        assert_stores_own_signs(OperatorSet(4, [make_operator(4, (2, 1, 4, 3), (1, -1, -1, 1)),
+                                                make_operator(4, (3, 4, 1, 2), (-1, 1, 1, -1))]))
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["written", "compact"])
+    def test_read_set_stores_own_signs(self, compact, tmp_path):
+        a_set, path = build_minimal_balanced(3), tmp_path / "ops.json"
+        write_document(path, a_set)
+        if compact:  # not the written layout: read record by record through json
+            path.write_text(json.dumps(json.loads(path.read_text())))
+        read = read_document(path)
+        assert read == a_set
+        assert_stores_own_signs(read)
 
     def test_built_once_and_read_only(self):
         a_set = enumerate_full(2)
-        k, e = a_set.index_arrays
+        k, sign = a_set.index_arrays
         again = a_set.index_arrays
-        assert again[0] is k and again[1] is e
-        for array in (k, e):
+        assert again[0] is k and again[1] is sign
+        for array in (k, sign):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
         # the cache is no field: equality and hashing are by members only
@@ -338,13 +353,13 @@ class TestFromArrays:
             OperatorSet.from_arrays(np.array([[2, 1], [2, 1]]), np.array([[1, -1], [1, -1]]))
 
     def test_column_major_input(self):
-        k, e = build_minimal_balanced(3).index_arrays
-        a_set = OperatorSet.from_arrays(np.asfortranarray(k + 1), np.asfortranarray(-e))
-        assert a_set == OperatorSet.from_arrays(k + 1, -e)
+        k, sign = build_minimal_balanced(3).index_arrays
+        a_set = OperatorSet.from_arrays(np.asfortranarray(k + 1), np.asfortranarray(sign))
+        assert a_set == OperatorSet.from_arrays(k + 1, sign)
         assert all(a.flags.c_contiguous for a in a_set.index_arrays)
         with pytest.raises(ValueError, match="^operator set contains duplicate members$"):
             OperatorSet.from_arrays(np.asfortranarray(k[[0, 1, 0]] + 1),
-                                    np.asfortranarray(-e[[0, 1, 0]]))
+                                    np.asfortranarray(sign[[0, 1, 0]]))
 
     @pytest.mark.parametrize("pairing,signs", [
         (np.array([2, 1]), np.array([1, -1])),

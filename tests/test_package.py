@@ -1,8 +1,10 @@
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import movingframes
+from movingframes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +31,17 @@ def test_readme_quick_tour_runs():
         except (ValueError, SyntaxError):
             continue
         assert eval(code, namespace) == expected, line
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every ``movingframes`` line of the README's CLI block exits 0, run in
+    order in an empty directory, so later lines read the files earlier ones write."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("movingframes ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert main(argv[1:]) == 0, line
+        capsys.readouterr()
