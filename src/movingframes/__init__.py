@@ -10,8 +10,8 @@ from .framecheck import (FrameReport, UnbalancedWitness, augment_with_normal,
                          check_tight, frame_operator, operator_images,
                          probe_points, reconstruct, verify_moving_funtf,
                          witness_cross_term, witness_unbalanced)
-from .operators import (DEFAULT_ENUMERATION_CAP, OperatorSet, SignedInvolution,
-                        apply, enumerate_full, make_operator, tangency_defect)
+from .operators import (OperatorSet, SignedInvolution, enumerate_full, make_operator,
+                        tangency_defect)
 from .presets import s1_basis, s3_basis
 from .sphere import project_tangent, sample_sphere, tangent_basis
 
@@ -22,8 +22,7 @@ __all__ = [
     "write_document", "FrameReport", "UnbalancedWitness", "augment_with_normal",
     "check_tight", "frame_operator", "operator_images", "probe_points",
     "reconstruct", "verify_moving_funtf", "witness_cross_term",
-    "witness_unbalanced", "DEFAULT_ENUMERATION_CAP", "OperatorSet",
-    "SignedInvolution", "apply", "enumerate_full", "make_operator",
-    "tangency_defect", "s1_basis", "s3_basis", "project_tangent",
+    "witness_unbalanced", "OperatorSet", "SignedInvolution", "enumerate_full",
+    "make_operator", "tangency_defect", "s1_basis", "s3_basis", "project_tangent",
     "sample_sphere", "tangent_basis",
 ]

@@ -227,6 +227,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
 
 def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:
     """Resynthesize (1/C) * sum_U c_U U(a) from frame coefficients; C = #A/(2n-1)."""
+    a = unit_point(a, a_set.dim)
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.size != len(a_set):
         raise ValueError(f"got {coeffs.size} coefficients for {len(a_set)} operators")

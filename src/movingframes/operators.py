@@ -26,9 +26,7 @@ class SignedInvolution:
 
     ``pairing[i-1]`` is the 1-based partner of coordinate ``i`` and
     ``signs[i-1]`` is the sign attached to coordinate ``i``; within each
-    pair exactly one coordinate carries -1.  Acting on a vector ``a``,
-    component ``i`` of the image is ``signs[k-1] * a[k-1]`` with
-    ``k = pairing[i-1]``.
+    pair exactly one coordinate carries -1.  ``u(a)`` is the image of ``a``.
     """
 
     pairing: tuple[int, ...]
@@ -43,7 +41,9 @@ class SignedInvolution:
             raise ValueError(f"signs has length {len(signs)}, expected {d} to match pairing")
         for i in range(d):  # each position on its own; messages count positions from 1
             k, s = pairing[i], signs[i]
-            if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= d:
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise ValueError(f"pairing index at position {i + 1} must be an int, got {k!r}")
+            if not 1 <= k <= d:
                 raise ValueError(f"pairing index at position {i + 1} is out of range 1..{d}: {k!r}")
             if k == i + 1:
                 raise ValueError(f"pairing has a fixed point at position {i + 1}")
@@ -67,7 +67,17 @@ class SignedInvolution:
         return len(self.pairing)
 
     def __call__(self, a):
-        return apply(self, a)
+        """The image U(a): component i is ``signs[k-1] * a[k-1]`` with ``k = pairing[i-1]``.
+
+        Numpy arrays come back as numpy arrays; any other sequence comes back
+        as a list, preserving element types (so Fraction inputs stay exact).
+        """
+        if len(a) != self.dim:
+            raise ValueError(f"vector has length {len(a)}, expected {self.dim}")
+        if isinstance(a, np.ndarray):
+            idx = np.asarray(self.pairing) - 1
+            return np.asarray(self.signs)[idx] * a[idx]
+        return [self.signs[k - 1] * a[k - 1] for k in self.pairing]
 
 
 class OperatorSet:
@@ -200,20 +210,6 @@ def make_operator(dim: int, pairing: Sequence[int], signs: Sequence[int]) -> Sig
     return SignedInvolution(tuple(pairing), tuple(signs))
 
 
-def apply(u: SignedInvolution, a):
-    """Apply ``u`` to a vector: component i of the result is sign[k_i] * a[k_i].
-
-    Numpy arrays come back as numpy arrays; any other sequence comes back
-    as a list, preserving element types (so Fraction inputs stay exact).
-    """
-    if len(a) != u.dim:
-        raise ValueError(f"vector has length {len(a)}, expected {u.dim}")
-    if isinstance(a, np.ndarray):
-        idx = np.asarray(u.pairing) - 1
-        return np.asarray(u.signs)[idx] * a[idx]
-    return [u.signs[k - 1] * a[k - 1] for k in u.pairing]
-
-
 def tangency_defect(u: SignedInvolution, a):
     """Inner product of ``u(a)`` with the unit point ``a``: zero when u(a) is tangent at a.
 
@@ -221,7 +217,7 @@ def tangency_defect(u: SignedInvolution, a):
     exact 0 rather than a rounded one.
     """
     unit_point(a, u.dim)
-    return sum(u.signs[k - 1] * a[k - 1] * a[i] for i, k in enumerate(u.pairing))
+    return sum(image * x for image, x in zip(u(a), a))
 
 
 def _fixed_point_free_involutions(d: int) -> np.ndarray:
@@ -239,13 +235,16 @@ def _fixed_point_free_involutions(d: int) -> np.ndarray:
 
 def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
     """Refuse an n that is not an ``int`` or numpy integer, a bool or n < 1,
-    and n above ``cap`` unless ``cap`` is None.
+    a ``cap`` that is neither None nor such an integer of at least 1, and n
+    above ``cap`` unless ``cap`` is None.
 
     ``what`` names the cap in the message and ``action`` says what raising
     it allows.
     """
     if not is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if cap is not None and (not is_integer(cap) or cap < 1):
+        raise ValueError(f"cap must be None or an integer of at least 1, got {cap!r}")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {what} cap {cap}; "
                          f"raise the cap explicitly to {action}")

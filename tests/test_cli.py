@@ -115,13 +115,16 @@ class TestCheckBalance:
         assert "record 0" in err
 
     def test_non_integer_entries_are_malformed(self, tmp_path, capsys):
-        # int() would read this as the S^1 operator; it must be refused
+        # int() would read either as the S^1 operator; each must be refused by type,
+        # 2.0 too, though it lies in the range 1..2
         bad = tmp_path / "coerced.json"
-        bad.write_text(json.dumps({"n": 1, "operators": [
-            {"pairing": [2.9, "1"], "signs": [True, -1.5]}]}))
-        code, _, err = run(capsys, "check-balance", bad)
-        assert code == 3
-        assert "operator record 0" in err
+        for record, first in (({"pairing": [2.9, "1"], "signs": [True, -1.5]}, "2.9"),
+                              ({"pairing": [2.0, 1], "signs": [1, -1]}, "2.0")):
+            bad.write_text(json.dumps({"n": 1, "operators": [record]}))
+            code, _, err = run(capsys, "check-balance", bad)
+            assert code == 3
+            assert ("operator record 0 is invalid: pairing index at position 1 "
+                    f"must be an int, got {first}") in err
 
     def test_garbage_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from movingframes import (apply, augment_with_normal, build_minimal_balanced,
+from movingframes import (augment_with_normal, build_minimal_balanced,
                           check_tight, enumerate_full, frame_operator,
                           is_balanced, make_operator, operator_images,
                           probe_points, reconstruct, s3_basis,
@@ -126,7 +126,7 @@ class TestOperatorImages:
         assert np.array_equal(batch, np.stack([operator_images(a_set, a) for a in points]))
         for a, images in zip(points, batch):
             for u, row in zip(a_set, images):
-                assert np.array_equal(row, apply(u, a))
+                assert np.array_equal(row, u(a))
 
     def test_rejects_points_of_another_length(self):
         a_set = build_minimal_balanced(2)
@@ -310,6 +310,14 @@ class TestReconstruct:
         a = sample_sphere(4, 1, seed=0)[0]
         with pytest.raises(ValueError, match="coefficients"):
             reconstruct(MIN2, a, np.zeros(5))
+
+    @pytest.mark.parametrize("a, message", [
+        ([math.nan] * 4, "unit vector"), ([2.0, 0.0, 0.0, 0.0], "unit vector"),
+        ([1.0, 0.0, 0.0], "point has length 3, expected 4"),
+        ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "point has length 6, expected 4")])
+    def test_refuses_a_point_off_the_sphere(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct(MIN2, a, np.ones(6))
 
     def test_divides_by_the_frame_constant(self):
         for a_set, constant in ((enumerate_full(2), 4), (build_minimal_balanced(1), 1)):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingframes import (apply, build_minimal_balanced, build_pairing_matrix,
+from movingframes import (build_minimal_balanced, build_pairing_matrix,
                           enumerate_full, extract_pairings, make_operator,
                           read_document, tangency_defect, write_document)
 from movingframes.operators import (OperatorSet, SignedInvolution,
@@ -25,7 +25,7 @@ class TestMakeOperator:
 
     def test_valid_dim4(self):
         u = make_operator(4, (2, 1, 4, 3), (1, -1, -1, 1))
-        assert apply(u, [1.0, 2.0, 3.0, 4.0]) == [-2.0, 1.0, 4.0, -3.0]
+        assert u([1.0, 2.0, 3.0, 4.0]) == [-2.0, 1.0, 4.0, -3.0]
 
     def test_rejects_odd_dim(self):
         with pytest.raises(ValueError, match="even"):
@@ -46,6 +46,11 @@ class TestMakeOperator:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError, match="position 2 is out of range"):
             make_operator(4, (2, 5, 4, 3), (1, -1, -1, 1))
+
+    @pytest.mark.parametrize("entry", [2.0, True, "2", np.int64(2)])
+    def test_rejects_non_int_index_by_type(self, entry):
+        with pytest.raises(ValueError, match=r"position 1 must be an int, got "):
+            SignedInvolution((entry, 1), (1, -1))
 
     def test_rejects_bad_sign_value(self):
         with pytest.raises(ValueError, match="sign at position 2"):
@@ -80,7 +85,9 @@ def five_pass_reference(pairing, signs):
     if len(signs) != d:
         return f"signs has length {len(signs)}, expected {d} to match pairing"
     for i, k in enumerate(pairing, start=1):
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= d:
+        if not isinstance(k, int) or isinstance(k, bool):
+            return f"pairing index at position {i} must be an int, got {k!r}"
+        if not 1 <= k <= d:
             return f"pairing index at position {i} is out of range 1..{d}: {k!r}"
     for i, k in enumerate(pairing, start=1):
         if k == i:
@@ -140,32 +147,32 @@ class TestAgainstFivePassReference:
 
 class TestApply:
     def test_circle_example(self):
-        assert apply(CIRCLE, [0.6, 0.8]) == [-0.8, 0.6]
+        assert CIRCLE([0.6, 0.8]) == [-0.8, 0.6]
 
     def test_zero_vector(self):
         u = make_operator(4, (3, 4, 1, 2), (1, 1, -1, -1))
-        assert apply(u, [0.0] * 4) == [0.0] * 4
+        assert u([0.0] * 4) == [0.0] * 4
 
     def test_quaternion_style_operator(self):
         u = make_operator(4, (3, 4, 1, 2), (1, 1, -1, -1))
-        assert apply(u, [1, 2, 3, 4]) == [-3, -4, 1, 2]
+        assert u([1, 2, 3, 4]) == [-3, -4, 1, 2]
 
     def test_numpy_roundtrip(self):
         u = make_operator(4, (2, 1, 4, 3), (1, -1, -1, 1))
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        out = apply(u, a)
+        out = u(a)
         assert isinstance(out, np.ndarray)
         assert np.array_equal(out, [-2.0, 1.0, 4.0, -3.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            apply(CIRCLE, [1.0, 0.0, 0.0])
+            CIRCLE([1.0, 0.0, 0.0])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
     def test_preserves_norm(self, vec):
         u = make_operator(4, (4, 3, 2, 1), (1, 1, -1, -1))
         assert math.isclose(
-            np.linalg.norm(apply(u, np.array(vec))), np.linalg.norm(vec),
+            np.linalg.norm(u(np.array(vec))), np.linalg.norm(vec),
             rel_tol=0, abs_tol=1e-9 * max(1.0, np.linalg.norm(vec)),
         )
 
@@ -174,7 +181,7 @@ class TestApply:
         # each coordinate pair acts as a quarter turn
         for u in (make_operator(6, (2, 1, 4, 3, 6, 5), (1, -1, 1, -1, 1, -1)),
                   make_operator(6, (4, 6, 5, 1, 3, 2), (1, 1, -1, -1, 1, -1))):
-            assert apply(u, apply(u, vec)) == [-x for x in vec]
+            assert u(u(vec)) == [-x for x in vec]
 
 
 class TestEnumerateFull:
@@ -205,11 +212,21 @@ class TestEnumerateFull:
         with pytest.raises(ValueError, match="cap"):
             enumerate_full(9)
         assert len(enumerate_full(3, cap=None)) == 120
+        assert len(enumerate_full(2, cap=np.int64(2))) == 12
 
     def test_rejects_nonpositive(self):
         for n in (0, True, 2.5, "3"):
             with pytest.raises(ValueError, match="positive integer"):
                 enumerate_full(n)
+
+    @pytest.mark.parametrize("cap", [math.nan, 2.5, True, "5", 0, -1, np.float64(5)])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        for build in (enumerate_full, build_minimal_balanced, build_pairing_matrix):
+            with pytest.raises(ValueError, match=r"cap must be None or an integer of at least 1"):
+                build(2, cap=cap)
+
+    def test_repr(self):
+        assert repr(enumerate_full(2)) == "OperatorSet(dim=4, size=12)"
 
 
 def assert_stores_own_signs(a_set):

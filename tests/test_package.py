@@ -18,6 +18,19 @@ def test_public_names_resolve_once():
     assert set(names) <= namespace.keys()
 
 
+def test_public_names_are_pinned():
+    assert sorted(movingframes.__all__) == [
+        "BalanceReport", "DocumentError", "FrameReport", "OperatorSet", "SignedInvolution",
+        "UnbalancedWitness", "augment_with_normal", "build_minimal_balanced",
+        "build_pairing_matrix", "check_tight", "count_pair_slice", "count_sign_slice",
+        "enumerate_full", "extract_pairings", "frame_operator", "is_balanced",
+        "make_operator", "operator_images", "probe_points", "project_tangent",
+        "read_document", "reconstruct", "s1_basis", "s3_basis", "sample_sphere",
+        "sign_flip_bijection", "tangency_defect", "tangent_basis", "validate_pairing_matrix",
+        "verify_moving_funtf", "witness_cross_term", "witness_unbalanced", "write_document",
+    ]
+
+
 def test_readme_quick_tour_runs():
     """The README's python block runs as it stands, and every expression line
     whose comment is a Python literal evaluates to that literal."""
