@@ -134,8 +134,6 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     from :func:`_slice_counts` in blocks of about _BLOCK entries, never a
     d^4 table, at the rows whose two signs differ.
     """
-    if len(a_set) == 0:
-        raise ValueError("balance is undefined for an empty operator set")
     d, size = a_set.dim, len(a_set)
     pairs = _layout(d)[0]
     pair_counts, cond_ii = [0] * len(pairs), []

@@ -56,8 +56,6 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     so the whole text is never held at once; only the metadata goes through
     ``json``.
     """
-    if not len(a_set):  # read_document refuses a document without operators
-        raise ValueError("cannot write an empty operator set")
     metadata = {}
     if generator is not None:
         metadata["generator"] = generator
@@ -87,11 +85,8 @@ def _record_template(dim: int) -> str:
 
 def write_document(path: str | Path, a_set: OperatorSet, generator: str | None = None,
                    timestamp: bool = True) -> None:
-    chunks = document_chunks(a_set, generator, timestamp)
-    head = next(chunks)  # an empty set is refused here, before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.writelines(chunks)
+        fh.writelines(document_chunks(a_set, generator, timestamp))
 
 
 def parse_document(doc) -> OperatorSet:

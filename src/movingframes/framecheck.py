@@ -86,7 +86,7 @@ def operator_images(a_set: OperatorSet, a) -> np.ndarray:
 def frame_operator(vectors) -> np.ndarray:
     """Sum of outer products f_i f_i^T, as a symmetric matrix."""
     v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2 or v.shape[0] == 0:
+    if v.ndim != 2 or 0 in v.shape:
         raise ValueError("expected a nonempty list of vectors of common length")
     return v.T @ v
 
@@ -178,8 +178,6 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     of the first point of largest deviation; its verdict also needs
     :func:`check_tight` of the directly built augmented system there.
     """
-    if len(a_set) == 0:
-        raise ValueError("cannot verify an empty operator set")
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)

@@ -69,11 +69,16 @@ class SignedInvolution:
     def __call__(self, a):
         """The image U(a): component i is ``signs[k-1] * a[k-1]`` with ``k = pairing[i-1]``.
 
-        Numpy arrays come back as numpy arrays; any other sequence comes back
-        as a list, preserving element types (so Fraction inputs stay exact).
+        ``a`` must be one vector of length ``dim``.  Numpy arrays come back as
+        numpy arrays; any other sequence comes back as a list, preserving
+        element types (so Fraction inputs stay exact).
         """
-        if len(a) != self.dim:
-            raise ValueError(f"vector has length {len(a)}, expected {self.dim}")
+        try:
+            got = f"shape {np.shape(a)}"
+        except ValueError:  # numpy refuses a ragged nesting
+            got = "a ragged sequence"
+        if got != f"shape ({self.dim},)":
+            raise ValueError(f"expected one vector of length {self.dim}, got {got}")
         if isinstance(a, np.ndarray):
             idx = np.asarray(self.pairing) - 1
             return np.asarray(self.signs)[idx] * a[idx]
@@ -86,8 +91,8 @@ class OperatorSet:
     ``OperatorSet(dim, members)`` takes the members as objects, and ``dim``
     must be an ``int`` or numpy integer (not ``bool``); :meth:`from_arrays`
     takes them as one pairing row and one sign row per member and builds no
-    member objects.  Both refuse duplicates by one rule, a ``set`` of the
-    members or of the rows.  Either way equality and hashing are by dimension
+    member objects.  Both need at least one member, all distinct by a ``set``
+    of the members or of the rows.  Either way equality and hashing are by dimension
     and members in order, and ``members``, iteration and indexing give
     :class:`SignedInvolution` views, built from the arrays on first use.
     """
@@ -110,7 +115,7 @@ class OperatorSet:
         All rows are checked at once.  The first invalid row is handed to
         :class:`SignedInvolution` for its message, so the error reads
         "operator record m is invalid: ..." exactly as the per-member check
-        words it; duplicate rows are refused after that, as in ``__init__``.
+        words it; no rows or duplicate rows are refused after that, as in ``__init__``.
         """
         pairing, signs = np.asarray(pairing), np.asarray(signs)
         if (pairing.ndim != 2 or pairing.shape != signs.shape or pairing.dtype.kind not in "iu"
@@ -194,7 +199,9 @@ class OperatorSet:
 
 
 def _refuse_duplicates(rows: Sequence) -> None:
-    """Refuse a set whose members, or rows of codes, are not all distinct."""
+    """The membership rule of both constructors: at least one member, all distinct."""
+    if not rows:
+        raise ValueError("an operator set needs at least one member")
     if len(set(rows)) != len(rows):
         raise ValueError("operator set contains duplicate members")
 

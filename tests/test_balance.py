@@ -18,7 +18,7 @@ from movingframes import (augment_with_normal, build_minimal_balanced,
                           verify_moving_funtf, witness_cross_term,
                           witness_unbalanced)
 from movingframes.cli import main
-from movingframes.operators import OperatorSet, SignedInvolution
+from movingframes.operators import OperatorSet, SignedInvolution, signed_pairings
 
 A4 = enumerate_full(2)
 A6 = enumerate_full(3)
@@ -251,8 +251,14 @@ class TestIsBalanced:
         assert required == Fraction(5, 3)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            is_balanced(OperatorSet(4, ()))
+        """No empty set reaches is_balanced: both constructors refuse one.  A
+        set of one member is decided."""
+        for build in (lambda: OperatorSet(4, ()),
+                      lambda: OperatorSet.from_arrays(np.zeros((0, 4), int), np.zeros((0, 4), int))):
+            with pytest.raises(ValueError, match="^an operator set needs at least one member$"):
+                build()
+        assert is_balanced(OperatorSet(2, enumerate_full(1)[:1])).balanced
+        assert not is_balanced(OperatorSet(4, enumerate_full(2)[:1])).balanced
 
     def test_n1_only_condition_i(self):
         report = is_balanced(enumerate_full(1))
@@ -318,6 +324,28 @@ class TestCrossRoutes:
         if not report.balanced:
             witness = witness_unbalanced(a_set, report)
             assert abs(witness_cross_term(a_set, witness) - float(witness.defect)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_sylvester_designs_above_n5(self, n):
+        """The pairing family of ``build_pairing_matrix(n)`` signed by the first
+        n columns of a Sylvester matrix, whole and minus one seeded member, each
+        as built and relabelled: the frame check agrees with the exact verdict."""
+        design = np.ones((1, 1), np.int8)
+        while len(design) < n:
+            design = np.block([[design, design], [design, -design]])
+        whole = signed_pairings(extract_pairings(build_pairing_matrix(n)), design[:, :n])
+        rng = np.random.default_rng(n)
+        drop = int(rng.integers(len(whole)))
+        for a_set in (whole, OperatorSet(2 * n, whole.members[:drop] + whole.members[drop + 1:])):
+            for checked in (a_set, relabel(a_set, rng.permutation(2 * n))):
+                report = is_balanced(checked)
+                frame = verify_moving_funtf(checked, num_samples=20)
+                assert frame.tight == report.balanced == (a_set is whole)
+                if report.balanced:
+                    assert max(frame.max_offdiag, frame.max_diag_dev) <= 1e-9
+                else:
+                    witness = witness_unbalanced(checked, report)
+                    assert abs(witness_cross_term(checked, witness) - float(witness.defect)) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(full_subsets_3_4())

@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -62,18 +63,17 @@ class TestWrittenText:
         assert text == json_document(a_set, {"generator": "g", "created": created})
 
     def test_refuses_empty_set(self, tmp_path):
-        """No reader accepts a document without operators, so none is written:
-        the refusal comes before the file is opened, which is neither created
-        nor truncated."""
-        empty, new, old = OperatorSet(2, ()), tmp_path / "new.json", tmp_path / "old.json"
-        write_document(old, enumerate_full(1))
-        before = old.read_bytes()
-        for path in (new, old):
-            with pytest.raises(ValueError, match="^cannot write an empty operator set$"):
-                write_document(path, empty)
-        assert not new.exists() and old.read_bytes() == before
-        with pytest.raises(ValueError, match="^cannot write an empty operator set$"):
-            next(document_chunks(empty))
+        """No reader accepts a document without operators, and no set without
+        members exists to be written: both constructors refuse one.  A set of
+        one member is written as json.dumps writes it."""
+        for build in (lambda: OperatorSet(2, ()),
+                      lambda: OperatorSet.from_arrays(np.zeros((0, 2), int), np.zeros((0, 2), int))):
+            with pytest.raises(ValueError, match="^an operator set needs at least one member$"):
+                build()
+        one, path = OperatorSet(2, enumerate_full(1)[:1]), tmp_path / "one.json"
+        write_document(path, one, timestamp=False)
+        assert path.read_text(encoding="utf-8") == json_document(one)
+        assert read_document(path) == one
 
     def test_more_records_than_one_chunk(self):
         a_set = build_minimal_balanced(7)  # 1,664 records

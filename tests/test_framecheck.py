@@ -116,6 +116,14 @@ class TestFrameOperator:
         with pytest.raises(ValueError):
             frame_operator(np.empty((0, 3)))
 
+    def test_rejects_vectors_of_length_zero(self):
+        """No frame of R^0: check_tight gets the same refusal, not a 0/0."""
+        for vectors in ([[]], np.zeros((3, 0))):
+            for check in (frame_operator, check_tight):
+                with pytest.raises(ValueError, match="^expected a nonempty list of vectors of "
+                                                     "common length$"):
+                    check(vectors)
+
 
 class TestOperatorImages:
     def test_batch_equals_stacked_points(self):
@@ -216,8 +224,16 @@ class TestVerifyMovingFuntf:
                 assert max(report.max_offdiag, report.max_diag_dev) <= 1e-9
 
     def test_rejects_empty_set(self):
-        with pytest.raises(ValueError, match="^cannot verify an empty operator set$"):
-            verify_moving_funtf(OperatorSet(4, ()))
+        """No empty set reaches verify_moving_funtf: both constructors refuse
+        one.  A set of one member is verified, with C = #A/(2n-1) > 0."""
+        for build in (lambda: OperatorSet(4, ()),
+                      lambda: OperatorSet.from_arrays(np.zeros((0, 4), int), np.zeros((0, 4), int))):
+            with pytest.raises(ValueError, match="^an operator set needs at least one member$"):
+                build()
+        report = verify_moving_funtf(OperatorSet(2, enumerate_full(1)[:1]), num_samples=5)
+        assert report.tight and report.theoretical_constant == 1.0
+        report = verify_moving_funtf(OperatorSet(4, enumerate_full(2)[:1]), num_samples=5)
+        assert not report.tight and report.theoretical_constant == pytest.approx(1 / 3)
 
     def test_full_set_n2(self):
         report = verify_moving_funtf(enumerate_full(2), num_samples=20, seed=1)

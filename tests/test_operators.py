@@ -168,6 +168,19 @@ class TestApply:
         with pytest.raises(ValueError, match="length"):
             CIRCLE([1.0, 0.0, 0.0])
 
+    def test_refuses_all_but_one_vector(self):
+        """A batch, a nested list, a string or a ragged list is not one vector
+        of length dim, though the first two have dim rows and the string dim
+        characters."""
+        u = make_operator(4, (2, 1, 4, 3), (1, -1, -1, 1))
+        for op, a, got in ((u, np.arange(16.0).reshape(4, 4), "shape (4, 4)"),
+                           (CIRCLE, [[1, 2], [3, 4]], "shape (2, 2)"),
+                           (CIRCLE, "ab", "shape ()"),
+                           (CIRCLE, [[1, 2], [3]], "a ragged sequence")):
+            with pytest.raises(ValueError) as exc:
+                op(a)
+            assert str(exc.value) == f"expected one vector of length {op.dim}, got {got}"
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
     def test_preserves_norm(self, vec):
         u = make_operator(4, (4, 3, 2, 1), (1, 1, -1, -1))
@@ -421,8 +434,16 @@ class TestFromArrays:
                 a_set.dim = 4
 
     def test_empty(self):
-        empty = OperatorSet.from_arrays(np.zeros((0, 4), int), np.zeros((0, 4), int))
-        assert len(empty) == 0 and empty == OperatorSet(4, ())
+        """Both constructors refuse a set without members with one message,
+        after the dimension checks."""
+        needs = "an operator set needs at least one member"
+        for dim, message in ((2, needs), (4, needs),
+                             (3, "dimension must be a positive even integer, got 3")):
+            no_rows = np.zeros((0, dim), int)
+            for build in (lambda: OperatorSet(dim, ()), lambda: OperatorSet(dim, iter(())),
+                          lambda: OperatorSet.from_arrays(no_rows, no_rows)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    build()
 
     def test_refuses_odd_dimension_and_members_of_another(self):
         with pytest.raises(ValueError, match="^dimension must be a positive even integer, got 3$"):
@@ -430,7 +451,8 @@ class TestFromArrays:
         for dim in (4.0, np.float64(4), True):
             with pytest.raises(ValueError, match="^dimension must be a positive even integer"):
                 OperatorSet(dim, ())
-        assert OperatorSet(np.int64(4), ()) == OperatorSet(4, ())
+        one = enumerate_full(2)[:1]
+        assert OperatorSet(np.int64(4), one) == OperatorSet(4, one)
         with pytest.raises(ValueError, match="^member 1 has dimension 2, expected 4$"):
             OperatorSet(4, (enumerate_full(2)[0], enumerate_full(1)[0]))
 
