@@ -13,6 +13,7 @@ worst point directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import sqrt
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .balance import BalanceReport
 from .operators import OperatorSet
-from .sphere import UNIT_POINT_TOL, is_integer, sample_sphere, unit_point
+from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_point
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
@@ -107,23 +108,6 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
 
 
-def _judge(s: np.ndarray, reference: float | None,
-           theoretical: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean diagonal, largest off-diagonal entry and largest diagonal deviation
-    (from ``reference``, the mean when None, and from ``theoretical`` when
-    given) of each frame operator in the stack ``s`` of shape (P, m, m)."""
-    m = s.shape[-1]
-    diagonal = np.diagonal(s, axis1=1, axis2=2)
-    measured = diagonal.sum(axis=1) / m
-    off = np.abs(s)
-    off.reshape(len(s), m * m)[:, ::m + 1] = 0.0
-    deviation = np.abs(diagonal - (measured[:, None] if reference is None else reference))
-    max_diag_dev = deviation.max(axis=1)
-    if theoretical is not None:
-        max_diag_dev = np.maximum(max_diag_dev, np.abs(measured - theoretical))
-    return measured, off.max(axis=(1, 2)), max_diag_dev
-
-
 def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
                 expected_constant: float | None = None) -> FrameReport:
     """Test whether a vector system is a tight frame for its ambient space.
@@ -141,9 +125,14 @@ def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
     unit = expected_constant is None and np.all(
         np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_POINT_TOL)
     theoretical = k / m if unit else expected_constant
-    measured, max_offdiag, max_diag_dev = (float(x[0]) for x in _judge(
-        s[None], expected_constant, theoretical if unit else None))
+    diagonal = np.diagonal(s)
+    measured = float(diagonal.sum() / m)
     reference = measured if expected_constant is None else expected_constant
+    off = np.abs(s)
+    np.fill_diagonal(off, 0.0)
+    max_offdiag, max_diag_dev = float(off.max()), float(np.abs(diagonal - reference).max())
+    if unit:  # so every entry is finite
+        max_diag_dev = max(max_diag_dev, abs(measured - theoretical))
     tight = reference > 0 and max_offdiag <= tolerance and max_diag_dev <= tolerance
     return FrameReport(tight, measured, max_offdiag, max_diag_dev, points_checked=1,
                        theoretical_constant=None if theoretical is None else float(theoretical))
@@ -160,6 +149,14 @@ def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
     return np.vstack([sqrt(_frame_constant(a_set)) * av, operator_images(a_set, av)])
 
 
+@lru_cache(maxsize=16)
+def _points(dim: int, num_samples: int, seed: int) -> np.ndarray:
+    """The probe points, then ``sample_sphere(dim, num_samples, seed)``; read-only, as shared."""
+    points = np.vstack([probe_points(dim), sample_sphere(dim, num_samples, seed)])
+    points.flags.writeable = False
+    return points
+
+
 def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
                         seed: int = 0,
                         tolerance: float = DEFAULT_TIGHTNESS_TOL) -> FrameReport:
@@ -167,42 +164,47 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
 
     Checks S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), against C*I at
     every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
-    points.  Members sharing a pairing pi differ only in signs, so they add
-    W_pi o (a[pi] a[pi]^T), W_pi the exact integer Gram matrix of their sign
-    rows.  A pairing of m >= d members gets its W_pi, d*d floats against the
-    m*d of their images per point; the others keep their image rows (Theorem
-    3.4 sets have 2^(n-1) members per pairing, most random subsets of small
-    full sets fewer than d).  Points are judged a block at a time, with one
-    batched product for S and one for the W_pi terms, the block sized to
-    about 2^14 floats of image rows and W_pi coordinates.  The report is that
-    of the first point of largest deviation; its verdict also needs
-    :func:`check_tight` of the directly built augmented system there.
+    points, drawn once per (dimension, num_samples, seed).  Members sharing a
+    pairing pi differ only in signs, so they add W_pi o (a[pi] a[pi]^T), W_pi
+    the exact integer Gram matrix of their sign rows.  A pairing of m >= d
+    members gets its W_pi, d*d floats against the m*d of their images per
+    point; the others keep their image rows (Theorem 3.4 sets have 2^(n-1)
+    members per pairing, most random subsets of small full sets fewer than d).
+    Points are judged a block at a time, with one batched product for S, one
+    for the W_pi terms and one max |S - C*I|, the block sized to about 2^14
+    floats of image rows and W_pi coordinates.  The report is that of the
+    first point of largest deviation; its verdict also needs max |S - C*I| <=
+    tolerance for S built there from every member's image row.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)
     d, expected = a_set.dim, _frame_constant(a_set)
-    points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
-    k, sign = a_set.index_arrays
-    narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
-    rows = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
-    _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
-                                       return_counts=True)
-    heavy = np.flatnonzero(count >= d)
-    heavy = heavy[np.argsort(first[heavy])]  # pairings in order of first appearance
-    w, k_heavy = np.empty((len(heavy), d, d)), k[first[heavy]]
-    if len(heavy):
-        members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
-        for j, g in enumerate(heavy.tolist()):
-            signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
-            w[j] = signs.T @ signs  # sums of +-1 terms, exact far below 2^53
-        k, sign = k[count[group] < d], sign[count[group] < d]
+    check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
+    points = _points(d, num_samples, seed)
+    k_all, sign_all = k, sign = a_set.index_arrays
+    w = k_heavy = np.empty((0, d, d))
+    if len(k) >= d:  # else no pairing has d members
+        narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
+        rows = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
+        _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
+                                           return_counts=True)
+        heavy = np.flatnonzero(count >= d)
+        heavy = heavy[np.argsort(first[heavy])]  # pairings in order of first appearance
+        w, k_heavy = np.empty((len(heavy), d, d)), k[first[heavy]]
+        if len(heavy):
+            members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
+            for j, g in enumerate(heavy.tolist()):
+                signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
+                w[j] = signs.T @ signs  # sums of +-1 terms, exact far below 2^53
+            k, sign = k[count[group] < d], sign[count[group] < d]
 
     # points go in blocks of about 2^14 floats of what grows with the set: the
     # scaled normal and image rows, and the heavy pairings' coordinates
-    block = max(1, 2 ** 14 // ((len(k) + 1 + len(heavy)) * d))
+    block = max(1, 2 ** 14 // ((len(k) + 1 + len(w)) * d))
     v = np.empty((min(block, len(points)), len(k) + 1, d))  # the scaled normal, then images
-    judged = np.empty((3, len(points)))  # mean diagonal, max off-diagonal, max diagonal deviation
+    target = expected * np.eye(d)
+    worst_dev, worst = -1.0, 0
     for start in range(0, len(points), block):
         a = points[start:start + block]
         vb = v[:len(a)]
@@ -212,23 +214,26 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
         if len(w):
             a_heavy = a[:, k_heavy]
             s += np.einsum("prs,xpr,xps->xrs", w, a_heavy, a_heavy)
-        judged[:, start:start + len(a)] = _judge(s, expected)
+        deviation = np.abs(s - target).max(axis=(1, 2))  # NaN stays NaN, so it fails below
+        j = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN,
+        if worst_dev == worst_dev and not deviation[j] <= worst_dev:  # in the block and overall
+            worst_dev, worst, worst_s = deviation[j], start + j, s[j].copy()
 
-    del v, vb, s  # the direct check builds its own images
-    deviation = np.maximum(judged[1], judged[2])  # NaN stays NaN, so it fails below
-    worst = int(np.argmax(deviation))  # the first point of largest deviation
-    point = points[worst]
-    direct = check_tight(augment_with_normal(a_set, point), tolerance, expected_constant=expected)
-    tight = bool(np.all(deviation <= tolerance)) and direct.tight
-    return FrameReport(tight, *map(float, judged[:, worst]), len(points), point, expected)
+    point = points[worst].copy()
+    direct = np.vstack([sqrt(expected) * point, sign_all * np.negative(point)[k_all]])
+    tight = worst_dev <= tolerance and np.abs(direct.T @ direct - target).max() <= tolerance
+    diagonal, off = np.diagonal(worst_s), np.abs(worst_s)
+    np.fill_diagonal(off, 0.0)
+    return FrameReport(bool(tight), float(diagonal.sum() / d), float(off.max()),
+                       float(np.abs(diagonal - expected).max()), len(points), point, expected)
 
 
 def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:
     """Resynthesize (1/C) * sum_U c_U U(a) from frame coefficients; C = #A/(2n-1)."""
     a = unit_point(a, a_set.dim)
     coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.size != len(a_set):
-        raise ValueError(f"got {coeffs.size} coefficients for {len(a_set)} operators")
+    if coeffs.shape != (len(a_set),):
+        raise ValueError(f"expected one vector of {len(a_set)} coefficients, got shape {coeffs.shape}")
     return coeffs @ operator_images(a_set, a) / _frame_constant(a_set)
 
 
@@ -257,7 +262,8 @@ def witness_unbalanced(a_set: OperatorSet, report: BalanceReport) -> UnbalancedW
 
 
 def witness_cross_term(a_set: OperatorSet, witness: UnbalancedWitness) -> float:
-    """Numerically evaluate the frame-operator entry the witness predicts."""
-    s = frame_operator(augment_with_normal(a_set, witness.point))
-    r, c = witness.probe_pair
-    return float(s[r - 1, c - 1])
+    """The frame-operator entry the witness predicts, C*a_r*a_c + sum_U U(a)_r*U(a)_c, at its point."""
+    a = unit_point(witness.point, a_set.dim)
+    images = operator_images(a_set, a)
+    r, c = witness.probe_pair[0] - 1, witness.probe_pair[1] - 1
+    return float(_frame_constant(a_set) * a[r] * a[c] + images[:, r] @ images[:, c])

@@ -32,6 +32,18 @@ def unit_point(a, dim: int) -> np.ndarray:
     return av
 
 
+def check_draw(dim: int, count: int, seed: int) -> None:
+    """Refuse arguments that :func:`sample_sphere` cannot draw from."""
+    if not all(map(is_integer, (dim, count, seed))):
+        raise ValueError(f"dim, count and seed must be integers, got {(dim, count, seed)!r}")
+    if dim < 2 or dim % 2 != 0:
+        raise ValueError(f"dimension must be even and at least 2, got {dim}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if seed < 0:  # random.Random would take |seed|
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     """``count`` unit vectors in R^dim, rows of the result; deterministic in seed.
 
@@ -43,14 +55,7 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     the radii and the rest the angles, and cosines fill the first half of the
     slice, sines the second.
     """
-    if not all(map(is_integer, (dim, count, seed))):
-        raise ValueError(f"dim, count and seed must be integers, got {(dim, count, seed)!r}")
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError(f"dimension must be even and at least 2, got {dim}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if seed < 0:  # random.Random would take |seed|
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_draw(dim, count, seed)
     points = np.empty((count, dim))  # first, so that an impossible count fails before any draw
     flat, rng = points.reshape(-1), random.Random(int(seed))
     for start in range(0, count * dim // 2, _DRAW_PAIRS):  # dim is even

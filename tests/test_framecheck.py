@@ -1,9 +1,12 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingframes import (augment_with_normal, build_minimal_balanced,
                           check_tight, enumerate_full, frame_operator,
@@ -11,6 +14,7 @@ from movingframes import (augment_with_normal, build_minimal_balanced,
                           probe_points, reconstruct, s3_basis,
                           verify_moving_funtf, witness_cross_term,
                           witness_unbalanced)
+from movingframes import framecheck
 from movingframes.operators import OperatorSet
 from movingframes.sphere import project_tangent, sample_sphere
 
@@ -31,6 +35,28 @@ def one_member_per_pairing():
     reaches the Gram-matrix threshold, so every member keeps its image row."""
     return subset(enumerate_full(5), 32 * np.arange(945) + np.random.default_rng(0).integers(
         32, size=945))
+
+
+def relabel(a_set, perm):
+    """The set conjugated by the coordinate permutation i -> perm[i] (0-based)."""
+    k, sign = a_set.index_arrays
+    pairing, signs = np.empty_like(k), np.empty_like(sign)
+    pairing[:, perm], signs[:, perm] = perm[k] + 1, sign
+    return OperatorSet.from_arrays(pairing, signs)
+
+
+@st.composite
+def sweep_shaped_sets(draw):
+    """A seeded random nonempty subset of enumerate_full(2) or enumerate_full(3),
+    or a Theorem 3.4 set for n <= 4 under a random relabelling."""
+    kind = draw(st.sampled_from(["full2", "full3", "theorem"]))
+    if kind == "theorem":
+        theorem = build_minimal_balanced(draw(st.integers(1, 4)))
+        return relabel(theorem, np.array(draw(st.permutations(range(theorem.dim)))))
+    full = enumerate_full(int(kind[-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return subset(full, np.sort(rng.choice(len(full), rng.integers(1, len(full) + 1),
+                                           replace=False)))
 
 
 def reversed_coordinates(a_set):
@@ -64,7 +90,8 @@ def reduced_worst_point(a_set, num_samples, seed):
     own grouping.  A pairing of at least d members becomes the integer Gram
     matrix of their sign rows (pairings in order of first appearance); the
     other members keep their image rows, after the scaled normal and in set
-    order.  Returns what reference_worst_point returns.
+    order.  Returns what reference_worst_point returns, then the mean diagonal
+    of S at the worst point.
     """
     k, sign = a_set.index_arrays
     d = a_set.dim
@@ -89,7 +116,8 @@ def reduced_worst_point(a_set, num_samples, seed):
         max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
         max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
         if max(max_off, max_diag) > worst_dev:
-            worst_dev, worst = max(max_off, max_diag), (a, max_off, max_diag)
+            worst_dev = max(max_off, max_diag)
+            worst = (a, max_off, max_diag, float(np.diagonal(s).sum() / d))
     return worst
 
 
@@ -252,7 +280,7 @@ class TestVerifyMovingFuntf:
             "full3-subset", "one-per-pairing"])
     def test_worst_point_matches_reference_loop(self, a_set, num_samples):
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
-        point, max_off, max_diag = reduced_worst_point(a_set, num_samples, 4)
+        point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
         assert report.max_offdiag == max_off
         assert report.max_diag_dev == max_diag
@@ -278,12 +306,53 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("bad", [
         {"tolerance": float("nan")}, {"tolerance": -1e-12}, {"tolerance": float("inf")},
         {"num_samples": 0}, {"num_samples": True}, {"num_samples": 2.0}, {"num_samples": "3"},
+        {"seed": True}, {"seed": 1.0}, {"seed": -1}, {"seed": "1"},
     ], ids=repr)
     def test_rejects_bad_arguments(self, bad):
-        # an infinite tolerance used to report this unbalanced set as tight
+        # an infinite tolerance used to report this unbalanced set as tight.
+        # True and 1.0 equal 1 as keys of the point cache, so every argument is
+        # refused both on an empty cache and after a seed=1 call filled it.
         clipped = OperatorSet(4, MIN2.members[:-1])
-        with pytest.raises(ValueError, match=next(iter(bad))):
-            verify_moving_funtf(clipped, **{"num_samples": 5, **bad})
+        (name, value), = bad.items()
+        match = name
+        if name == "seed":  # the messages of sample_sphere's own checks
+            match = re.escape("seed must be nonnegative, got -1" if value == -1 else
+                              f"dim, count and seed must be integers, got (4, 5, {value!r})")
+        for warm in (False, True):
+            framecheck._points.cache_clear()
+            if warm:
+                verify_moving_funtf(clipped, num_samples=5, seed=1)
+            with pytest.raises(ValueError, match=match):
+                verify_moving_funtf(clipped, **{"num_samples": 5, **bad})
+
+    def test_points_are_drawn_once_and_shared_read_only(self, monkeypatch):
+        clipped = OperatorSet(4, MIN2.members[:-1])
+        framecheck._points.cache_clear()
+        draws = []
+        monkeypatch.setattr(framecheck, "sample_sphere",
+                            lambda *args: draws.append(args) or sample_sphere(*args))
+        first, second = (verify_moving_funtf(clipped, num_samples=5, seed=2) for _ in range(2))
+        assert draws == [(4, 5, 2)]
+        assert first.to_dict() == second.to_dict()
+        first.worst_point[:] = 0.0
+        assert np.array_equal(second.worst_point, reduced_worst_point(clipped, 5, 2)[0])
+        points = framecheck._points(4, 5, 2)
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 1.0
+        for other in (framecheck._points(4, 5, 3), framecheck._points(4, 6, 2)):
+            assert not np.array_equal(other[6:11], points[6:])
+        assert framecheck._points.cache_info().maxsize <= 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_shaped_sets(), st.integers(0, 2 ** 16))
+    def test_worst_point_matches_reference_on_sweep_shaped_sets(self, a_set, seed):
+        report = verify_moving_funtf(a_set, num_samples=10, seed=seed)
+        point, max_off, max_diag, mean_diagonal = reduced_worst_point(a_set, 10, seed)
+        assert np.array_equal(report.worst_point, point)
+        assert report.max_offdiag == max_off
+        assert report.max_diag_dev == max_diag
+        assert report.frame_constant == mean_diagonal
 
     def test_unbalanced_set_fails_at_probe(self):
         clipped = OperatorSet(4, MIN2.members[:-1])
@@ -326,6 +395,13 @@ class TestReconstruct:
         a = sample_sphere(4, 1, seed=0)[0]
         with pytest.raises(ValueError, match="coefficients"):
             reconstruct(MIN2, a, np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+    def test_refuses_coefficients_that_are_not_one_vector(self, shape):
+        a = sample_sphere(4, 1, seed=0)[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected one vector of 6 coefficients, got shape {shape}")):
+            reconstruct(MIN2, a, np.ones(shape))
 
     @pytest.mark.parametrize("a, message", [
         ([math.nan] * 4, "unit vector"), ([2.0, 0.0, 0.0, 0.0], "unit vector"),
