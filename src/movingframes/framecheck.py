@@ -4,10 +4,11 @@ The tangent images of a balanced operator set form a unit tight frame of
 every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
-augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it, in
-blocks of points, from an exact integer Gram matrix of the signs per pairing
-of at least d members plus the image rows of the rest, and re-checks the
-worst point directly.
+augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it as
+one quadratic form: the frame operator at a point is an exact integer
+matrix F, built once per set from the members' signs, times the monomials
+a_p*a_q of the point, for blocks of points at a time.  It re-checks the
+worst point directly from the image rows.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
+
+# Working sizes of verify_moving_funtf: floats of point monomials (or image
+# rows) per block of points, past which a set's scatter into F is grouped by
+# pairing; scatter entries per np.bincount; floats per row block of F (4 MB);
+# and how many times the products of the image rows a dense F may cost.
+_BLOCK = 2 ** 17
+_CHUNK = 2 ** 12
+_FORM = 2 ** 19
+_DENSE = 16
 
 
 @dataclass
@@ -157,6 +167,109 @@ def _points(dim: int, num_samples: int, seed: int) -> np.ndarray:
     return points
 
 
+@lru_cache(maxsize=16)
+def _entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The E = d(d+1)/2 entries (r, s), r <= s, of a symmetric d x d matrix: the
+    diagonal, then the pairs r < s in lexicographic order.  Returns their rows,
+    their columns and ``number``, where number[p, q] = number[q, p] numbers {p, q};
+    the monomials a_p*a_q of a point are numbered alike.  Read-only, as shared."""
+    upper = np.triu_indices(dim, 1)
+    rows, cols = (np.concatenate([np.arange(dim), part]) for part in upper)
+    number = np.empty((dim, dim), dtype=np.intp)
+    number[rows, cols] = number[cols, rows] = np.arange(len(rows))
+    for array in (rows, cols, number):
+        array.flags.writeable = False
+    return rows, cols, number
+
+
+def _blocks(total: int, most: int) -> list[tuple[int, int]]:
+    """range(total) cut into the fewest slices of at most ``most``, of near-equal
+    lengths, so no block is left with a sliver of one or two points."""
+    count = -(-total // most)
+    bounds = [total * j // count for j in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _sign_grams(a_set: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Partner rows K, and the Gram matrix W of their signs at each entry (r, s)
+    of :func:`_entries`, from which F is scattered.
+
+    A set whose per-member scatter fits one block gives every member, with its
+    sign products W = S S^T (exact in int8).  A larger one is grouped by
+    pairing first: each pairing pi once, with W_pi = S_pi^T S_pi over its
+    members, sums of +-1 terms that are exact far below 2^53.
+    """
+    k, sign = a_set.index_arrays
+    d = a_set.dim
+    rows, cols, _ = _entries(d)
+    if len(k) * len(rows) <= _BLOCK:
+        small = sign.astype(np.int8)
+        return k, small[:, rows] * small[:, cols]
+    narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
+    _, first, group, count = np.unique(keys, return_index=True, return_inverse=True,
+                                       return_counts=True)
+    members, stops = np.argsort(group, kind="stable"), np.cumsum(count).tolist()
+    grams = np.empty((len(count), len(rows)))
+    for g, stop in enumerate(stops):
+        signs = sign[members[stop - count[g]:stop]].astype(float)
+        grams[g] = (signs.T @ signs)[rows, cols]
+    return k[first], grams
+
+
+def _frame_form(keys: np.ndarray, grams: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Rows first:stop of F, the E x E integer coefficients of sum_U U(a)U(a)^T.
+
+    F[e, m] multiplies monomial m in entry e (both numbered by
+    :func:`_entries`).  As U(a)_r = -S[r]*a[K[r]], a row K with sign Gram
+    matrix W adds W[r, s] at the monomial {K[r], K[s]} of entry (r, s): on the
+    diagonal the pair counts #A_{r,p} of condition i at a_p^2, off it
+    -#A_{r,s} at a_r*a_s and the sign-slice differences #A_{+1} - #A_{-1} of
+    condition ii at the other monomials.  One float ``np.bincount`` of exact
+    integers, in chunks of about _CHUNK entries.
+    """
+    rows, cols, number = _entries(keys.shape[1])
+    r, c, width = rows[first:stop], cols[first:stop], stop - first
+    size, offsets = len(rows) * width, len(rows) * np.arange(width)
+    form = 0  # the first chunk's counts, then each later chunk's added in place
+    for start, end in _blocks(len(keys), max(1, _CHUNK // width)):
+        part = keys[start:end]
+        codes = number[part[:, r], part[:, c]] + offsets
+        form += np.bincount(codes.ravel(), grams[start:end, first:stop].ravel(), minlength=size)
+    return form.reshape(width, -1)
+
+
+def _entry_blocks(a_set: OperatorSet, points: np.ndarray, expected: float):
+    """Yield (lo, hi, first, s): s[j, i] is entry first + j of S at point lo + i.
+
+    S at a point is F, plus C on each entry's own monomial, times its
+    monomials X: one matmul per block of about _BLOCK floats of X, F cut into
+    row blocks of at most _FORM floats.  Entries go down the rows, so each
+    point's reductions run along the fast axis.  A dense F costs E^2
+    products per point against (#A + 1) d^2 for the image rows, so a set of
+    few members in a large dimension (#A + 1 < E^2 / (_DENSE d^2), about
+    d^2/64) takes the scaled normal and its image rows instead, in blocks of
+    about _BLOCK floats of those and of whole S.
+    """
+    d = a_set.dim
+    rows, cols, _ = _entries(d)
+    size = len(rows)
+    if size * size > _DENSE * (len(a_set) + 1) * d * d:
+        for lo, hi in _blocks(len(points), max(1, _BLOCK // ((len(a_set) + 1 + d) * d))):
+            a = points[lo:hi]
+            v = np.concatenate([sqrt(expected) * a[:, None], operator_images(a_set, a)], axis=1)
+            s = np.matmul(v.transpose(0, 2, 1), v).reshape(hi - lo, -1)
+            yield lo, hi, 0, s.take(rows * d + cols, axis=1).T
+        return
+    keys, grams = _sign_grams(a_set)
+    for first, stop in _blocks(size, max(1, _FORM // size)):
+        form = _frame_form(keys, grams, first, stop)
+        form[np.arange(stop - first), np.arange(first, stop)] += expected  # C*a*a^T
+        for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
+            a = points[lo:hi].T
+            yield lo, hi, first, form @ (a.take(rows, axis=0) * a.take(cols, axis=0))
+
+
 def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
                         seed: int = 0,
                         tolerance: float = DEFAULT_TIGHTNESS_TOL) -> FrameReport:
@@ -164,17 +277,17 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
 
     Checks S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), against C*I at
     every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
-    points, drawn once per (dimension, num_samples, seed).  Members sharing a
-    pairing pi differ only in signs, so they add W_pi o (a[pi] a[pi]^T), W_pi
-    the exact integer Gram matrix of their sign rows.  A pairing of m >= d
-    members gets its W_pi, d*d floats against the m*d of their images per
-    point; the others keep their image rows (Theorem 3.4 sets have 2^(n-1)
-    members per pairing, most random subsets of small full sets fewer than d).
-    Points are judged a block at a time, with one batched product for S, one
-    for the W_pi terms and one max |S - C*I|, the block sized to about 2^14
-    floats of image rows and W_pi coordinates.  The report is that of the
-    first point of largest deviation; its verdict also needs max |S - C*I| <=
-    tolerance for S built there from every member's image row.
+    points, drawn once per (dimension, num_samples, seed).  S(a) is a
+    quadratic form in the monomials a_p*a_q, p <= q, with the exact integer
+    coefficients F of :func:`_frame_form` (plus C on each entry's own
+    monomial), built once per set.  A balanced set's form is S_rr = C*|a|^2
+    and S_rs = 0, every other coefficient 0, so its off-diagonal entries
+    come out exactly 0.0.  Points then take one matmul
+    per block (see :func:`_entry_blocks`), and per point the largest
+    off-diagonal |S_rs|, the largest |S_rr - C| and the sum of the diagonal
+    are kept.  The report is that of the first point of largest deviation
+    (or the first NaN); its verdict also needs max |S - C*I| <= tolerance
+    for S built there directly from every member's image row.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
@@ -182,50 +295,23 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     d, expected = a_set.dim, _frame_constant(a_set)
     check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
     points = _points(d, num_samples, seed)
-    k_all, sign_all = k, sign = a_set.index_arrays
-    w = k_heavy = np.empty((0, d, d))
-    if len(k) >= d:  # else no pairing has d members
-        narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
-        rows = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
-        _, first, group, count = np.unique(rows, return_index=True, return_inverse=True,
-                                           return_counts=True)
-        heavy = np.flatnonzero(count >= d)
-        heavy = heavy[np.argsort(first[heavy])]  # pairings in order of first appearance
-        w, k_heavy = np.empty((len(heavy), d, d)), k[first[heavy]]
-        if len(heavy):
-            members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
-            for j, g in enumerate(heavy.tolist()):
-                signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
-                w[j] = signs.T @ signs  # sums of +-1 terms, exact far below 2^53
-            k, sign = k[count[group] < d], sign[count[group] < d]
-
-    # points go in blocks of about 2^14 floats of what grows with the set: the
-    # scaled normal and image rows, and the heavy pairings' coordinates
-    block = max(1, 2 ** 14 // ((len(k) + 1 + len(w)) * d))
-    v = np.empty((min(block, len(points)), len(k) + 1, d))  # the scaled normal, then images
-    target = expected * np.eye(d)
-    worst_dev, worst = -1.0, 0
-    for start in range(0, len(points), block):
-        a = points[start:start + block]
-        vb = v[:len(a)]
-        np.multiply(sqrt(expected), a, out=vb[:, 0])
-        np.multiply(sign, np.negative(a)[:, k], out=vb[:, 1:])
-        s = np.matmul(vb.transpose(0, 2, 1), vb)
-        if len(w):
-            a_heavy = a[:, k_heavy]
-            s += np.einsum("prs,xpr,xps->xrs", w, a_heavy, a_heavy)
-        deviation = np.abs(s - target).max(axis=(1, 2))  # NaN stays NaN, so it fails below
-        j = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN,
-        if worst_dev == worst_dev and not deviation[j] <= worst_dev:  # in the block and overall
-            worst_dev, worst, worst_s = deviation[j], start + j, s[j].copy()
-
+    total, off, diag = np.zeros((3, len(points)))
+    for lo, hi, first, s in _entry_blocks(a_set, points, expected):
+        diagonal = max(0, d - first)  # entries below d are the diagonal
+        total[lo:hi] += s[:diagonal].sum(axis=0)
+        s[:diagonal] -= expected
+        np.abs(s, out=s)  # NaN stays NaN, in the maxima and in the argmax, so it fails below
+        np.maximum(diag[lo:hi], s[:diagonal].max(axis=0, initial=0.0), out=diag[lo:hi])
+        np.maximum(off[lo:hi], s[diagonal:].max(axis=0, initial=0.0), out=off[lo:hi])
+    deviation = np.maximum(off, diag)
+    worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
     point = points[worst].copy()
-    direct = np.vstack([sqrt(expected) * point, sign_all * np.negative(point)[k_all]])
-    tight = worst_dev <= tolerance and np.abs(direct.T @ direct - target).max() <= tolerance
-    diagonal, off = np.diagonal(worst_s), np.abs(worst_s)
-    np.fill_diagonal(off, 0.0)
-    return FrameReport(bool(tight), float(diagonal.sum() / d), float(off.max()),
-                       float(np.abs(diagonal - expected).max()), len(points), point, expected)
+    images = operator_images(a_set, point)
+    direct = expected * np.outer(point, point) + images.T @ images
+    direct.ravel()[::d + 1] -= expected
+    tight = deviation[worst] <= tolerance and np.abs(direct).max() <= tolerance
+    return FrameReport(bool(tight), float(total[worst] / d), float(off[worst]),
+                       float(diag[worst]), len(points), point, expected)
 
 
 def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:

@@ -25,7 +25,9 @@ def is_integer(value) -> bool:
 def unit_point(a, dim: int) -> np.ndarray:
     """``a`` as floats, refused unless its shape is (dim,) and its norm within UNIT_POINT_TOL of 1."""
     av = np.asarray(a, dtype=float)
-    if av.shape != (dim,):
+    if av.ndim != 1:  # its size would read like a length
+        raise ValueError(f"expected one point of length {dim}, got shape {av.shape}")
+    if av.size != dim:
         raise ValueError(f"point has length {av.size}, expected {dim}")
     if not abs(np.linalg.norm(av) - 1.0) <= UNIT_POINT_TOL:  # so NaN fails too
         raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(av)}")
@@ -75,7 +77,9 @@ def project_tangent(a, x) -> np.ndarray:
     """Orthogonal projection of x onto the tangent space at the unit point a: x - <x,a> a."""
     av = unit_point(a, np.size(a))
     xv = np.asarray(x, dtype=float)
-    if av.shape != xv.shape:
+    if xv.ndim != 1:
+        raise ValueError(f"expected one vector of length {av.size}, got shape {xv.shape}")
+    if xv.size != av.size:
         raise ValueError(f"length mismatch: point has {av.size}, vector has {xv.size}")
     return xv - (xv @ av) * av
 

@@ -343,6 +343,7 @@ class TestCrossRoutes:
                 assert frame.tight == report.balanced == (a_set is whole)
                 if report.balanced:
                     assert max(frame.max_offdiag, frame.max_diag_dev) <= 1e-9
+                    assert frame.max_offdiag == 0.0  # each off-diagonal coefficient of F is 0
                 else:
                     witness = witness_unbalanced(checked, report)
                     assert abs(witness_cross_term(checked, witness) - float(witness.defect)) <= 1e-10

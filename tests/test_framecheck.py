@@ -19,8 +19,8 @@ from movingframes.operators import OperatorSet
 from movingframes.sphere import project_tangent, sample_sphere
 
 MIN2 = build_minimal_balanced(2)
-# full n = 2 with pairing (2, 1, 4, 3) whole (4 = d members, a Gram matrix) and
-# one member of each other pairing (image rows): unbalanced
+# full n = 2 with pairing (2, 1, 4, 3) whole (4 members) and one member of
+# each other pairing: unbalanced, with pairings of unequal sizes
 MIXED = OperatorSet(4, [enumerate_full(2)[i] for i in (0, 1, 2, 3, 4, 8)])
 
 
@@ -31,8 +31,8 @@ def subset(a_set, pick):
 
 
 def one_member_per_pairing():
-    """One seeded member of each of the 945 pairings of R^10: no pairing
-    reaches the Gram-matrix threshold, so every member keeps its image row."""
+    """One seeded member of each of the 945 pairings of R^10: as many pairings
+    as members, so grouping by pairing would not shrink the scatter into F."""
     return subset(enumerate_full(5), 32 * np.arange(945) + np.random.default_rng(0).integers(
         32, size=945))
 
@@ -85,39 +85,48 @@ def reference_worst_point(a_set, num_samples, seed):
     return worst
 
 
+def entry_order(d):
+    """The entries (r, s), r <= s, of a symmetric d x d matrix in the order of
+    the frame form: the diagonal, then the pairs r < s row by row.  The
+    monomials a_p*a_q, p <= q, are numbered alike."""
+    return [(r, r) for r in range(d)] + [(r, s) for r in range(d) for s in range(r + 1, d)]
+
+
+def reference_form(a_set):
+    """F of verify_moving_funtf, member by member: F[e, m] multiplies monomial
+    m in entry e of sum_U U(a)U(a)^T.  As U(a)_r = -S[r]*a[K[r]], member U
+    adds S[r]*S[s] at the monomial {K[r], K[s]} of entry (r, s)."""
+    k, sign = a_set.index_arrays
+    order = entry_order(a_set.dim)
+    number = {pair: m for m, pair in enumerate(order)}
+    form = np.zeros((len(order), len(order)))
+    for pairing, signs in zip(k.tolist(), sign.tolist()):
+        for e, (r, s) in enumerate(order):
+            p, q = sorted((pairing[r], pairing[s]))
+            form[e, number[p, q]] += signs[r] * signs[s]
+    return form
+
+
 def reduced_worst_point(a_set, num_samples, seed):
     """The per-point arithmetic of verify_moving_funtf, written out with its
-    own grouping.  A pairing of at least d members becomes the integer Gram
-    matrix of their sign rows (pairings in order of first appearance); the
-    other members keep their image rows, after the scaled normal and in set
-    order.  Returns what reference_worst_point returns, then the mean diagonal
-    of S at the worst point.
+    own F: S at every point at once is F, plus C on each entry's own
+    monomial, times the points' monomials, in one matmul; then a plain loop
+    over the points.  Returns what reference_worst_point returns, then the
+    mean diagonal of S at the worst point, its entries summed in order.
     """
-    k, sign = a_set.index_arrays
     d = a_set.dim
     expected = len(a_set) / (d - 1)
-    groups = {}
-    for m, row in enumerate(k.tolist()):
-        groups.setdefault(tuple(row), []).append(m)
-    heavy = [rows for rows in groups.values() if len(rows) >= d]
-    light = sorted(m for rows in groups.values() if len(rows) < d for m in rows)
-    w = np.zeros((len(heavy), d, d))
-    for j, rows in enumerate(heavy):
-        for m in rows:
-            w[j] += np.outer(sign[m], sign[m])
-    k_heavy = k[[rows[0] for rows in heavy]]
+    rows, cols = np.array(entry_order(d)).T
+    form = reference_form(a_set) + expected * np.eye(len(rows))
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
+    entries = form @ (points.T[rows] * points.T[cols])
     worst_dev, worst = -1.0, None
-    for a in points:
-        v = np.vstack([math.sqrt(expected) * a, -sign[light] * a[k[light]]])
-        s = v.T @ v
-        if heavy:
-            s = s + np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
-        max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
-        max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
+    for a, column in zip(points, entries.T.tolist()):
+        max_off = max((abs(x) for x in column[d:]), default=0.0)
+        max_diag = max(abs(x - expected) for x in column[:d])
         if max(max_off, max_diag) > worst_dev:
             worst_dev = max(max_off, max_diag)
-            worst = (a, max_off, max_diag, float(np.diagonal(s).sum() / d))
+            worst = (a, max_off, max_diag, sum(column[:d]) / d)
     return worst
 
 
@@ -250,6 +259,7 @@ class TestVerifyMovingFuntf:
             assert report.theoretical_constant == pytest.approx(len(a_set) / (2 * n - 1))
             if balanced:
                 assert max(report.max_offdiag, report.max_diag_dev) <= 1e-9
+                assert report.max_offdiag == 0.0  # each off-diagonal coefficient of F is 0
 
     def test_rejects_empty_set(self):
         """No empty set reaches verify_moving_funtf: both constructors refuse
@@ -268,17 +278,22 @@ class TestVerifyMovingFuntf:
         assert report.tight
         assert report.theoretical_constant == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("a_set,num_samples", [
-        *((build_minimal_balanced(n), 10) for n in (2, 3, 4, 5)),
-        (OperatorSet(4, MIN2.members[:-1]), 10), (MIXED, 10),
-        (reversed_coordinates(build_minimal_balanced(5)), 10),
-        # points in several blocks: 3 blocks of up to 105 points, and 55 of one
+    @pytest.mark.parametrize("a_set,num_samples,blocked", [
+        *((build_minimal_balanced(n), 10, False) for n in (2, 3, 4, 5)),
+        (OperatorSet(4, MIN2.members[:-1]), 10, False), (MIXED, 10, False),
+        (reversed_coordinates(build_minimal_balanced(5)), 10, False),
+        # with the working sizes shrunk: 215 points in 6 blocks of up to 36, F
+        # in 3 row blocks of 7 entries, and the scatter grouped by pairing
+        # (#A*E = 2,100 members' entries pass _BLOCK = 840)
         (subset(enumerate_full(3), np.sort(np.random.default_rng(0).choice(120, 100, replace=False))),
-         200),
-        (one_member_per_pairing(), 10),
+         200, True),
+        (one_member_per_pairing(), 10, False),
     ], ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed", "reversed-min5",
             "full3-subset", "one-per-pairing"])
-    def test_worst_point_matches_reference_loop(self, a_set, num_samples):
+    def test_worst_point_matches_reference_loop(self, a_set, num_samples, blocked, monkeypatch):
+        if blocked:
+            monkeypatch.setattr(framecheck, "_BLOCK", 21 * 40)
+            monkeypatch.setattr(framecheck, "_FORM", 21 * 8)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
@@ -290,6 +305,89 @@ class TestVerifyMovingFuntf:
         _, direct_off, direct_diag = reference_worst_point(a_set, num_samples, 4)
         assert abs(max(direct_off, direct_diag) - max(max_off, max_diag)) <= 1e-12
         assert abs(direct_deviation(a_set, point) - max(max_off, max_diag)) <= 1e-12
+
+    @pytest.mark.parametrize("a_set", [
+        MIN2, OperatorSet(4, MIN2.members[:-1]), MIXED, enumerate_full(2),
+        build_minimal_balanced(3), reversed_coordinates(build_minimal_balanced(4)),
+        subset(enumerate_full(3), np.arange(0, 120, 7)), one_member_per_pairing(),
+        build_minimal_balanced(8),
+    ], ids=["min2", "clipped-min2", "mixed", "full2", "min3", "reversed-min4", "full3-subset",
+            "one-per-pairing", "min8"])
+    def test_grouped_and_per_member_forms_are_identical(self, a_set, monkeypatch):
+        """F scattered member by member and pairing by pairing (each pairing's
+        W_pi), whole or in row blocks, is the same array of exact integers."""
+        size = a_set.dim * (a_set.dim + 1) // 2
+        forms = []
+        for threshold in (0, 2 ** 62):  # every set grouped, then no set grouped
+            monkeypatch.setattr(framecheck, "_BLOCK", threshold)
+            keys, grams = framecheck._sign_grams(a_set)
+            pairings = len(np.unique(a_set.index_arrays[0], axis=0))
+            assert len(keys) == (pairings if threshold == 0 else len(a_set))
+            forms.append(framecheck._frame_form(keys, grams, 0, size))
+            forms.append(np.vstack([framecheck._frame_form(keys, grams, first, stop)
+                                    for first, stop in framecheck._blocks(size, 4)]))
+        for form in forms[1:]:
+            assert np.array_equal(form, forms[0])
+        if len(a_set) * size <= 10 ** 5:
+            assert np.array_equal(forms[0], reference_form(a_set))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_shaped_sets())
+    def test_form_coefficients_are_the_balance_counts(self, a_set):
+        """F read against is_balanced, an independent kernel: on the diagonal
+        the pair counts of condition i, at each entry's own monomial minus its
+        pair count, and elsewhere count_plus - count_minus of the failing
+        sign slices of condition ii, 0 at every other one."""
+        d = a_set.dim
+        rows, cols, number = framecheck._entries(d)
+        assert [tuple(e) for e in zip(rows.tolist(), cols.tolist())] == entry_order(d)
+        form = framecheck._frame_form(*framecheck._sign_grams(a_set), 0, len(rows))
+        report = is_balanced(a_set)
+        counts = np.full((d, d), float(Fraction(len(a_set), d - 1)))  # condition i holds...
+        for p, q, observed, _ in report.condition_i_failures:  # ...except where it fails
+            counts[p - 1, q - 1] = counts[q - 1, p - 1] = observed
+        expected = np.zeros_like(form)
+        for r, p in zip(*np.nonzero(~np.eye(d, dtype=bool))):
+            expected[number[r, r], number[p, p]] = counts[r, p]
+        for e in range(d, len(rows)):
+            expected[e, e] = -counts[rows[e], cols[e]]
+        for p, q, r, s, plus, minus in report.condition_ii_failures:
+            expected[number[r - 1, s - 1], number[p - 1, q - 1]] = plus - minus
+        assert np.array_equal(form, expected)
+
+    @pytest.mark.parametrize("members", [1, 5])
+    def test_few_members_in_a_large_dimension_take_the_image_rows(self, members, monkeypatch):
+        """At d = 20 a dense F costs E^2 = 44,100 products per point, more than
+        16 times the (#A + 1) d^2 of the image rows for a few members."""
+        a_set = subset(build_minimal_balanced(10), np.arange(0, 512 * members, 512))
+        report = verify_moving_funtf(a_set, num_samples=10, seed=4)
+        # each U is an isometry, so trace S(a) = C + #A at every unit point
+        assert report.frame_constant == pytest.approx((1 / 19 + 1) * members / 20, abs=1e-12)
+        _, direct_off, direct_diag = reference_worst_point(a_set, 10, 4)
+        assert abs(max(direct_off, direct_diag) - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
+        assert abs(direct_deviation(a_set, report.worst_point)
+                   - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(framecheck, "_DENSE", float("inf"))  # the same set through F
+            dense = verify_moving_funtf(a_set, num_samples=10, seed=4)
+        assert not report.tight and not dense.tight
+        assert abs(max(dense.max_offdiag, dense.max_diag_dev)
+                   - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
+        monkeypatch.setattr(framecheck, "_sign_grams", None)  # the image route never builds F
+        assert verify_moving_funtf(a_set, num_samples=10, seed=4).to_dict() == report.to_dict()
+
+    def test_the_direct_recheck_refuses_what_the_form_missed(self, monkeypatch):
+        """The verdict also needs S rebuilt from the image rows at the worst
+        point: with every point's S replaced by C*I, only that re-check is left."""
+        def exact(a_set, points, expected):
+            s = np.zeros((a_set.dim * (a_set.dim + 1) // 2, len(points)))
+            s[:a_set.dim] = expected
+            yield 0, len(points), 0, s
+        monkeypatch.setattr(framecheck, "_entry_blocks", exact)
+        assert verify_moving_funtf(MIN2, num_samples=5).tight
+        report = verify_moving_funtf(OperatorSet(4, MIN2.members[:-1]), num_samples=5)
+        assert not report.tight
+        assert report.max_offdiag == report.max_diag_dev == 0.0
 
     def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
         a_set = one_member_per_pairing()

@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from movingframes import (augment_with_normal, project_tangent, s1_basis,
                           sample_sphere, tangent_basis)
-from movingframes.sphere import UNIT_POINT_TOL
+from movingframes.sphere import UNIT_POINT_TOL, unit_point
 
 # points of R^4 off the unit sphere, NaN and zero among them
 OFF_SPHERE = ([1.0, 1.0, 0.0, 0.0], [np.nan] * 4, [0.0] * 4, [0.6, np.nan, 0.0, 0.8],
@@ -28,6 +29,17 @@ class TestSpherePoint:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError, match="length"):
             augment_with_normal(s1_basis(), [1.0, 0.0, 0.0])
+
+    def test_names_the_shape_of_a_point_that_is_not_one_vector(self):
+        # a (2, 2) array has 4 entries, so its size read like the right length
+        a = np.full((2, 2), 0.5)
+        for check in (lambda: unit_point(a, 4), lambda: project_tangent(a, np.ones(4)),
+                      lambda: tangent_basis(a)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "expected one point of length 4, got shape (2, 2)")):
+                check()
+        with pytest.raises(ValueError, match=re.escape("point has length 3, expected 4")):
+            unit_point([1.0, 0.0, 0.0], 4)
 
 
 class TestRandomSpherePoint:
@@ -131,6 +143,14 @@ class TestProjectTangent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             project_tangent(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+    def test_names_the_shape_of_a_vector_that_is_not_one_vector(self):
+        a = np.array([1.0, 0.0, 0.0, 0.0])
+        for x, message in ((np.ones((1, 4)), "expected one vector of length 4, got shape (1, 4)"),
+                           (np.ones((2, 2)), "expected one vector of length 4, got shape (2, 2)"),
+                           (np.ones(3), "length mismatch: point has 4, vector has 3")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                project_tangent(a, x)
 
     def test_rejects_off_sphere(self):
         for a in OFF_SPHERE:
