@@ -4,11 +4,13 @@ The tangent images of a balanced operator set form a unit tight frame of
 every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
-augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it as
-one quadratic form: the frame operator at a point is an exact integer
-matrix F, built once per set from the members' signs, times the monomials
-a_p*a_q of the point, for blocks of points at a time.  It re-checks the
-worst point directly from the image rows.
+augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it,
+for most sets, as one quadratic form: the frame operator at a point is an
+exact integer matrix F, built once per set from the members' signs, times
+the monomials a_p*a_q of the point, for blocks of points at a time.  Sets
+of few members or few pairings in a large dimension, for which F costs
+more, are evaluated from their image rows instead.  Either way the worst
+point is re-checked directly from the image rows.
 """
 
 from __future__ import annotations
@@ -27,14 +29,22 @@ from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
 
-# Working sizes of verify_moving_funtf: floats of point monomials (or image
-# rows) per block of points, past which a set's scatter into F is grouped by
-# pairing; scatter entries per np.bincount; floats per row block of F (4 MB);
-# and how many times the products of the image rows a dense F may cost.
+# Working sizes of verify_moving_funtf, in floats: point monomials per block
+# of points through F; one row block of F (4 MB); per-member sign products
+# past which F is scattered pairing by pairing; and image rows and W_pi
+# coordinates per block of points on the row route.  Each np.bincount into F
+# scatters at least _CHUNK entries, and at least as many as its output holds.
 _BLOCK = 2 ** 17
-_CHUNK = 2 ** 12
 _FORM = 2 ** 19
-_DENSE = 16
+_GROUP = 2 ** 17
+_ROWS = 2 ** 14
+_CHUNK = 2 ** 12
+
+# Where F pays, as timed (see :func:`_route`): up to d = _SMALL always, above
+# it where E^2 <= _DENSE (L + 1 + _EINSUM H) d^2.
+_SMALL = 14
+_DENSE = 2
+_EINSUM = 8
 
 
 @dataclass
@@ -190,30 +200,70 @@ def _blocks(total: int, most: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _sign_grams(a_set: OperatorSet) -> tuple[np.ndarray, np.ndarray]:
+def _pairings(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members grouped by pairing, i.e. by partner row K: each pairing's
+    first member, each member's pairing and each pairing's member count."""
+    narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted several times faster
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
+    _, first, group, count = np.unique(keys, return_index=True, return_inverse=True,
+                                       return_counts=True)
+    return first, group, count
+
+
+def _pairing_grams(sign: np.ndarray, group: np.ndarray, count: np.ndarray, which):
+    """Yield W_pi = S_pi^T S_pi over the members of each pairing pi in
+    ``which``: sums of +-1 terms, exact far below 2^53."""
+    members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
+    for g in which:
+        signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
+        yield signs.T @ signs
+
+
+def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
+    """Whether F pays for this set, and its pairings if they were grouped.
+
+    Timed on random sets of d = 10 to 64 (one BLAS thread of a shared
+    2-vCPU machine, against the rows of :func:`_row_deviations`): up to
+    d = 14, F was faster for every member count and pairing count tried.
+    Above, F costs E^2 products per point and
+    the rows (L + 1 + kappa H) d^2, for the L members of pairings under d
+    members, the normal, and H pairings of at least d members whose W_pi
+    cost kappa = 10 to 19 rows each; F and the rows took equal time at about
+    E^2 = 3 (L + 1) d^2.  F is taken where E^2 <= 2 (L + 1 + 8 H) d^2, so
+    only where the timings put it clearly ahead.
+    """
+    d = a_set.dim
+    if d <= _SMALL:
+        return True, None
+    light, heavy, pairings = len(a_set), 0, None
+    if len(a_set) >= d:  # else no pairing has d members
+        pairings = _pairings(a_set.index_arrays[0])
+        count = pairings[2]
+        light, heavy = int(count[count < d].sum()), int((count >= d).sum())
+    size = d * (d + 1) // 2
+    return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d, pairings
+
+
+def _sign_grams(a_set: OperatorSet, pairings: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """Partner rows K, and the Gram matrix W of their signs at each entry (r, s)
     of :func:`_entries`, from which F is scattered.
 
-    A set whose per-member scatter fits one block gives every member, with its
-    sign products W = S S^T (exact in int8).  A larger one is grouped by
-    pairing first: each pairing pi once, with W_pi = S_pi^T S_pi over its
-    members, sums of +-1 terms that are exact far below 2^53.
+    A set of at most _GROUP per-member sign products gives every member,
+    with its W = S S^T (exact in int8).  A larger one is grouped by pairing
+    first (``pairings``, when :func:`_route` has grouped them already): each
+    pairing pi once, with its W_pi, exact in the narrowest integer type that
+    holds its member count.
     """
     k, sign = a_set.index_arrays
-    d = a_set.dim
-    rows, cols, _ = _entries(d)
-    if len(k) * len(rows) <= _BLOCK:
+    rows, cols, _ = _entries(a_set.dim)
+    if len(k) * len(rows) <= _GROUP:
         small = sign.astype(np.int8)
         return k, small[:, rows] * small[:, cols]
-    narrow = k.astype(np.min_scalar_type(d - 1))  # the same grouping, sorted several times faster
-    keys = narrow.view(np.dtype((np.void, narrow.itemsize * d))).ravel()
-    _, first, group, count = np.unique(keys, return_index=True, return_inverse=True,
-                                       return_counts=True)
-    members, stops = np.argsort(group, kind="stable"), np.cumsum(count).tolist()
-    grams = np.empty((len(count), len(rows)))
-    for g, stop in enumerate(stops):
-        signs = sign[members[stop - count[g]:stop]].astype(float)
-        grams[g] = (signs.T @ signs)[rows, cols]
+    first, group, count = _pairings(k) if pairings is None else pairings
+    # |W| <= count: the narrowest signed type that holds -count - 1, and so +-count
+    grams = np.empty((len(count), len(rows)), np.min_scalar_type(-int(count.max()) - 1))
+    for g, gram in enumerate(_pairing_grams(sign, group, count, range(len(count)))):
+        grams[g] = gram[rows, cols]
     return k[first], grams
 
 
@@ -226,48 +276,90 @@ def _frame_form(keys: np.ndarray, grams: np.ndarray, first: int, stop: int) -> n
     diagonal the pair counts #A_{r,p} of condition i at a_p^2, off it
     -#A_{r,s} at a_r*a_s and the sign-slice differences #A_{+1} - #A_{-1} of
     condition ii at the other monomials.  One float ``np.bincount`` of exact
-    integers, in chunks of about _CHUNK entries.
+    integers, in chunks of at least _CHUNK entries and of the rows' E*width
+    counts, so that no call adds up a larger output than it scatters.
     """
     rows, cols, number = _entries(keys.shape[1])
     r, c, width = rows[first:stop], cols[first:stop], stop - first
     size, offsets = len(rows) * width, len(rows) * np.arange(width)
     form = 0  # the first chunk's counts, then each later chunk's added in place
-    for start, end in _blocks(len(keys), max(1, _CHUNK // width)):
+    for start, end in _blocks(len(keys), max(1, max(_CHUNK, size) // width)):
         part = keys[start:end]
         codes = number[part[:, r], part[:, c]] + offsets
         form += np.bincount(codes.ravel(), grams[start:end, first:stop].ravel(), minlength=size)
     return form.reshape(width, -1)
 
 
-def _entry_blocks(a_set: OperatorSet, points: np.ndarray, expected: float):
-    """Yield (lo, hi, first, s): s[j, i] is entry first + j of S at point lo + i.
+def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
+                     pairings: tuple | None) -> np.ndarray:
+    """Per point: the sum of the diagonal of S, the largest off-diagonal |S_rs|
+    and the largest |S_rr - C|, with S taken as a quadratic form.
 
     S at a point is F, plus C on each entry's own monomial, times its
     monomials X: one matmul per block of about _BLOCK floats of X, F cut into
     row blocks of at most _FORM floats.  Entries go down the rows, so each
-    point's reductions run along the fast axis.  A dense F costs E^2
-    products per point against (#A + 1) d^2 for the image rows, so a set of
-    few members in a large dimension (#A + 1 < E^2 / (_DENSE d^2), about
-    d^2/64) takes the scaled normal and its image rows instead, in blocks of
-    about _BLOCK floats of those and of whole S.
+    point's reductions run along the fast axis.
     """
     d = a_set.dim
     rows, cols, _ = _entries(d)
     size = len(rows)
-    if size * size > _DENSE * (len(a_set) + 1) * d * d:
-        for lo, hi in _blocks(len(points), max(1, _BLOCK // ((len(a_set) + 1 + d) * d))):
-            a = points[lo:hi]
-            v = np.concatenate([sqrt(expected) * a[:, None], operator_images(a_set, a)], axis=1)
-            s = np.matmul(v.transpose(0, 2, 1), v).reshape(hi - lo, -1)
-            yield lo, hi, 0, s.take(rows * d + cols, axis=1).T
-        return
-    keys, grams = _sign_grams(a_set)
+    keys, grams = _sign_grams(a_set, pairings)
+    total, off, diag = deviations = np.zeros((3, len(points)))
     for first, stop in _blocks(size, max(1, _FORM // size)):
         form = _frame_form(keys, grams, first, stop)
         form[np.arange(stop - first), np.arange(first, stop)] += expected  # C*a*a^T
+        diagonal = max(0, d - first)  # entries below d are the diagonal
         for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
             a = points[lo:hi].T
-            yield lo, hi, first, form @ (a.take(rows, axis=0) * a.take(cols, axis=0))
+            s = form @ (a.take(rows, axis=0) * a.take(cols, axis=0))
+            total[lo:hi] += s[:diagonal].sum(axis=0)
+            s[:diagonal] -= expected
+            np.abs(s, out=s)  # NaN stays NaN, in the maxima and in the argmax, so it fails below
+            np.maximum(diag[lo:hi], s[:diagonal].max(axis=0, initial=0.0), out=diag[lo:hi])
+            np.maximum(off[lo:hi], s[diagonal:].max(axis=0, initial=0.0), out=off[lo:hi])
+    return deviations
+
+
+def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
+                    pairings: tuple | None) -> np.ndarray:
+    """What :func:`_form_deviations` returns, with S = V^T V for V the scaled
+    normal and the image rows, one batched matmul per block of about _ROWS
+    floats of V and W_pi coordinates.
+
+    Members sharing a pairing pi differ only in signs, so they add
+    W_pi o (a[pi] a[pi]^T).  A pairing of at least d members adds that (d*d
+    floats against the m*d of their rows per point, pairings in order of
+    first appearance); the other members keep their image rows.
+    """
+    d = a_set.dim
+    k, sign = a_set.index_arrays
+    w = k_heavy = np.empty((0, d, d))
+    if pairings is not None:
+        first, group, count = pairings
+        heavy = np.flatnonzero(count >= d)
+        heavy = heavy[np.argsort(first[heavy])]
+        if len(heavy):
+            w = np.array(list(_pairing_grams(sign, group, count, heavy.tolist())))
+            k_heavy = k[first[heavy]]
+            k, sign = k[count[group] < d], sign[count[group] < d]
+    total, off, diag = deviations = np.empty((3, len(points)))
+    blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1 + len(w)) * d)))
+    v = np.empty((max(hi - lo for lo, hi in blocks), len(k) + 1, d))  # the normal, then the images
+    for lo, hi in blocks:
+        a, vb = points[lo:hi], v[:hi - lo]
+        np.multiply(sqrt(expected), a, out=vb[:, 0])
+        np.multiply(sign, np.negative(a)[:, k], out=vb[:, 1:])
+        s = np.matmul(vb.transpose(0, 2, 1), vb)
+        if len(w):
+            a_heavy = a[:, k_heavy]
+            s += np.einsum("prs,xpr,xps->xrs", w, a_heavy, a_heavy)
+        s = s.reshape(hi - lo, -1)
+        diagonal = s[:, ::d + 1]
+        total[lo:hi] = diagonal.sum(axis=1)
+        diag[lo:hi] = np.abs(diagonal - expected).max(axis=1)  # NaN stays NaN, as above
+        diagonal[...] = 0.0
+        off[lo:hi] = np.abs(s).max(axis=1)
+    return deviations
 
 
 def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -282,12 +374,14 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     coefficients F of :func:`_frame_form` (plus C on each entry's own
     monomial), built once per set.  A balanced set's form is S_rr = C*|a|^2
     and S_rs = 0, every other coefficient 0, so its off-diagonal entries
-    come out exactly 0.0.  Points then take one matmul
-    per block (see :func:`_entry_blocks`), and per point the largest
-    off-diagonal |S_rs|, the largest |S_rr - C| and the sum of the diagonal
-    are kept.  The report is that of the first point of largest deviation
-    (or the first NaN); its verdict also needs max |S - C*I| <= tolerance
-    for S built there directly from every member's image row.
+    come out exactly 0.0.  Points then take one matmul per block (see
+    :func:`_form_deviations`).  Where F would cost more (see :func:`_route`),
+    S is built from the image rows instead (:func:`_row_deviations`).  Per
+    point the largest off-diagonal |S_rs|, the largest |S_rr - C| and the
+    sum of the diagonal are kept.  The report is that of the first point of
+    largest deviation (or the first NaN); its verdict also needs
+    max |S - C*I| <= tolerance for S built there directly from every
+    member's image row.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
@@ -295,14 +389,9 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     d, expected = a_set.dim, _frame_constant(a_set)
     check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
     points = _points(d, num_samples, seed)
-    total, off, diag = np.zeros((3, len(points)))
-    for lo, hi, first, s in _entry_blocks(a_set, points, expected):
-        diagonal = max(0, d - first)  # entries below d are the diagonal
-        total[lo:hi] += s[:diagonal].sum(axis=0)
-        s[:diagonal] -= expected
-        np.abs(s, out=s)  # NaN stays NaN, in the maxima and in the argmax, so it fails below
-        np.maximum(diag[lo:hi], s[:diagonal].max(axis=0, initial=0.0), out=diag[lo:hi])
-        np.maximum(off[lo:hi], s[diagonal:].max(axis=0, initial=0.0), out=off[lo:hi])
+    form, pairings = _route(a_set)
+    deviations = _form_deviations if form else _row_deviations
+    total, off, diag = deviations(a_set, points, expected, pairings)
     deviation = np.maximum(off, diag)
     worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
     point = points[worst].copy()

@@ -30,6 +30,10 @@ def subset(a_set, pick):
     return OperatorSet.from_arrays(k[pick] + 1, sign[pick])
 
 
+# 100 of the 120 members of the full n = 3 set, in 15 pairings of 3 to 8
+FULL3_SUBSET = subset(enumerate_full(3), np.sort(np.random.default_rng(0).choice(120, 100, replace=False)))
+
+
 def one_member_per_pairing():
     """One seeded member of each of the 945 pairings of R^10: as many pairings
     as members, so grouping by pairing would not shrink the scatter into F."""
@@ -127,6 +131,40 @@ def reduced_worst_point(a_set, num_samples, seed):
         if max(max_off, max_diag) > worst_dev:
             worst_dev = max(max_off, max_diag)
             worst = (a, max_off, max_diag, sum(column[:d]) / d)
+    return worst
+
+
+def reduced_row_worst_point(a_set, num_samples, seed):
+    """The per-point arithmetic of verify_moving_funtf's row route, written
+    out with its own grouping.  A pairing of at least d members becomes the
+    integer Gram matrix of their sign rows (pairings in order of first
+    appearance); the other members keep their image rows, after the scaled
+    normal and in set order.  Returns what reduced_worst_point returns."""
+    k, sign = a_set.index_arrays
+    d = a_set.dim
+    expected = len(a_set) / (d - 1)
+    groups = {}
+    for m, row in enumerate(k.tolist()):
+        groups.setdefault(tuple(row), []).append(m)
+    heavy = [rows for rows in groups.values() if len(rows) >= d]
+    light = sorted(m for rows in groups.values() if len(rows) < d for m in rows)
+    w = np.zeros((len(heavy), d, d))
+    for j, rows in enumerate(heavy):
+        for m in rows:
+            w[j] += np.outer(sign[m], sign[m])
+    k_heavy = k[[rows[0] for rows in heavy]]
+    points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
+    worst_dev, worst = -1.0, None
+    for a in points:
+        v = np.vstack([math.sqrt(expected) * a, -sign[light] * a[k[light]]])
+        s = v.T @ v
+        if heavy:
+            s = s + np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
+        max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
+        max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
+        if max(max_off, max_diag) > worst_dev:
+            worst_dev = max(max_off, max_diag)
+            worst = (a, max_off, max_diag, float(np.diagonal(s).sum() / d))
     return worst
 
 
@@ -278,22 +316,21 @@ class TestVerifyMovingFuntf:
         assert report.tight
         assert report.theoretical_constant == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("a_set,num_samples,blocked", [
-        *((build_minimal_balanced(n), 10, False) for n in (2, 3, 4, 5)),
-        (OperatorSet(4, MIN2.members[:-1]), 10, False), (MIXED, 10, False),
-        (reversed_coordinates(build_minimal_balanced(5)), 10, False),
-        # with the working sizes shrunk: 215 points in 6 blocks of up to 36, F
-        # in 3 row blocks of 7 entries, and the scatter grouped by pairing
-        # (#A*E = 2,100 members' entries pass _BLOCK = 840)
-        (subset(enumerate_full(3), np.sort(np.random.default_rng(0).choice(120, 100, replace=False))),
-         200, True),
-        (one_member_per_pairing(), 10, False),
+    @pytest.mark.parametrize("a_set,num_samples,shrunk", [
+        *((build_minimal_balanced(n), 10, {}) for n in (2, 3, 4, 5)),
+        (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
+        (reversed_coordinates(build_minimal_balanced(5)), 10, {}),
+        # with the working sizes shrunk: 215 points in 6 blocks of up to 36 and
+        # F in 3 row blocks of 7 entries, scattered member by member...
+        (FULL3_SUBSET, 200, {"_BLOCK": 21 * 40, "_FORM": 21 * 8}),
+        (one_member_per_pairing(), 10, {}),
+        # ...or grouped by pairing (#A*E = 2,100 members' entries pass 840)
+        (FULL3_SUBSET, 200, {"_BLOCK": 21 * 40, "_FORM": 21 * 8, "_GROUP": 21 * 40}),
     ], ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed", "reversed-min5",
-            "full3-subset", "one-per-pairing"])
-    def test_worst_point_matches_reference_loop(self, a_set, num_samples, blocked, monkeypatch):
-        if blocked:
-            monkeypatch.setattr(framecheck, "_BLOCK", 21 * 40)
-            monkeypatch.setattr(framecheck, "_FORM", 21 * 8)
+            "full3-subset", "one-per-pairing", "full3-subset-grouped"])
+    def test_worst_point_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
+        for name, value in shrunk.items():
+            monkeypatch.setattr(framecheck, name, value)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
@@ -319,8 +356,8 @@ class TestVerifyMovingFuntf:
         size = a_set.dim * (a_set.dim + 1) // 2
         forms = []
         for threshold in (0, 2 ** 62):  # every set grouped, then no set grouped
-            monkeypatch.setattr(framecheck, "_BLOCK", threshold)
-            keys, grams = framecheck._sign_grams(a_set)
+            monkeypatch.setattr(framecheck, "_GROUP", threshold)
+            keys, grams = framecheck._sign_grams(a_set, None)
             pairings = len(np.unique(a_set.index_arrays[0], axis=0))
             assert len(keys) == (pairings if threshold == 0 else len(a_set))
             forms.append(framecheck._frame_form(keys, grams, 0, size))
@@ -341,7 +378,7 @@ class TestVerifyMovingFuntf:
         d = a_set.dim
         rows, cols, number = framecheck._entries(d)
         assert [tuple(e) for e in zip(rows.tolist(), cols.tolist())] == entry_order(d)
-        form = framecheck._frame_form(*framecheck._sign_grams(a_set), 0, len(rows))
+        form = framecheck._frame_form(*framecheck._sign_grams(a_set, None), 0, len(rows))
         report = is_balanced(a_set)
         counts = np.full((d, d), float(Fraction(len(a_set), d - 1)))  # condition i holds...
         for p, q, observed, _ in report.condition_i_failures:  # ...except where it fails
@@ -355,35 +392,70 @@ class TestVerifyMovingFuntf:
             expected[number[r - 1, s - 1], number[p - 1, q - 1]] = plus - minus
         assert np.array_equal(form, expected)
 
-    @pytest.mark.parametrize("members", [1, 5])
-    def test_few_members_in_a_large_dimension_take_the_image_rows(self, members, monkeypatch):
-        """At d = 20 a dense F costs E^2 = 44,100 products per point, more than
-        16 times the (#A + 1) d^2 of the image rows for a few members."""
-        a_set = subset(build_minimal_balanced(10), np.arange(0, 512 * members, 512))
-        report = verify_moving_funtf(a_set, num_samples=10, seed=4)
-        # each U is an isometry, so trace S(a) = C + #A at every unit point
-        assert report.frame_constant == pytest.approx((1 / 19 + 1) * members / 20, abs=1e-12)
-        _, direct_off, direct_diag = reference_worst_point(a_set, 10, 4)
-        assert abs(max(direct_off, direct_diag) - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
-        assert abs(direct_deviation(a_set, report.worst_point)
-                   - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
+    @pytest.mark.parametrize("a_set,num_samples,shrunk", [
+        (MIN2, 10, {}), (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
+        (build_minimal_balanced(3), 10, {}), (reversed_coordinates(build_minimal_balanced(5)), 10, {}),
+        # 13 image rows, the normal and 12 W_pi: 156 floats a point, so 215 points
+        # in 22 blocks of up to 10
+        (FULL3_SUBSET, 200, {"_ROWS": 156 * 10}),
+        (one_member_per_pairing(), 10, {}),
+    ], ids=["min2", "clipped-min2", "mixed", "min3", "reversed-min5", "full3-subset",
+            "one-per-pairing"])
+    def test_row_route_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
+        """The row route, taken by every set here with F refused: pairings of
+        at least d members (one of MIXED's, 12 of full3-subset's and all of
+        reversed-min5's) add their W_pi, the other members their image rows."""
+        monkeypatch.setattr(framecheck, "_SMALL", 0)
+        monkeypatch.setattr(framecheck, "_DENSE", 0)
+        monkeypatch.setattr(framecheck, "_frame_form", None)
+        for name, value in shrunk.items():
+            monkeypatch.setattr(framecheck, name, value)
+        report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
+        point, max_off, max_diag, mean = reduced_row_worst_point(a_set, num_samples, 4)
+        assert np.array_equal(report.worst_point, point)
+        assert report.max_offdiag == max_off
+        assert report.max_diag_dev == max_diag
+        assert report.frame_constant == pytest.approx(mean, abs=1e-15)
+        _, direct_off, direct_diag = reference_worst_point(a_set, num_samples, 4)
+        assert abs(max(direct_off, direct_diag) - max(max_off, max_diag)) <= 1e-12
+        assert abs(direct_deviation(a_set, point) - max(max_off, max_diag)) <= 1e-12
+        assert report.tight == is_balanced(a_set).balanced
+
+    @pytest.mark.parametrize("pick,route", [
+        (np.arange(0, 512, 512), "rows"),  # one member
+        (np.arange(0, 2560, 512), "rows"),  # five members of five pairings
+        (np.arange(1024), "rows"),  # two whole pairings, each a W_pi
+        (np.arange(0, 9728, 2), "form"),  # half of each of the 19 pairings
+    ], ids=["one", "five", "two-pairings", "half"])
+    def test_route_follows_the_cost_of_the_rows(self, pick, route, monkeypatch):
+        """At d = 20 F costs E^2 = 44,100 products per point: more than
+        _route allows against the rows of a few members or of two pairings'
+        W_pi, less than it allows for half of the Theorem 3.4 set.  Either
+        route gives the same verdict and worst deviation, and the rows never
+        build F."""
+        a_set = subset(build_minimal_balanced(10), pick)
+        patched = "_row_deviations" if route == "form" else "_frame_form"
         with monkeypatch.context() as patch:
-            patch.setattr(framecheck, "_DENSE", float("inf"))  # the same set through F
-            dense = verify_moving_funtf(a_set, num_samples=10, seed=4)
-        assert not report.tight and not dense.tight
-        assert abs(max(dense.max_offdiag, dense.max_diag_dev)
+            patch.setattr(framecheck, patched, None)
+            report = verify_moving_funtf(a_set, num_samples=10, seed=4)
+        with monkeypatch.context() as patch:  # the other route
+            patch.setattr(framecheck, *(("_DENSE", 0) if route == "form" else ("_SMALL", 20)))
+            patch.setattr(framecheck, "_frame_form" if route == "form" else "_row_deviations", None)
+            other = verify_moving_funtf(a_set, num_samples=10, seed=4)
+        # each U is an isometry, so trace S(a) = C + #A at every unit point
+        assert report.frame_constant == pytest.approx((1 / 19 + 1) * len(pick) / 20, abs=1e-12)
+        assert not report.tight and not other.tight
+        for r in (report, other):
+            assert abs(direct_deviation(a_set, r.worst_point) - max(r.max_offdiag, r.max_diag_dev)) <= 1e-12
+        assert abs(max(other.max_offdiag, other.max_diag_dev)
                    - max(report.max_offdiag, report.max_diag_dev)) <= 1e-12
-        monkeypatch.setattr(framecheck, "_sign_grams", None)  # the image route never builds F
-        assert verify_moving_funtf(a_set, num_samples=10, seed=4).to_dict() == report.to_dict()
 
     def test_the_direct_recheck_refuses_what_the_form_missed(self, monkeypatch):
         """The verdict also needs S rebuilt from the image rows at the worst
         point: with every point's S replaced by C*I, only that re-check is left."""
-        def exact(a_set, points, expected):
-            s = np.zeros((a_set.dim * (a_set.dim + 1) // 2, len(points)))
-            s[:a_set.dim] = expected
-            yield 0, len(points), 0, s
-        monkeypatch.setattr(framecheck, "_entry_blocks", exact)
+        def exact(a_set, points, expected, pairings):
+            return np.array([[a_set.dim * expected], [0.0], [0.0]]).repeat(len(points), axis=1)
+        monkeypatch.setattr(framecheck, "_form_deviations", exact)
         assert verify_moving_funtf(MIN2, num_samples=5).tight
         report = verify_moving_funtf(OperatorSet(4, MIN2.members[:-1]), num_samples=5)
         assert not report.tight
