@@ -1,11 +1,13 @@
 """Exact combinatorics of balanced operator sets.
 
-Everything here is integer or rational arithmetic: slice counts (integer
-numpy arrays from one ``np.bincount`` kernel, so still exact), the balanced
-decision, the sign-flip bijection between opposite-sign slices, and the
-round-robin style pairing matrix that yields the balanced set of
+Everything here is integer or rational arithmetic: slice counts, the
+balanced decision, the sign-flip bijection between opposite-sign slices,
+and the round-robin style pairing matrix that yields the balanced set of
 Theorem 3.4: (2n-1) * 2^(n-1) operators, every pairing of the family with
-every sign pattern pinned at coordinate 1.
+every sign pattern pinned at coordinate 1.  The slice counts are integer
+numpy arrays from one ``np.bincount`` kernel, so still exact.  It scatters a
+set member by member or, where one rule finds that smaller, pairing by
+pairing, and the frame check reads its integer form from the same tables.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import numpy as np
 from .operators import OperatorSet, SignedInvolution, check_cap, sign_design, signed_pairings
 from .sphere import is_integer
 
-_BLOCK = 1 << 16  # entries in one working array of the slice counts
+# Working sizes of the slice counts: entries of one table; the least codes one
+# np.bincount scatters; and the cost of one pairing's W_pi, in scattered entries.
+_BLOCK = 1 << 16
+_CHUNK = 1 << 12
+_GROUP = 1 << 8
 # default caps on n: (2n-1) * 2^(n-1) operators (47,104 at n = 12) and a 2n x 2n matrix
 DEFAULT_THEOREM_SET_CAP = 12
 DEFAULT_MATRIX_CAP = 100
@@ -60,43 +66,105 @@ def _check_indices(d: int, **indices: int) -> None:
 @lru_cache(maxsize=16)
 def _layout(d: int):
     """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
-    lexicographic, 1-based), ``columns`` (their r and s, 0-based), ``column_code``
-    (2C*c for pair c) and ``key_code`` (key_code[p, q] // 2 numbers {p, q})."""
+    lexicographic, 1-based), ``entries`` (rows and columns of the entries r <= s,
+    0-based: the diagonal, then the pairs, so table column c is entry d + c, as
+    the frame check's F is ordered), ``column_code`` (2C*c for pair c) and ``key_code``
+    (key_code[p, q] // 2 numbers {p, q}, C where p = q mod d; flat at p*2d + q)."""
     rows, cols = np.triu_indices(d, 1)
-    pair_id = np.zeros((d, d), dtype=np.intp)
+    pair_id = np.full((d, d), d * (d - 1) // 2)  # C where p = q
     pair_id[rows, cols] = pair_id[cols, rows] = np.arange(len(rows))
     partner, positive = np.arange(2 * d) % d, np.arange(2 * d) // d
     key_code = 2 * pair_id[np.ix_(partner, partner)] + (positive[:, None] == positive)
-    columns, column_code = np.stack([rows, cols]), 2 * len(rows) * np.arange(len(rows))
-    for array in (columns, column_code, key_code):
+    entries = np.stack([np.concatenate([np.arange(d), part]) for part in (rows, cols)])
+    column_code = 2 * len(rows) * np.arange(len(rows))
+    for array in (entries, column_code, key_code):
         array.flags.writeable = False
-    return list(zip((rows + 1).tolist(), (cols + 1).tolist())), columns, column_code, key_code
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist())), entries, column_code, key_code
 
 
-def _slice_counts(a_set: OperatorSet, start: int, stop: int) -> np.ndarray:
-    """Row C*j + g, column t: members with {k_r, k_s} = pair g and S[r]*S[s] =
-    (+1 if t else -1), for (r, s) the pair start + j of :func:`_layout`.
+def _pairings(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members grouped by pairing, i.e. by partner row K: each pairing's
+    first member, each member's pairing and each pairing's member count."""
+    narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted several times faster
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
 
-    With K, S the cached index arrays, S[r]*S[s] = sign[p]*sign[q]; the keys
-    k + d*[S < 0] at r and s give key_code 2g + [S[r] = S[s]].  Row C*j +
-    start + j is the pair slice {r, s} (k_r = s, S[r] = -S[s]); the others
-    are sign slices: k_r != s forces k_s != r, and a pairing has no fixed
-    points, so {k_r, k_s} and {r, s} are disjoint.  Operators go in chunks.
-    """
+
+def _pairing_grams(sign: np.ndarray, group: np.ndarray, count: np.ndarray, least: int = 1):
+    """W_pi = S_pi^T S_pi of each pairing pi of at least ``least`` members, in
+    pairing order, shape (H, d, d): sums of +-1 terms, exact.  The pairings of
+    one member count go through one batched float32 matmul, exact below 2^24."""
+    sizes = count[count >= least]
+    members = np.flatnonzero(count[group] >= least)
+    signs = sign.astype(np.int8)[members[np.lexsort((group[members], count[group[members]]))]]
+    grams, start = np.empty((len(sizes), sign.shape[1], sign.shape[1])), 0
+    for size in sorted(set(sizes.tolist())):  # members by count, then by pairing
+        which = np.flatnonzero(sizes == size)
+        block = signs[start:start + size * len(which)].astype(np.float32).reshape(len(which), size, -1)
+        grams[which] = block.transpose(0, 2, 1) @ block
+        start += size * len(which)
+    return grams
+
+
+def _grouping(a_set: OperatorSet, width: int, pairings: tuple | None = None) -> tuple | None:
+    """The pairings (of :func:`_pairings`) if ``width`` columns are counted pairing
+    by pairing, else None: where 2*width entries per pairing, _GROUP for its W_pi
+    and #A*d for finding the pairings come to less than #A*width member by
+    member.  Unless given, the pairings are looked for only where that could
+    save more than a table, so small sets never pay for ``np.unique``."""
+    k = a_set.index_arrays[0]
+    size, d = k.shape
+    if pairings is None and size * (width - d) > _BLOCK:
+        pairings = _pairings(k)
+    grouped = pairings is not None and len(pairings[2]) * (2 * width + _GROUP) + size * d < size * width
+    return pairings if grouped else None
+
+
+def _slice_source(a_set: OperatorSet, width: int, pairings: tuple | None = None):
+    """The rows :func:`_slice_counts` scatters to count ``width`` columns, and
+    their weights: each member's keys K + d*[S < 0], unweighted, or (see
+    :func:`_grouping`) each pairing's K, weighted by the counts of its
+    members at sign -1 and +1 at each pair r < s, (|pi| -+ W_pi[r, s])/2."""
     k, sign = a_set.index_arrays
-    pairs, columns, column_code, key_code = _layout(a_set.dim)
-    keys, rs = k + (1 - sign) * (a_set.dim // 2), columns[:, start:stop]  # (1 - S)/2 = [S < 0]
-    size, step = 2 * len(pairs) * (stop - start), max(1, _BLOCK // (stop - start))
+    d = a_set.dim
+    grouped = _grouping(a_set, width, pairings)
+    if grouped is None:
+        return k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
+    first, group, count = grouped
+    rows, cols = _layout(d)[1][:, d:]
+    grams, counts = _pairing_grams(sign, group, count)[:, rows, cols], count[:, None]
+    weights = np.stack([counts - grams, counts + grams]) / 2  # exact halves of even integers
+    return k[first], weights.astype(np.min_scalar_type(count.max()))
 
-    def count(m: int) -> np.ndarray:
-        kk = keys[m:m + step].take(rs, axis=1)
-        codes = key_code[kk[:, 0], kk[:, 1]] + column_code[:stop - start]
-        return np.bincount(codes.ravel(), minlength=size)
 
-    table = count(0)
-    for m in range(step, len(k), step):
-        table += count(m)
-    return table.reshape(-1, 2)
+def _slice_counts(source, start: int, stop: int):
+    """Yield (first, last, table) over the columns start:stop in blocks of about
+    _BLOCK entries, scattered from ``source`` (:func:`_slice_source`).  Row C*j + g,
+    column t: members with {k_r, k_s} = pair g and S[r]*S[s] = (+1 if t else -1),
+    for (r, s) the pair first + j; row C*j + first + j is the pair slice {r, s}.
+    The keys K + d*[S < 0] at r and s give key_code 2g + [S[r] = S[s]]; a
+    pairing's keys, under d, give 2g + 1, and it adds its weights at 2g and
+    2g + 1.  Each ``np.bincount`` scatters at least _CHUNK codes and as many as
+    its table holds."""
+    keys, weights = source
+    d = keys.shape[1]
+    pairs, entries, column_code, key_code = _layout(d)
+    most = max(1, _BLOCK // (2 * len(pairs)))
+    for first in range(start, stop, most):
+        last = min(first + most, stop)
+        rs, width = entries[:, d + first:d + last], last - first
+        size = 2 * len(pairs) * width
+        step = max(1, max(_CHUNK, size) // (width if weights is None else 2 * width))
+        for m in range(0, len(keys), step):
+            kk = keys[m:m + step].take(rs, axis=1)
+            codes = key_code.take(kk[:, 0] * (2 * d) + kk[:, 1])  # key_code[key_r, key_s]
+            codes += column_code[:width]
+            counts = None
+            if weights is not None:
+                codes, counts = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
+            counts = np.bincount(codes.ravel(), counts, size)  # with weights, floats of exact integers
+            table = np.add(table, counts, out=table) if m else counts
+        yield first, last, table.reshape(-1, 2)
 
 
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
@@ -106,7 +174,8 @@ def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
     column = int(_layout(d)[3][p - 1, q - 1]) // 2
-    return int(_slice_counts(a_set, column, column + 1)[column, 0])
+    _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
+    return int(table[column, 0])
 
 
 def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: int) -> int:
@@ -120,7 +189,8 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
     if not is_integer(sign) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     key_code = _layout(d)[3]
-    table = _slice_counts(a_set, key_code[r - 1, s - 1] // 2, key_code[r - 1, s - 1] // 2 + 1)
+    column = int(key_code[r - 1, s - 1]) // 2
+    _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
     return int(table[key_code[p - 1, q - 1] // 2, int(sign > 0)])
 
 
@@ -131,18 +201,18 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     the comparison is done as #A_{p,q} * (2n-1) == #A so a non-divisible set
     size fails automatically.  Condition ii compares the two sign slices of
     every four distinct indices; it is vacuous for n = 1.  Both are read
-    from :func:`_slice_counts` in blocks of about _BLOCK entries, never a
-    d^4 table, at the rows whose two signs differ.
+    from the tables of :func:`_slice_counts`, never a d^4 table, at the rows
+    whose two signs differ.
     """
     d, size = a_set.dim, len(a_set)
     pairs = _layout(d)[0]
-    pair_counts, cond_ii = [0] * len(pairs), []
-    width = max(1, _BLOCK // (2 * len(pairs)))
-    for start in range(0, len(pairs), width):
-        table = _slice_counts(a_set, start, min(start + width, len(pairs)))
+    columns = len(pairs)
+    pair_counts, cond_ii = [0] * columns, []
+    for start, _, table in _slice_counts(_slice_source(a_set, columns), 0, columns):
         differ = (table[:, 1] != table[:, 0]).nonzero()[0]
-        for row, (minus, plus) in zip(differ.tolist(), table.take(differ, axis=0).tolist()):
-            j, g = divmod(row, len(pairs))
+        counts = table.take(differ, axis=0).astype(int, copy=False)  # ints also from weights
+        for row, (minus, plus) in zip(differ.tolist(), counts.tolist()):
+            j, g = divmod(row, columns)
             if g == start + j:  # the pair slice {r, s}, all at sign -1
                 pair_counts[g] = minus
             else:

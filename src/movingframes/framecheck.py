@@ -5,12 +5,10 @@ every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
 augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it,
-for most sets, as one quadratic form: the frame operator at a point is an
-exact integer matrix F, built once per set from the members' signs, times
-the monomials a_p*a_q of the point, for blocks of points at a time.  Sets
-of few members or few pairings in a large dimension, for which F costs
-more, are evaluated from their image rows instead.  Either way the worst
-point is re-checked directly from the image rows.
+for most sets, as one quadratic form: the exact integer coefficients F,
+read once per set from the balance slice tables, times the monomials
+a_p*a_q of blocks of points.  Sets for which F costs more are evaluated
+from their image rows.  Either way the worst point is re-checked directly.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .balance import BalanceReport
+from .balance import BalanceReport, _layout, _pairing_grams, _pairings, _slice_counts, _slice_source
 from .operators import OperatorSet
 from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_point
 
@@ -30,15 +28,11 @@ DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
 
 # Working sizes of verify_moving_funtf, in floats: point monomials per block
-# of points through F; one row block of F (4 MB); per-member sign products
-# past which F is scattered pairing by pairing; and image rows and W_pi
-# coordinates per block of points on the row route.  Each np.bincount into F
-# scatters at least _CHUNK entries, and at least as many as its output holds.
+# of points through F; one row block of F (4 MB); and image rows and W_pi
+# coordinates per block of points on the row route.
 _BLOCK = 2 ** 17
 _FORM = 2 ** 19
-_GROUP = 2 ** 17
 _ROWS = 2 ** 14
-_CHUNK = 2 ** 12
 
 # Where F pays, as timed (see :func:`_route`): up to d = _SMALL always, above
 # it where E^2 <= _DENSE (L + 1 + _EINSUM H) d^2.
@@ -116,7 +110,10 @@ def probe_points(dim: int) -> np.ndarray:
     """The deterministic probe points (e_p + e_q)/sqrt(2) for all p < q.
 
     Tightness failures of unbalanced sets always show up at one of these.
+    ``dim`` follows :func:`sample_sphere`'s rule: an even integer of at least 2.
     """
+    if not is_integer(dim) or dim < 2 or dim % 2 != 0:
+        raise ValueError(f"dim must be an even integer of at least 2, got {dim!r}")
     rows, cols = np.triu_indices(dim, 1)
     points = np.zeros((len(rows), dim))
     points[np.arange(len(rows)), rows] = points[np.arange(len(rows)), cols] = 1 / sqrt(2)
@@ -177,21 +174,6 @@ def _points(dim: int, num_samples: int, seed: int) -> np.ndarray:
     return points
 
 
-@lru_cache(maxsize=16)
-def _entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The E = d(d+1)/2 entries (r, s), r <= s, of a symmetric d x d matrix: the
-    diagonal, then the pairs r < s in lexicographic order.  Returns their rows,
-    their columns and ``number``, where number[p, q] = number[q, p] numbers {p, q};
-    the monomials a_p*a_q of a point are numbered alike.  Read-only, as shared."""
-    upper = np.triu_indices(dim, 1)
-    rows, cols = (np.concatenate([np.arange(dim), part]) for part in upper)
-    number = np.empty((dim, dim), dtype=np.intp)
-    number[rows, cols] = number[cols, rows] = np.arange(len(rows))
-    for array in (rows, cols, number):
-        array.flags.writeable = False
-    return rows, cols, number
-
-
 def _blocks(total: int, most: int) -> list[tuple[int, int]]:
     """range(total) cut into the fewest slices of at most ``most``, of near-equal
     lengths, so no block is left with a sliver of one or two points."""
@@ -200,37 +182,17 @@ def _blocks(total: int, most: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _pairings(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The members grouped by pairing, i.e. by partner row K: each pairing's
-    first member, each member's pairing and each pairing's member count."""
-    narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted several times faster
-    keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
-    _, first, group, count = np.unique(keys, return_index=True, return_inverse=True,
-                                       return_counts=True)
-    return first, group, count
-
-
-def _pairing_grams(sign: np.ndarray, group: np.ndarray, count: np.ndarray, which):
-    """Yield W_pi = S_pi^T S_pi over the members of each pairing pi in
-    ``which``: sums of +-1 terms, exact far below 2^53."""
-    members, stops = np.argsort(group, kind="stable"), np.cumsum(count)
-    for g in which:
-        signs = sign[members[stops[g] - count[g]:stops[g]]].astype(float)
-        yield signs.T @ signs
-
-
 def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
-    """Whether F pays for this set, and its pairings if they were grouped.
+    """Whether F pays for this set, and its pairings (balance._pairings) if found.
 
     Timed on random sets of d = 10 to 64 (one BLAS thread of a shared
     2-vCPU machine, against the rows of :func:`_row_deviations`): up to
     d = 14, F was faster for every member count and pairing count tried.
-    Above, F costs E^2 products per point and
-    the rows (L + 1 + kappa H) d^2, for the L members of pairings under d
-    members, the normal, and H pairings of at least d members whose W_pi
-    cost kappa = 10 to 19 rows each; F and the rows took equal time at about
-    E^2 = 3 (L + 1) d^2.  F is taken where E^2 <= 2 (L + 1 + 8 H) d^2, so
-    only where the timings put it clearly ahead.
+    Above, F costs E^2 products per point and the rows (L + 1 + kappa H) d^2,
+    for the L members of pairings under d members, the normal, and H pairings
+    of at least d members whose W_pi cost kappa = 10 to 19 rows each; F and
+    the rows took equal time at about E^2 = 3 (L + 1) d^2.  F is taken where
+    E^2 <= 2 (L + 1 + 8 H) d^2, so only where the timings put it clearly ahead.
     """
     d = a_set.dim
     if d <= _SMALL:
@@ -244,70 +206,43 @@ def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
     return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d, pairings
 
 
-def _sign_grams(a_set: OperatorSet, pairings: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-    """Partner rows K, and the Gram matrix W of their signs at each entry (r, s)
-    of :func:`_entries`, from which F is scattered.
-
-    A set of at most _GROUP per-member sign products gives every member,
-    with its W = S S^T (exact in int8).  A larger one is grouped by pairing
-    first (``pairings``, when :func:`_route` has grouped them already): each
-    pairing pi once, with its W_pi, exact in the narrowest integer type that
-    holds its member count.
-    """
-    k, sign = a_set.index_arrays
-    rows, cols, _ = _entries(a_set.dim)
-    if len(k) * len(rows) <= _GROUP:
-        small = sign.astype(np.int8)
-        return k, small[:, rows] * small[:, cols]
-    first, group, count = _pairings(k) if pairings is None else pairings
-    # |W| <= count: the narrowest signed type that holds -count - 1, and so +-count
-    grams = np.empty((len(count), len(rows)), np.min_scalar_type(-int(count.max()) - 1))
-    for g, gram in enumerate(_pairing_grams(sign, group, count, range(len(count)))):
-        grams[g] = gram[rows, cols]
-    return k[first], grams
-
-
-def _frame_form(keys: np.ndarray, grams: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """Rows first:stop of F, the E x E integer coefficients of sum_U U(a)U(a)^T.
-
-    F[e, m] multiplies monomial m in entry e (both numbered by
-    :func:`_entries`).  As U(a)_r = -S[r]*a[K[r]], a row K with sign Gram
-    matrix W adds W[r, s] at the monomial {K[r], K[s]} of entry (r, s): on the
-    diagonal the pair counts #A_{r,p} of condition i at a_p^2, off it
-    -#A_{r,s} at a_r*a_s and the sign-slice differences #A_{+1} - #A_{-1} of
-    condition ii at the other monomials.  One float ``np.bincount`` of exact
-    integers, in chunks of at least _CHUNK entries and of the rows' E*width
-    counts, so that no call adds up a larger output than it scatters.
-    """
-    rows, cols, number = _entries(keys.shape[1])
-    r, c, width = rows[first:stop], cols[first:stop], stop - first
-    size, offsets = len(rows) * width, len(rows) * np.arange(width)
-    form = 0  # the first chunk's counts, then each later chunk's added in place
-    for start, end in _blocks(len(keys), max(1, max(_CHUNK, size) // width)):
-        part = keys[start:end]
-        codes = number[part[:, r], part[:, c]] + offsets
-        form += np.bincount(codes.ravel(), grams[start:end, first:stop].ravel(), minlength=size)
-    return form.reshape(width, -1)
+def _frame_form(a_set: OperatorSet, pairings: tuple | None):
+    """Yield (first, F[first:stop]) over row blocks of at most _FORM floats of
+    F, the last first.  F holds the E x E integer coefficients of
+    sum_U U(a)U(a)^T: as U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s] at
+    the monomial {K[r], K[s]} of entry (r, s), both numbered as the entries
+    of balance._layout.  So F is read from the balance slice tables: entry
+    r < s holds count_plus - count_minus of each slice of column (r, s), and
+    entry (r, r) the pair counts #A_{r,p} at a_p^2, from the later blocks."""
+    d = a_set.dim
+    _, entries, _, key_code = _layout(d)
+    size = entries.shape[1]
+    source = _slice_source(a_set, size - d, pairings)
+    counts = np.zeros(size - d + 1)  # #A_{r,s} of each pair, as the pair slices come, then 0
+    for first, stop in reversed(_blocks(size, max(1, _FORM // size))):
+        form = np.zeros((stop - first, size))
+        for start, end, table in _slice_counts(source, max(first - d, 0), stop - d):
+            block = form[start + d - first:end + d - first, d:]
+            np.subtract(*table.T[::-1].reshape(2, end - start, -1), out=block)  # plus - minus
+            np.negative(block.diagonal(start), out=counts[start:end])
+        pair = key_code[first:min(d, stop), :d] // 2  # the pair {r, p} of each (r, r) and a_p^2
+        form[:len(pair), :d] = counts[pair]
+        yield first, form
 
 
 def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
                      pairings: tuple | None) -> np.ndarray:
     """Per point: the sum of the diagonal of S, the largest off-diagonal |S_rs|
-    and the largest |S_rr - C|, with S taken as a quadratic form.
-
-    S at a point is F, plus C on each entry's own monomial, times its
-    monomials X: one matmul per block of about _BLOCK floats of X, F cut into
-    row blocks of at most _FORM floats.  Entries go down the rows, so each
-    point's reductions run along the fast axis.
-    """
+    and the largest |S_rr - C|, for S = F of :func:`_frame_form`, plus C on
+    each entry's own monomial, times the monomials X: one matmul per block of
+    about _BLOCK floats of X and row block of F.  Entries go down the rows,
+    so each point's reductions run along the fast axis."""
     d = a_set.dim
-    rows, cols, _ = _entries(d)
+    rows, cols = _layout(d)[1]
     size = len(rows)
-    keys, grams = _sign_grams(a_set, pairings)
     total, off, diag = deviations = np.zeros((3, len(points)))
-    for first, stop in _blocks(size, max(1, _FORM // size)):
-        form = _frame_form(keys, grams, first, stop)
-        form[np.arange(stop - first), np.arange(first, stop)] += expected  # C*a*a^T
+    for first, form in _frame_form(a_set, pairings):
+        form.ravel()[first::size + 1] += expected  # C*a*a^T, at (e, e) for e = first, first + 1, ...
         diagonal = max(0, d - first)  # entries below d are the diagonal
         for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
             a = points[lo:hi].T
@@ -324,12 +259,10 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
                     pairings: tuple | None) -> np.ndarray:
     """What :func:`_form_deviations` returns, with S = V^T V for V the scaled
     normal and the image rows, one batched matmul per block of about _ROWS
-    floats of V and W_pi coordinates.
-
-    Members sharing a pairing pi differ only in signs, so they add
-    W_pi o (a[pi] a[pi]^T).  A pairing of at least d members adds that (d*d
-    floats against the m*d of their rows per point, pairings in order of
-    first appearance); the other members keep their image rows.
+    floats of V and W_pi coordinates.  Members sharing a pairing pi differ
+    only in signs, so they add W_pi o (a[pi] a[pi]^T): a pairing of at least
+    d members adds that (d*d floats against the m*d of their rows per point,
+    pairings in order of first appearance), the other members their rows.
     """
     d = a_set.dim
     k, sign = a_set.index_arrays
@@ -337,11 +270,9 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
     if pairings is not None:
         first, group, count = pairings
         heavy = np.flatnonzero(count >= d)
-        heavy = heavy[np.argsort(first[heavy])]
-        if len(heavy):
-            w = np.array(list(_pairing_grams(sign, group, count, heavy.tolist())))
-            k_heavy = k[first[heavy]]
-            k, sign = k[count[group] < d], sign[count[group] < d]
+        order = np.argsort(first[heavy])  # pairings in order of first appearance
+        w, k_heavy = _pairing_grams(sign, group, count, d)[order], k[first[heavy[order]]]
+        k, sign = k[count[group] < d], sign[count[group] < d]
     total, off, diag = deviations = np.empty((3, len(points)))
     blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1 + len(w)) * d)))
     v = np.empty((max(hi - lo for lo, hi in blocks), len(k) + 1, d))  # the normal, then the images
@@ -371,17 +302,13 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
     points, drawn once per (dimension, num_samples, seed).  S(a) is a
     quadratic form in the monomials a_p*a_q, p <= q, with the exact integer
-    coefficients F of :func:`_frame_form` (plus C on each entry's own
-    monomial), built once per set.  A balanced set's form is S_rr = C*|a|^2
-    and S_rs = 0, every other coefficient 0, so its off-diagonal entries
-    come out exactly 0.0.  Points then take one matmul per block (see
-    :func:`_form_deviations`).  Where F would cost more (see :func:`_route`),
-    S is built from the image rows instead (:func:`_row_deviations`).  Per
-    point the largest off-diagonal |S_rs|, the largest |S_rr - C| and the
-    sum of the diagonal are kept.  The report is that of the first point of
-    largest deviation (or the first NaN); its verdict also needs
-    max |S - C*I| <= tolerance for S built there directly from every
-    member's image row.
+    coefficients F of :func:`_frame_form` plus C on each entry's own
+    monomial (:func:`_form_deviations`); a balanced set's off-diagonal
+    entries come out exactly 0.0.  Where F would cost more (:func:`_route`),
+    S is built from the image rows (:func:`_row_deviations`).  The report is
+    that of the first point of largest deviation (or the first NaN); its
+    verdict also needs max |S - C*I| <= tolerance for S built there directly
+    from every member's image row.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")

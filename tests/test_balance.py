@@ -17,6 +17,7 @@ from movingframes import (augment_with_normal, build_minimal_balanced,
                           tangent_basis, validate_pairing_matrix,
                           verify_moving_funtf, witness_cross_term,
                           witness_unbalanced)
+from movingframes import balance
 from movingframes.cli import main
 from movingframes.operators import OperatorSet, SignedInvolution, signed_pairings
 
@@ -90,6 +91,26 @@ def full_subsets_3_4(draw):
         drop = draw(st.integers(0, len(k) - 1))
         k, sign = np.delete(k, drop, axis=0), np.delete(sign, drop, axis=0)
     return OperatorSet.from_arrays(k + 1, sign)
+
+
+def sylvester_set(n):
+    """The pairing family of ``build_pairing_matrix(n)`` signed by the first n
+    columns of a Sylvester matrix: balanced, with as many members per pairing
+    as the matrix has rows."""
+    design = np.ones((1, 1), np.int8)
+    while len(design) < n:
+        design = np.block([[design, design], [design, -design]])
+    return signed_pairings(extract_pairings(build_pairing_matrix(n)), design[:, :n])
+
+
+def group_always(a_set, width, pairings=None):
+    """A stand-in for balance._grouping that counts every set pairing by pairing."""
+    return balance._pairings(a_set.index_arrays[0]) if pairings is None else pairings
+
+
+def group_never(a_set, width, pairings=None):
+    """A stand-in for balance._grouping that counts every set member by member."""
+    return None
 
 
 def frame_form_coefficients(a_set):
@@ -330,10 +351,7 @@ class TestCrossRoutes:
         """The pairing family of ``build_pairing_matrix(n)`` signed by the first
         n columns of a Sylvester matrix, whole and minus one seeded member, each
         as built and relabelled: the frame check agrees with the exact verdict."""
-        design = np.ones((1, 1), np.int8)
-        while len(design) < n:
-            design = np.block([[design, design], [design, -design]])
-        whole = signed_pairings(extract_pairings(build_pairing_matrix(n)), design[:, :n])
+        whole = sylvester_set(n)
         rng = np.random.default_rng(n)
         drop = int(rng.integers(len(whole)))
         for a_set in (whole, OperatorSet(2 * n, whole.members[:drop] + whole.members[drop + 1:])):

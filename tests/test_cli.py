@@ -389,13 +389,15 @@ class TestEntrypoint:
 
 def loaded_by_cli_calls(module: str, tmp_path) -> tuple[str, str]:
     """Whether ``module`` is in sys.modules after importing the CLI, and after
-    gen-min, check-balance and check-funtf in that interpreter."""
+    gen-min, check-balance and check-funtf in that interpreter, at n = 3 and at
+    n = 8, whose slices are counted pairing by pairing."""
     script = "\n".join([
         "import sys",
         "from movingframes.cli import main",
         f"before = {module!r} in sys.modules",
-        "for argv in ('gen-min 3 -o F', 'check-balance F -o B', 'check-funtf F -o T'):",
-        "    assert main(argv.split()) == 0, argv",
+        "for n in (3, 8):",
+        "    for argv in (f'gen-min {n} -o F', 'check-balance F -o B', 'check-funtf F -o T'):",
+        "        assert main(argv.split()) == 0, argv",
         f"print(before, {module!r} in sys.modules)",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))

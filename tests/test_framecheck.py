@@ -14,9 +14,13 @@ from movingframes import (augment_with_normal, build_minimal_balanced,
                           probe_points, reconstruct, s3_basis,
                           verify_moving_funtf, witness_cross_term,
                           witness_unbalanced)
-from movingframes import framecheck
+from movingframes import balance, count_pair_slice, count_sign_slice, framecheck
 from movingframes.operators import OperatorSet
 from movingframes.sphere import project_tangent, sample_sphere
+from test_balance import (failures_by_pair, failures_from_definitions, group_always,
+                          group_never, sylvester_set)
+
+MODULES = {"balance": balance, "framecheck": framecheck}
 
 MIN2 = build_minimal_balanced(2)
 # full n = 2 with pairing (2, 1, 4, 3) whole (4 members) and one member of
@@ -109,6 +113,12 @@ def reference_form(a_set):
             p, q = sorted((pairing[r], pairing[s]))
             form[e, number[p, q]] += signs[r] * signs[s]
     return form
+
+
+def whole_form(a_set, pairings=None):
+    """F of verify_moving_funtf, its row blocks stacked in order."""
+    blocks = dict(framecheck._frame_form(a_set, pairings))
+    return np.vstack([blocks[first] for first in sorted(blocks)])
 
 
 def reduced_worst_point(a_set, num_samples, seed):
@@ -277,6 +287,10 @@ class TestAugmentWithNormal:
             augment_with_normal(MIN2, np.array([1.0, 0.0]))
 
 
+SHRUNK = {"framecheck._BLOCK": 21 * 40, "framecheck._FORM": 21 * 8, "balance._BLOCK": 30 * 4,
+          "balance._CHUNK": 1}
+
+
 class TestVerifyMovingFuntf:
     def test_s3_preset_is_moving_orthonormal_basis(self):
         report = verify_moving_funtf(s3_basis(), num_samples=50, seed=3)
@@ -320,17 +334,19 @@ class TestVerifyMovingFuntf:
         *((build_minimal_balanced(n), 10, {}) for n in (2, 3, 4, 5)),
         (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
         (reversed_coordinates(build_minimal_balanced(5)), 10, {}),
-        # with the working sizes shrunk: 215 points in 6 blocks of up to 36 and
-        # F in 3 row blocks of 7 entries, scattered member by member...
-        (FULL3_SUBSET, 200, {"_BLOCK": 21 * 40, "_FORM": 21 * 8}),
+        # with the working sizes shrunk: 215 points in 6 blocks of up to 36, F
+        # in 3 row blocks of 7 entries, slice tables of 4 columns and chunks of
+        # 30 members, scattered member by member...
+        (FULL3_SUBSET, 200, SHRUNK),
         (one_member_per_pairing(), 10, {}),
-        # ...or grouped by pairing (#A*E = 2,100 members' entries pass 840)
-        (FULL3_SUBSET, 200, {"_BLOCK": 21 * 40, "_FORM": 21 * 8, "_GROUP": 21 * 40}),
+        # ...or pairing by pairing
+        (FULL3_SUBSET, 200, {**SHRUNK, "balance._grouping": group_always}),
     ], ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed", "reversed-min5",
             "full3-subset", "one-per-pairing", "full3-subset-grouped"])
     def test_worst_point_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
         for name, value in shrunk.items():
-            monkeypatch.setattr(framecheck, name, value)
+            module, name = name.split(".")
+            monkeypatch.setattr(MODULES[module], name, value)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
@@ -348,47 +364,76 @@ class TestVerifyMovingFuntf:
         build_minimal_balanced(3), reversed_coordinates(build_minimal_balanced(4)),
         subset(enumerate_full(3), np.arange(0, 120, 7)), one_member_per_pairing(),
         build_minimal_balanced(8),
+        subset(sylvester_set(16), np.delete(np.arange(496), np.random.default_rng(16).integers(496))),
     ], ids=["min2", "clipped-min2", "mixed", "full2", "min3", "reversed-min4", "full3-subset",
-            "one-per-pairing", "min8"])
+            "one-per-pairing", "min8", "sylvester16-minus-one"])
     def test_grouped_and_per_member_forms_are_identical(self, a_set, monkeypatch):
-        """F scattered member by member and pairing by pairing (each pairing's
-        W_pi), whole or in row blocks, is the same array of exact integers."""
-        size = a_set.dim * (a_set.dim + 1) // 2
-        forms = []
-        for threshold in (0, 2 ** 62):  # every set grouped, then no set grouped
-            monkeypatch.setattr(framecheck, "_GROUP", threshold)
-            keys, grams = framecheck._sign_grams(a_set, None)
-            pairings = len(np.unique(a_set.index_arrays[0], axis=0))
-            assert len(keys) == (pairings if threshold == 0 else len(a_set))
-            forms.append(framecheck._frame_form(keys, grams, 0, size))
-            forms.append(np.vstack([framecheck._frame_form(keys, grams, first, stop)
-                                    for first, stop in framecheck._blocks(size, 4)]))
+        """The slice tables scattered member by member and pairing by pairing
+        (each pairing's W_pi) give the same F, whole or in row blocks, from
+        large tables or from tables of 3 columns, an array of exact integers;
+        and the same balance report and slice counts, those of the definitions."""
+        d = a_set.dim
+        size = d * (d + 1) // 2
+        k, sign = a_set.index_arrays
+        pairings = len(np.unique(k, axis=0))
+        rng = np.random.default_rng(d)
+        picks = [rng.choice(d, min(d, 4), replace=False) + 1 for _ in range(8)]
+        forms, counts = [], []
+        for grouping in (group_always, group_never):
+            monkeypatch.setattr(balance, "_grouping", grouping)
+            keys, weights = balance._slice_source(a_set, size - d)
+            assert len(keys) == (pairings if grouping is group_always else len(a_set))
+            assert (weights is None) == (grouping is group_never)
+            forms.append(whole_form(a_set))
+            with monkeypatch.context() as patch:
+                patch.setattr(framecheck, "_FORM", 4 * size)
+                patch.setattr(balance, "_BLOCK", 2 * (size - d) * 3)
+                forms.append(whole_form(a_set))
+            report = is_balanced(a_set)
+            assert (report.condition_i_failures, report.condition_ii_failures) == failures_by_pair(a_set)
+            counts.append([count_pair_slice(a_set, *pick[:2]) for pick in picks])
+            if d >= 4:
+                counts.append([count_sign_slice(a_set, *pick, product)
+                               for pick in picks for product in (1, -1)])
         for form in forms[1:]:
             assert np.array_equal(form, forms[0])
         if len(a_set) * size <= 10 ** 5:
             assert np.array_equal(forms[0], reference_form(a_set))
+        # the slice counts as defined: members with k_p = q, and members with
+        # {k_r, k_s} = {p, q} and sign[p]*sign[q] equal to the given sign
+        assert counts[0] == counts[len(counts) // 2] == [
+            int((k[:, p - 1] == q - 1).sum()) for p, q, *_ in picks]
+        if d >= 4:
+            assert counts[1] == counts[3] == [
+                int(((np.sort(k[:, [r - 1, s - 1]], axis=1) == sorted((p - 1, q - 1))).all(axis=1)
+                     & (sign[:, p - 1] * sign[:, q - 1] == product)).sum())
+                for p, q, r, s in picks for product in (1, -1)]
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_shaped_sets())
     def test_form_coefficients_are_the_balance_counts(self, a_set):
-        """F read against is_balanced, an independent kernel: on the diagonal
-        the pair counts of condition i, at each entry's own monomial minus its
-        pair count, and elsewhere count_plus - count_minus of the failing
-        sign slices of condition ii, 0 at every other one."""
+        """F against the reference loop, and read as the counts of the balance
+        definitions (failures_from_definitions): on the diagonal the pair
+        counts of condition i, at each entry's own monomial minus its pair
+        count, and elsewhere count_plus - count_minus of the failing sign
+        slices of condition ii, 0 at every other one."""
         d = a_set.dim
-        rows, cols, number = framecheck._entries(d)
-        assert [tuple(e) for e in zip(rows.tolist(), cols.tolist())] == entry_order(d)
-        form = framecheck._frame_form(*framecheck._sign_grams(a_set, None), 0, len(rows))
-        report = is_balanced(a_set)
+        rows, cols = balance._layout(d)[1]
+        order = entry_order(d)
+        assert [tuple(e) for e in zip(rows.tolist(), cols.tolist())] == order
+        number = {pair: m for m, pair in enumerate(order)}
+        form = whole_form(a_set)
+        assert np.array_equal(form, reference_form(a_set))
+        cond_i, cond_ii = failures_from_definitions(a_set)
         counts = np.full((d, d), float(Fraction(len(a_set), d - 1)))  # condition i holds...
-        for p, q, observed, _ in report.condition_i_failures:  # ...except where it fails
+        for p, q, observed, _ in cond_i:  # ...except where it fails
             counts[p - 1, q - 1] = counts[q - 1, p - 1] = observed
         expected = np.zeros_like(form)
         for r, p in zip(*np.nonzero(~np.eye(d, dtype=bool))):
             expected[number[r, r], number[p, p]] = counts[r, p]
         for e in range(d, len(rows)):
             expected[e, e] = -counts[rows[e], cols[e]]
-        for p, q, r, s, plus, minus in report.condition_ii_failures:
+        for p, q, r, s, plus, minus in cond_ii:
             expected[number[r - 1, s - 1], number[p - 1, q - 1]] = plus - minus
         assert np.array_equal(form, expected)
 
@@ -641,3 +686,13 @@ class TestProbePoints:
         assert pts.shape == (6, 4)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
         assert np.all(np.sum(pts > 0, axis=1) == 2)
+
+    @pytest.mark.parametrize("dim", [True, 2.0, "4", 3, 0, -2, np.int64(5), None], ids=repr)
+    def test_rejects_a_dim_sample_sphere_refuses(self, dim):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dim must be an even integer of at least 2, got {dim!r}")):
+            probe_points(dim)
+
+    def test_numpy_integer_dim(self):
+        assert np.array_equal(probe_points(np.int64(6)), probe_points(6))
+        assert probe_points(2).tolist() == [[1 / math.sqrt(2)] * 2]
