@@ -71,7 +71,7 @@ def _layout(d: int):
     the frame check's F is ordered), ``column_code`` (2C*c for pair c) and ``key_code``
     (key_code[p, q] // 2 numbers {p, q}, C where p = q mod d; flat at p*2d + q)."""
     rows, cols = np.triu_indices(d, 1)
-    pair_id = np.full((d, d), d * (d - 1) // 2)  # C where p = q
+    pair_id = np.full((d, d), d * (d - 1) // 2, dtype=np.intp)  # C where p = q
     pair_id[rows, cols] = pair_id[cols, rows] = np.arange(len(rows))
     partner, positive = np.arange(2 * d) % d, np.arange(2 * d) // d
     key_code = 2 * pair_id[np.ix_(partner, partner)] + (positive[:, None] == positive)
