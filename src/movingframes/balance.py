@@ -159,10 +159,10 @@ def _slice_counts(source, start: int, stop: int):
             kk = keys[m:m + step].take(rs, axis=1)
             codes = key_code.take(kk[:, 0] * (2 * d) + kk[:, 1])  # key_code[key_r, key_s]
             codes += column_code[:width]
-            counts = None
+            part = None
             if weights is not None:
-                codes, counts = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
-            counts = np.bincount(codes.ravel(), counts, size)  # with weights, floats of exact integers
+                codes, part = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
+            counts = np.bincount(codes.ravel(), part, size)  # with weights, floats of exact integers
             table = np.add(table, counts, out=table) if m else counts
         yield first, last, table.reshape(-1, 2)
 
