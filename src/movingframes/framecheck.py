@@ -206,7 +206,7 @@ def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
     return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d, pairings
 
 
-def _frame_form(a_set: OperatorSet, pairings: tuple | None):
+def _form_rows(a_set: OperatorSet, pairings: tuple | None):
     """Yield (first, F[first:stop]) over row blocks of at most _FORM floats of
     F, the last first.  F holds the E x E integer coefficients of
     sum_U U(a)U(a)^T: as U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s] at
@@ -233,7 +233,7 @@ def _frame_form(a_set: OperatorSet, pairings: tuple | None):
 def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
                      pairings: tuple | None) -> np.ndarray:
     """Per point: the sum of the diagonal of S, the largest off-diagonal |S_rs|
-    and the largest |S_rr - C|, for S = F of :func:`_frame_form`, plus C on
+    and the largest |S_rr - C|, for S = F of :func:`_form_rows`, plus C on
     each entry's own monomial, times the monomials X: one matmul per block of
     about _BLOCK floats of X and row block of F.  Entries go down the rows,
     so each point's reductions run along the fast axis."""
@@ -241,7 +241,7 @@ def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
     rows, cols = _layout(d)[1]
     size = len(rows)
     total, off, diag = deviations = np.zeros((3, len(points)))
-    for first, form in _frame_form(a_set, pairings):
+    for first, form in _form_rows(a_set, pairings):
         form.ravel()[first::size + 1] += expected  # C*a*a^T, at (e, e) for e = first, first + 1, ...
         diagonal = max(0, d - first)  # entries below d are the diagonal
         for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
@@ -302,7 +302,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
     points, drawn once per (dimension, num_samples, seed).  S(a) is a
     quadratic form in the monomials a_p*a_q, p <= q, with the exact integer
-    coefficients F of :func:`_frame_form` plus C on each entry's own
+    coefficients F of :func:`_form_rows` plus C on each entry's own
     monomial (:func:`_form_deviations`); a balanced set's off-diagonal
     entries come out exactly 0.0.  Where F would cost more (:func:`_route`),
     S is built from the image rows (:func:`_row_deviations`).  The report is

@@ -117,7 +117,7 @@ def reference_form(a_set):
 
 def whole_form(a_set, pairings=None):
     """F of verify_moving_funtf, its row blocks stacked in order."""
-    blocks = dict(framecheck._frame_form(a_set, pairings))
+    blocks = dict(framecheck._form_rows(a_set, pairings))
     return np.vstack([blocks[first] for first in sorted(blocks)])
 
 
@@ -452,7 +452,7 @@ class TestVerifyMovingFuntf:
         reversed-min5's) add their W_pi, the other members their image rows."""
         monkeypatch.setattr(framecheck, "_SMALL", 0)
         monkeypatch.setattr(framecheck, "_DENSE", 0)
-        monkeypatch.setattr(framecheck, "_frame_form", None)
+        monkeypatch.setattr(framecheck, "_form_rows", None)
         for name, value in shrunk.items():
             monkeypatch.setattr(framecheck, name, value)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
@@ -479,13 +479,13 @@ class TestVerifyMovingFuntf:
         route gives the same verdict and worst deviation, and the rows never
         build F."""
         a_set = subset(build_minimal_balanced(10), pick)
-        patched = "_row_deviations" if route == "form" else "_frame_form"
+        patched = "_row_deviations" if route == "form" else "_form_rows"
         with monkeypatch.context() as patch:
             patch.setattr(framecheck, patched, None)
             report = verify_moving_funtf(a_set, num_samples=10, seed=4)
         with monkeypatch.context() as patch:  # the other route
             patch.setattr(framecheck, *(("_DENSE", 0) if route == "form" else ("_SMALL", 20)))
-            patch.setattr(framecheck, "_frame_form" if route == "form" else "_row_deviations", None)
+            patch.setattr(framecheck, "_form_rows" if route == "form" else "_row_deviations", None)
             other = verify_moving_funtf(a_set, num_samples=10, seed=4)
         # each U is an isometry, so trace S(a) = C + #A at every unit point
         assert report.frame_constant == pytest.approx((1 / 19 + 1) * len(pick) / 20, abs=1e-12)
