@@ -7,7 +7,7 @@ Theorem 3.4: (2n-1) * 2^(n-1) operators, every pairing of the family with
 every sign pattern pinned at coordinate 1.  The slice counts are integer
 numpy arrays from one ``np.bincount`` kernel, so still exact.  It scatters a
 set member by member or, where one rule finds that smaller, pairing by
-pairing, and the frame check reads its integer form from the same tables.
+pairing, and the frame check's integer form F is read from the same tables.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import numpy as np
 from .operators import OperatorSet, SignedInvolution, check_cap, sign_design, signed_pairings
 from .sphere import is_integer
 
-# Working sizes of the slice counts: entries of one table; the least codes one
-# np.bincount scatters; and the cost of one pairing's W_pi, in scattered entries.
+# Working sizes of the slice counts: entries of one table; the least codes one np.bincount
+# scatters; one pairing's W_pi, in scattered entries; and floats of a row block of F (4 MB).
 _BLOCK = 1 << 16
 _CHUNK = 1 << 12
 _GROUP = 1 << 8
+_FORM = 1 << 19
 # default caps on n: (2n-1) * 2^(n-1) operators (47,104 at n = 12) and a 2n x 2n matrix
 DEFAULT_THEOREM_SET_CAP = 12
 DEFAULT_MATRIX_CAP = 100
@@ -63,6 +64,14 @@ def _check_indices(d: int, **indices: int) -> None:
             raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
+def _blocks(total: int, most: int) -> list[tuple[int, int]]:
+    """range(total) cut into the fewest slices of at most ``most``, of near-equal
+    lengths, so no block is left with a sliver of one or two points."""
+    count = -(-total // most)
+    bounds = [total * j // count for j in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @lru_cache(maxsize=16)
 def _layout(d: int):
     """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
@@ -82,18 +91,11 @@ def _layout(d: int):
     return list(zip((rows + 1).tolist(), (cols + 1).tolist())), entries, column_code, key_code
 
 
-def _pairings(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The members grouped by pairing, i.e. by partner row K: each pairing's
-    first member, each member's pairing and each pairing's member count."""
-    narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted several times faster
-    keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
-    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
-
-
-def _pairing_grams(sign: np.ndarray, group: np.ndarray, count: np.ndarray, least: int = 1):
+def _pairing_grams(a_set: OperatorSet, least: int = 1):
     """W_pi = S_pi^T S_pi of each pairing pi of at least ``least`` members, in
     pairing order, shape (H, d, d): sums of +-1 terms, exact.  The pairings of
     one member count go through one batched float32 matmul, exact below 2^24."""
+    sign, (_, group, count) = a_set.index_arrays[1], a_set._pairings
     sizes = count[count >= least]
     members = np.flatnonzero(count[group] >= least)
     signs = sign.astype(np.int8)[members[np.lexsort((group[members], count[group[members]]))]]
@@ -106,33 +108,30 @@ def _pairing_grams(sign: np.ndarray, group: np.ndarray, count: np.ndarray, least
     return grams
 
 
-def _grouping(a_set: OperatorSet, width: int, pairings: tuple | None = None) -> tuple | None:
-    """The pairings (of :func:`_pairings`) if ``width`` columns are counted pairing
-    by pairing, else None: where 2*width entries per pairing, _GROUP for its W_pi
-    and #A*d for finding the pairings come to less than #A*width member by
-    member.  Unless given, the pairings are looked for only where that could
-    save more than a table, so small sets never pay for ``np.unique``."""
-    k = a_set.index_arrays[0]
-    size, d = k.shape
-    if pairings is None and size * (width - d) > _BLOCK:
-        pairings = _pairings(k)
-    grouped = pairings is not None and len(pairings[2]) * (2 * width + _GROUP) + size * d < size * width
-    return pairings if grouped else None
+def _grouping(a_set: OperatorSet, width: int) -> bool:
+    """Whether ``width`` columns are counted pairing by pairing: where 2*width
+    entries per pairing, _GROUP for its W_pi and #A*d for finding the
+    pairings come to less than #A*width member by member.  The pairings are
+    looked for only where that could save more than a table, or where the
+    set already holds them, so small sets never pay for ``np.unique``."""
+    size, d = a_set.index_arrays[0].shape
+    if size * (width - d) <= _BLOCK and "_pairings" not in vars(a_set):
+        return False
+    return len(a_set._pairings[2]) * (2 * width + _GROUP) + size * d < size * width
 
 
-def _slice_source(a_set: OperatorSet, width: int, pairings: tuple | None = None):
+def _slice_source(a_set: OperatorSet, width: int):
     """The rows :func:`_slice_counts` scatters to count ``width`` columns, and
     their weights: each member's keys K + d*[S < 0], unweighted, or (see
     :func:`_grouping`) each pairing's K, weighted by the counts of its
     members at sign -1 and +1 at each pair r < s, (|pi| -+ W_pi[r, s])/2."""
     k, sign = a_set.index_arrays
     d = a_set.dim
-    grouped = _grouping(a_set, width, pairings)
-    if grouped is None:
+    if not _grouping(a_set, width):
         return k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
-    first, group, count = grouped
+    first, _, count = a_set._pairings
     rows, cols = _layout(d)[1][:, d:]
-    grams, counts = _pairing_grams(sign, group, count)[:, rows, cols], count[:, None]
+    grams, counts = _pairing_grams(a_set)[:, rows, cols], count[:, None]
     weights = np.stack([counts - grams, counts + grams]) / 2  # exact halves of even integers
     return k[first], weights.astype(np.min_scalar_type(count.max()))
 
@@ -223,6 +222,30 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
               if count * (d - 1) != size]
     return BalanceReport(balanced=not cond_i and not cond_ii, set_size=size,
                          condition_i_failures=cond_i, condition_ii_failures=cond_ii)
+
+
+def _form_rows(a_set: OperatorSet):
+    """Yield (first, F[first:stop]) over row blocks of at most _FORM floats of
+    F, the last first.  F holds the E x E integer coefficients of the frame
+    check's sum_U U(a)U(a)^T: as U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s]
+    at the monomial {K[r], K[s]} of entry (r, s), both numbered as the entries
+    of :func:`_layout`.  So F is read from the slice tables: entry r < s holds
+    count_plus - count_minus of each slice of column (r, s), and entry (r, r)
+    the pair counts #A_{r,p} at a_p^2, from the later blocks."""
+    d = a_set.dim
+    _, entries, _, key_code = _layout(d)
+    size = entries.shape[1]
+    source = _slice_source(a_set, size - d)
+    counts = np.zeros(size - d + 1)  # #A_{r,s} of each pair, as the pair slices come, then 0
+    for first, stop in reversed(_blocks(size, max(1, _FORM // size))):
+        form = np.zeros((stop - first, size))
+        for start, end, table in _slice_counts(source, max(first - d, 0), stop - d):
+            block = form[start + d - first:end + d - first, d:]
+            np.subtract(*table.T[::-1].reshape(2, end - start, -1), out=block)  # plus - minus
+            np.negative(block.diagonal(start), out=counts[start:end])
+        pair = key_code[first:min(d, stop), :d] // 2  # the pair {r, p} of each (r, r) and a_p^2
+        form[:len(pair), :d] = counts[pair]
+        yield first, form
 
 
 def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:

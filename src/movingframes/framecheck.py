@@ -20,7 +20,7 @@ from math import sqrt
 
 import numpy as np
 
-from .balance import BalanceReport, _layout, _pairing_grams, _pairings, _slice_counts, _slice_source
+from .balance import BalanceReport, _blocks, _form_rows, _layout, _pairing_grams
 from .operators import OperatorSet
 from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_point
 
@@ -28,10 +28,9 @@ DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
 
 # Working sizes of verify_moving_funtf, in floats: point monomials per block
-# of points through F; one row block of F (4 MB); and image rows and W_pi
-# coordinates per block of points on the row route.
+# of points through F; and image rows and W_pi coordinates per block of
+# points on the row route.
 _BLOCK = 2 ** 17
-_FORM = 2 ** 19
 _ROWS = 2 ** 14
 
 # Where F pays, as timed (see :func:`_route`): up to d = _SMALL always, above
@@ -174,16 +173,8 @@ def _points(dim: int, num_samples: int, seed: int) -> np.ndarray:
     return points
 
 
-def _blocks(total: int, most: int) -> list[tuple[int, int]]:
-    """range(total) cut into the fewest slices of at most ``most``, of near-equal
-    lengths, so no block is left with a sliver of one or two points."""
-    count = -(-total // most)
-    bounds = [total * j // count for j in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
-    """Whether F pays for this set, and its pairings (balance._pairings) if found.
+def _route(a_set: OperatorSet) -> bool:
+    """Whether F pays for this set.
 
     Timed on random sets of d = 10 to 64 (one BLAS thread of a shared
     2-vCPU machine, against the rows of :func:`_row_deviations`): up to
@@ -196,44 +187,18 @@ def _route(a_set: OperatorSet) -> tuple[bool, tuple | None]:
     """
     d = a_set.dim
     if d <= _SMALL:
-        return True, None
-    light, heavy, pairings = len(a_set), 0, None
+        return True
+    light, heavy = len(a_set), 0
     if len(a_set) >= d:  # else no pairing has d members
-        pairings = _pairings(a_set.index_arrays[0])
-        count = pairings[2]
+        count = a_set._pairings[2]
         light, heavy = int(count[count < d].sum()), int((count >= d).sum())
     size = d * (d + 1) // 2
-    return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d, pairings
+    return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d
 
 
-def _form_rows(a_set: OperatorSet, pairings: tuple | None):
-    """Yield (first, F[first:stop]) over row blocks of at most _FORM floats of
-    F, the last first.  F holds the E x E integer coefficients of
-    sum_U U(a)U(a)^T: as U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s] at
-    the monomial {K[r], K[s]} of entry (r, s), both numbered as the entries
-    of balance._layout.  So F is read from the balance slice tables: entry
-    r < s holds count_plus - count_minus of each slice of column (r, s), and
-    entry (r, r) the pair counts #A_{r,p} at a_p^2, from the later blocks."""
-    d = a_set.dim
-    _, entries, _, key_code = _layout(d)
-    size = entries.shape[1]
-    source = _slice_source(a_set, size - d, pairings)
-    counts = np.zeros(size - d + 1)  # #A_{r,s} of each pair, as the pair slices come, then 0
-    for first, stop in reversed(_blocks(size, max(1, _FORM // size))):
-        form = np.zeros((stop - first, size))
-        for start, end, table in _slice_counts(source, max(first - d, 0), stop - d):
-            block = form[start + d - first:end + d - first, d:]
-            np.subtract(*table.T[::-1].reshape(2, end - start, -1), out=block)  # plus - minus
-            np.negative(block.diagonal(start), out=counts[start:end])
-        pair = key_code[first:min(d, stop), :d] // 2  # the pair {r, p} of each (r, r) and a_p^2
-        form[:len(pair), :d] = counts[pair]
-        yield first, form
-
-
-def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
-                     pairings: tuple | None) -> np.ndarray:
+def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
     """Per point: the sum of the diagonal of S, the largest off-diagonal |S_rs|
-    and the largest |S_rr - C|, for S = F of :func:`_form_rows`, plus C on
+    and the largest |S_rr - C|, for S = F of balance._form_rows, plus C on
     each entry's own monomial, times the monomials X: one matmul per block of
     about _BLOCK floats of X and row block of F.  Entries go down the rows,
     so each point's reductions run along the fast axis."""
@@ -241,7 +206,7 @@ def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
     rows, cols = _layout(d)[1]
     size = len(rows)
     total, off, diag = deviations = np.zeros((3, len(points)))
-    for first, form in _form_rows(a_set, pairings):
+    for first, form in _form_rows(a_set):
         form.ravel()[first::size + 1] += expected  # C*a*a^T, at (e, e) for e = first, first + 1, ...
         diagonal = max(0, d - first)  # entries below d are the diagonal
         for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
@@ -255,8 +220,7 @@ def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
     return deviations
 
 
-def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
-                    pairings: tuple | None) -> np.ndarray:
+def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
     """What :func:`_form_deviations` returns, with S = V^T V for V the scaled
     normal and the image rows, one batched matmul per block of about _ROWS
     floats of V and W_pi coordinates.  Members sharing a pairing pi differ
@@ -267,11 +231,11 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float,
     d = a_set.dim
     k, sign = a_set.index_arrays
     w = k_heavy = np.empty((0, d, d))
-    if pairings is not None:
-        first, group, count = pairings
+    if len(k) >= d:  # else no pairing has d members
+        first, group, count = a_set._pairings
         heavy = np.flatnonzero(count >= d)
         order = np.argsort(first[heavy])  # pairings in order of first appearance
-        w, k_heavy = _pairing_grams(sign, group, count, d)[order], k[first[heavy[order]]]
+        w, k_heavy = _pairing_grams(a_set, d)[order], k[first[heavy[order]]]
         k, sign = k[count[group] < d], sign[count[group] < d]
     total, off, diag = deviations = np.empty((3, len(points)))
     blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1 + len(w)) * d)))
@@ -302,7 +266,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
     points, drawn once per (dimension, num_samples, seed).  S(a) is a
     quadratic form in the monomials a_p*a_q, p <= q, with the exact integer
-    coefficients F of :func:`_form_rows` plus C on each entry's own
+    coefficients F of balance._form_rows plus C on each entry's own
     monomial (:func:`_form_deviations`); a balanced set's off-diagonal
     entries come out exactly 0.0.  Where F would cost more (:func:`_route`),
     S is built from the image rows (:func:`_row_deviations`).  The report is
@@ -316,9 +280,8 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     d, expected = a_set.dim, _frame_constant(a_set)
     check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
     points = _points(d, num_samples, seed)
-    form, pairings = _route(a_set)
-    deviations = _form_deviations if form else _row_deviations
-    total, off, diag = deviations(a_set, points, expected, pairings)
+    deviations = _form_deviations if _route(a_set) else _row_deviations
+    total, off, diag = deviations(a_set, points, expected)
     deviation = np.maximum(off, diag)
     worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
     point = points[worst].copy()

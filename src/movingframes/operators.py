@@ -172,6 +172,19 @@ class OperatorSet:
         k.flags.writeable = sign.flags.writeable = False
         return k, sign
 
+    @cached_property
+    def _pairings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The members grouped by pairing, i.e. by partner row K: each pairing's first
+        member, each member's pairing and each pairing's member count.  Found on
+        first use, never by a constructor, then shared read-only by every consumer."""
+        k = self.index_arrays[0]
+        narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted faster
+        keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
+        grouping = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
+        for array in grouping:
+            array.flags.writeable = False
+        return grouping
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorSet):
             return NotImplemented
@@ -264,7 +277,7 @@ def sign_design(n: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def signed_pairings(pairings: np.ndarray, design: np.ndarray) -> OperatorSet:
+def signed_pairings(family: np.ndarray, design: np.ndarray) -> OperatorSet:
     """Each pairing (a row, 1-based) with each sign pattern of ``design``.
 
     ``design`` is a (patterns x pairs) array of +-1.  A pattern gives every
@@ -273,13 +286,13 @@ def signed_pairings(pairings: np.ndarray, design: np.ndarray) -> OperatorSet:
     the design's order: the design broadcast over all pairings, with no
     per-member objects.
     """
-    d = pairings.shape[1]
-    lower = pairings - 1 > np.arange(d)  # position i is the smaller one of its pair
+    d = family.shape[1]
+    lower = family - 1 > np.arange(d)  # position i is the smaller one of its pair
     pair = np.cumsum(lower, axis=1) - 1  # pairs numbered by their smaller position
-    pair = np.where(lower, pair, np.take_along_axis(pair, pairings - 1, axis=1))
+    pair = np.where(lower, pair, np.take_along_axis(pair, family - 1, axis=1))
     orient = np.where(lower, 1, -1).astype(np.int8)
     signs = design[:, pair].transpose(1, 0, 2) * orient[:, None, :]
-    return OperatorSet.from_arrays(np.repeat(pairings, len(design), axis=0), signs.reshape(-1, d))
+    return OperatorSet.from_arrays(np.repeat(family, len(design), axis=0), signs.reshape(-1, d))
 
 
 def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> OperatorSet:

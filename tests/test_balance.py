@@ -103,14 +103,14 @@ def sylvester_set(n):
     return signed_pairings(extract_pairings(build_pairing_matrix(n)), design[:, :n])
 
 
-def group_always(a_set, width, pairings=None):
+def group_always(a_set, width):
     """A stand-in for balance._grouping that counts every set pairing by pairing."""
-    return balance._pairings(a_set.index_arrays[0]) if pairings is None else pairings
+    return True
 
 
-def group_never(a_set, width, pairings=None):
+def group_never(a_set, width):
     """A stand-in for balance._grouping that counts every set member by member."""
-    return None
+    return False
 
 
 def frame_form_coefficients(a_set):

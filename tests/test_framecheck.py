@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movingframes import (augment_with_normal, build_minimal_balanced,
-                          check_tight, enumerate_full, frame_operator,
+from movingframes import (augment_with_normal, build_minimal_balanced, build_pairing_matrix,
+                          check_tight, enumerate_full, extract_pairings, frame_operator,
                           is_balanced, make_operator, operator_images,
                           probe_points, reconstruct, s3_basis,
                           verify_moving_funtf, witness_cross_term,
                           witness_unbalanced)
 from movingframes import balance, count_pair_slice, count_sign_slice, framecheck
-from movingframes.operators import OperatorSet
+from movingframes.operators import OperatorSet, signed_pairings
 from movingframes.sphere import project_tangent, sample_sphere
 from test_balance import (failures_by_pair, failures_from_definitions, group_always,
                           group_never, sylvester_set)
@@ -43,6 +43,15 @@ def one_member_per_pairing():
     as members, so grouping by pairing would not shrink the scatter into F."""
     return subset(enumerate_full(5), 32 * np.arange(945) + np.random.default_rng(0).integers(
         32, size=945))
+
+
+def heavy_pairings(n, pairings, members):
+    """``members`` seeded distinct sign patterns of each of the first ``pairings``
+    pairings of build_pairing_matrix(n): pairings of at least d = 2n members,
+    so few that verify_moving_funtf takes the row route."""
+    codes = np.random.default_rng(n).choice(2 ** 16, members, replace=False)
+    design = (1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+    return signed_pairings(extract_pairings(build_pairing_matrix(n))[:pairings], design)
 
 
 def relabel(a_set, perm):
@@ -115,9 +124,9 @@ def reference_form(a_set):
     return form
 
 
-def whole_form(a_set, pairings=None):
+def whole_form(a_set):
     """F of verify_moving_funtf, its row blocks stacked in order."""
-    blocks = dict(framecheck._form_rows(a_set, pairings))
+    blocks = dict(balance._form_rows(a_set))
     return np.vstack([blocks[first] for first in sorted(blocks)])
 
 
@@ -287,7 +296,7 @@ class TestAugmentWithNormal:
             augment_with_normal(MIN2, np.array([1.0, 0.0]))
 
 
-SHRUNK = {"framecheck._BLOCK": 21 * 40, "framecheck._FORM": 21 * 8, "balance._BLOCK": 30 * 4,
+SHRUNK = {"framecheck._BLOCK": 21 * 40, "balance._FORM": 21 * 8, "balance._BLOCK": 30 * 4,
           "balance._CHUNK": 1}
 
 
@@ -386,7 +395,7 @@ class TestVerifyMovingFuntf:
             assert (weights is None) == (grouping is group_never)
             forms.append(whole_form(a_set))
             with monkeypatch.context() as patch:
-                patch.setattr(framecheck, "_FORM", 4 * size)
+                patch.setattr(balance, "_FORM", 4 * size)
                 patch.setattr(balance, "_BLOCK", 2 * (size - d) * 3)
                 forms.append(whole_form(a_set))
             report = is_balanced(a_set)
@@ -498,13 +507,53 @@ class TestVerifyMovingFuntf:
     def test_the_direct_recheck_refuses_what_the_form_missed(self, monkeypatch):
         """The verdict also needs S rebuilt from the image rows at the worst
         point: with every point's S replaced by C*I, only that re-check is left."""
-        def exact(a_set, points, expected, pairings):
+        def exact(a_set, points, expected):
             return np.array([[a_set.dim * expected], [0.0], [0.0]]).repeat(len(points), axis=1)
         monkeypatch.setattr(framecheck, "_form_deviations", exact)
         assert verify_moving_funtf(MIN2, num_samples=5).tight
         report = verify_moving_funtf(OperatorSet(4, MIN2.members[:-1]), num_samples=5)
         assert not report.tight
         assert report.max_offdiag == report.max_diag_dev == 0.0
+
+    @pytest.mark.parametrize("a_set", [
+        subset(build_minimal_balanced(8), np.arange(1919)),
+        subset(enumerate_full(5), np.arange(3, 30240)),
+        heavy_pairings(16, 4, 64),
+    ], ids=["min8-minus-one", "full5-minus-three", "heavy-rows"])
+    def test_the_grouping_is_found_once(self, a_set, monkeypatch):
+        """check-funtf on an unbalanced set: the frame check, then exact
+        balance, both reading the set's one grouping by pairing."""
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+        a_set = OperatorSet.from_arrays(a_set.index_arrays[0] + 1, a_set.index_arrays[1])
+        assert not verify_moving_funtf(a_set, num_samples=5).tight
+        assert not is_balanced(a_set).balanced
+        assert len(calls) == 1
+        for array in a_set._pairings:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_heavy_pairings_take_the_rows(self, monkeypatch):
+        monkeypatch.setattr(framecheck, "_form_rows", None)
+        for n, pairings, members in ((16, 4, 64), (32, 2, 128)):
+            a_set = heavy_pairings(n, pairings, members)
+            assert not framecheck._route(a_set)
+            assert verify_moving_funtf(a_set, num_samples=5).tight == is_balanced(a_set).balanced
+
+    @settings(max_examples=30, deadline=None)
+    @given(sweep_shaped_sets())
+    def test_sweep_shaped_sets_never_look_for_their_grouping(self, a_set):
+        """Built as the sweep benchmark builds them, or from arrays, and
+        decided both ways, small sets never pay for np.unique."""
+        k, sign = a_set.index_arrays
+        calls, unique = [], np.unique
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+            for built in (OperatorSet(a_set.dim, a_set.members), OperatorSet.from_arrays(k + 1, sign)):
+                assert verify_moving_funtf(built, num_samples=5).tight == is_balanced(built).balanced
+                assert "_pairings" not in vars(built)
+        assert calls == []
 
     def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
         a_set = one_member_per_pairing()
