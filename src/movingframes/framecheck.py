@@ -22,7 +22,7 @@ import numpy as np
 
 from .balance import BalanceReport, _blocks, _form_rows, _layout, _pairing_grams
 from .operators import OperatorSet
-from .sphere import UNIT_POINT_TOL, check_draw, is_integer, sample_sphere, unit_point
+from .sphere import UNIT_POINT_TOL, _as_floats, check_draw, is_integer, sample_sphere, unit_point
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
@@ -90,7 +90,7 @@ def operator_images(a_set: OperatorSet, a) -> np.ndarray:
 
     ``a`` is one point of shape (dim,) or a batch (P, dim); U(a)_i = -S_i * a[K_i].
     """
-    av = np.asarray(a, dtype=float)
+    av = _as_floats(a)
     if av.ndim not in (1, 2) or av.shape[-1] != a_set.dim:
         raise ValueError(f"expected points of length {a_set.dim}, got shape {av.shape}")
     k, sign = a_set.index_arrays
@@ -99,7 +99,7 @@ def operator_images(a_set: OperatorSet, a) -> np.ndarray:
 
 def frame_operator(vectors) -> np.ndarray:
     """Sum of outer products f_i f_i^T, as a symmetric matrix."""
-    v = np.asarray(vectors, dtype=float)
+    v = _as_floats(vectors)
     if v.ndim != 2 or 0 in v.shape:
         raise ValueError("expected a nonempty list of vectors of common length")
     return v.T @ v
@@ -119,9 +119,12 @@ def probe_points(dim: int) -> np.ndarray:
     return points
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not 0 <= tolerance < float("inf"):  # NaN fails both comparisons
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+def _check_tolerance(value, name: str = "tolerance") -> None:
+    """The rule for a tolerance and an expected frame constant: a finite,
+    nonnegative int, float, Fraction or numpy integer or float, not a bool."""
+    real = isinstance(value, (int, float, Fraction, np.integer, np.floating))
+    if not (real and not isinstance(value, bool) and 0 <= value < float("inf")):  # NaN fails both
+        raise ValueError(f"{name} must be a finite real number >= 0, got {value!r}")
 
 
 def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
@@ -132,11 +135,13 @@ def check_tight(vectors, tolerance: float = DEFAULT_TIGHTNESS_TOL,
     deviation is taken against ``expected_constant`` when given, else against
     the measured one.  For unit-norm systems the constant is cross-checked
     against k/m, which any genuine unit tight frame must match.  The
-    tolerance must be finite and nonnegative.
+    tolerance and a given expected constant must be finite nonnegative reals.
     """
     _check_tolerance(tolerance)
-    s = frame_operator(vectors)
-    v = np.asarray(vectors, dtype=float)
+    if expected_constant is not None:
+        _check_tolerance(expected_constant, "expected_constant")
+    v = _as_floats(vectors)
+    s = frame_operator(v)
     k, m = v.shape
     unit = expected_constant is None and np.all(
         np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_POINT_TOL)
@@ -296,7 +301,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
 def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:
     """Resynthesize (1/C) * sum_U c_U U(a) from frame coefficients; C = #A/(2n-1)."""
     a = unit_point(a, a_set.dim)
-    coeffs = np.asarray(coefficients, dtype=float)
+    coeffs = _as_floats(coefficients)
     if coeffs.shape != (len(a_set),):
         raise ValueError(f"expected one vector of {len(a_set)} coefficients, got shape {coeffs.shape}")
     return coeffs @ operator_images(a_set, a) / _frame_constant(a_set)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sphere import is_integer, unit_point
+from .sphere import _as_floats, is_integer, unit_point
 
 DEFAULT_ENUMERATION_CAP = 5
 
@@ -69,9 +69,10 @@ class SignedInvolution:
     def __call__(self, a):
         """The image U(a): component i is ``signs[k-1] * a[k-1]`` with ``k = pairing[i-1]``.
 
-        ``a`` must be one vector of length ``dim``.  Numpy arrays come back as
-        numpy arrays; any other sequence comes back as a list, preserving
-        element types (so Fraction inputs stay exact).
+        ``a`` must be one vector of length ``dim``, of numbers as
+        :func:`~movingframes.sphere._as_floats` reads them.  Numpy arrays come
+        back as numpy arrays; any other sequence comes back as a list,
+        preserving element types (so Fraction inputs stay exact).
         """
         try:
             got = f"shape {np.shape(a)}"
@@ -79,6 +80,7 @@ class SignedInvolution:
             got = "a ragged sequence"
         if got != f"shape ({self.dim},)":
             raise ValueError(f"expected one vector of length {self.dim}, got {got}")
+        _as_floats(a)
         if isinstance(a, np.ndarray):
             idx = np.asarray(self.pairing) - 1
             return np.asarray(self.signs)[idx] * a[idx]

@@ -1,5 +1,6 @@
 """Geometry of unit spheres in R^{2n}, and the argument rules every module shares:
-:func:`unit_point` decides what is a point of the sphere, :func:`is_integer` an integer."""
+:func:`unit_point` decides what is a point of the sphere, :func:`is_integer` an
+integer and :func:`_as_floats` an array of numbers."""
 
 from __future__ import annotations
 
@@ -22,9 +23,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _as_floats(x) -> np.ndarray:
+    """``x`` as a float array, refused if an entry is a string, bytes or a bool,
+    which ``np.asarray(x, dtype=float)`` would take as a number; any other
+    number (a Fraction too) is converted."""
+    entries = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if entries.dtype.kind in "bSU" or entries.dtype.kind == "O" and any(
+            isinstance(entry, (str, bytes, bool, np.bool_)) for entry in entries.flat):
+        raise ValueError("entries must be real numbers, not strings, bytes or booleans")
+    return np.asarray(entries, dtype=float)
+
+
 def unit_point(a, dim: int) -> np.ndarray:
     """``a`` as floats, refused unless its shape is (dim,) and its norm within UNIT_POINT_TOL of 1."""
-    av = np.asarray(a, dtype=float)
+    av = _as_floats(a)
     if av.ndim != 1:  # its size would read like a length
         raise ValueError(f"expected one point of length {dim}, got shape {av.shape}")
     if av.size != dim:
@@ -76,7 +88,7 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
 def project_tangent(a, x) -> np.ndarray:
     """Orthogonal projection of x onto the tangent space at the unit point a: x - <x,a> a."""
     av = unit_point(a, np.size(a))
-    xv = np.asarray(x, dtype=float)
+    xv = _as_floats(x)
     if xv.ndim != 1:
         raise ValueError(f"expected one vector of length {av.size}, got shape {xv.shape}")
     if xv.size != av.size:

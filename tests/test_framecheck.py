@@ -260,10 +260,24 @@ class TestCheckTight:
         with pytest.raises(ValueError):
             check_tight([])
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf"), "1e-9", None,
+                                           1 + 0j, True, np.array([1e-9])])
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             check_tight(np.eye(4), tolerance=tolerance)
+
+    @pytest.mark.parametrize("constant", [float("nan"), -1.0, float("inf"), "1", 1 + 0j, True,
+                                          np.array([1.0])])
+    def test_rejects_bad_expected_constant(self, constant):
+        """The tolerance rule, as None stands for no expected constant."""
+        with pytest.raises(ValueError, match="^expected_constant must be a finite real number"):
+            check_tight(np.eye(4), expected_constant=constant)
+
+    def test_numpy_scalars_stay_valid(self):
+        for value in (np.float32(1e-9), np.float64(1e-9), np.int64(0), 0, 1):
+            assert check_tight(np.eye(4), tolerance=value).tight
+        for value in (np.float64(1.0), np.int64(1), 1):
+            assert check_tight(np.eye(4), expected_constant=value).tight
 
 
 class TestAugmentWithNormal:
@@ -569,6 +583,8 @@ class TestVerifyMovingFuntf:
 
     @pytest.mark.parametrize("bad", [
         {"tolerance": float("nan")}, {"tolerance": -1e-12}, {"tolerance": float("inf")},
+        {"tolerance": "1e-9"}, {"tolerance": None}, {"tolerance": 1 + 0j}, {"tolerance": True},
+        {"tolerance": np.array([1e-9])},
         {"num_samples": 0}, {"num_samples": True}, {"num_samples": 2.0}, {"num_samples": "3"},
         {"seed": True}, {"seed": 1.0}, {"seed": -1}, {"seed": "1"},
     ], ids=repr)

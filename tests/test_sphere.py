@@ -1,11 +1,13 @@
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from movingframes import (augment_with_normal, project_tangent, s1_basis,
-                          sample_sphere, tangent_basis)
+from movingframes import (augment_with_normal, check_tight, frame_operator, make_operator,
+                          operator_images, project_tangent, reconstruct, s1_basis, s3_basis,
+                          sample_sphere, tangency_defect, tangent_basis)
 from movingframes.sphere import UNIT_POINT_TOL, unit_point
 
 # points of R^4 off the unit sphere, NaN and zero among them
@@ -40,6 +42,44 @@ class TestSpherePoint:
                 check()
         with pytest.raises(ValueError, match=re.escape("point has length 3, expected 4")):
             unit_point([1.0, 0.0, 0.0], 4)
+
+
+def not_numbers(length):
+    """Vectors of ``length`` that np.asarray(x, dtype=float) would read as
+    (1, 0, ..., 0): strings, bytes, bools, a bool among floats, and numpy
+    arrays of strings and of bools."""
+    rest = length - 1
+    return [["1"] + ["0"] * rest, [b"1"] + [b"0"] * rest, [True] + [False] * rest,
+            [1.0] + [0.0] * (rest - 1) + [False], [np.True_] + [0.0] * rest,
+            np.array(["1"] + ["0"] * rest), np.array([True] + [False] * rest)]
+
+
+E1 = [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("call, length", [
+    (lambda v: augment_with_normal(s3_basis(), v), 4),
+    (lambda v: reconstruct(s3_basis(), v, [1.0, 0.0, 0.0]), 4),
+    (lambda v: reconstruct(s3_basis(), E1, v), 3),
+    (lambda v: tangency_defect(make_operator(4, (2, 1, 4, 3), (1, -1, 1, -1)), v), 4),
+    (lambda v: make_operator(4, (2, 1, 4, 3), (1, -1, 1, -1))(v), 4),
+    (lambda v: project_tangent(v, E1), 4),
+    (lambda v: project_tangent(E1, v), 4),
+    (lambda v: tangent_basis(v), 4),
+    (lambda v: operator_images(s3_basis(), v), 4),
+    (lambda v: frame_operator([v]), 4),
+    (lambda v: check_tight([v]), 4),
+], ids=["augment_with_normal", "reconstruct-point", "reconstruct-coefficients",
+        "tangency_defect", "u(a)", "project_tangent-point", "project_tangent-vector", "tangent_basis",
+        "operator_images", "frame_operator", "check_tight"])
+def test_no_vector_is_coerced(call, length):
+    """Strings, bytes and bools are refused, not read as numbers; Fractions
+    are numbers, which tangency_defect needs for its exact zeros."""
+    for vector in not_numbers(length):
+        with pytest.raises(ValueError, match="^entries must be real numbers, not strings, "
+                                             "bytes or booleans$"):
+            call(vector)
+    call([Fraction(1)] + [Fraction(0)] * (length - 1))
 
 
 class TestRandomSpherePoint:
