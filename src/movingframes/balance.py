@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -67,6 +67,8 @@ def _check_indices(d: int, **indices: int) -> None:
 def _blocks(total: int, most: int) -> list[tuple[int, int]]:
     """range(total) cut into the fewest slices of at most ``most``, of near-equal
     lengths, so no block is left with a sliver of one or two points."""
+    if total <= most:
+        return [(0, total)]
     count = -(-total // most)
     bounds = [total * j // count for j in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -77,8 +79,9 @@ def _layout(d: int):
     """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
     lexicographic, 1-based), ``entries`` (rows and columns of the entries r <= s,
     0-based: the diagonal, then the pairs, so table column c is entry d + c, as
-    the frame check's F is ordered), ``column_code`` (2C*c for pair c) and ``key_code``
-    (key_code[p, q] // 2 numbers {p, q}, C where p = q mod d; flat at p*2d + q)."""
+    the frame check's F is ordered), ``column_code`` (2C*c for pair c), ``key_code``
+    (key_code[p, q] // 2 numbers {p, q}, C where p = q mod d; flat at p*2d + q) and
+    ``pair_id`` (pair_id[p, q] = key_code[p, q] // 2 for p, q < d)."""
     rows, cols = np.triu_indices(d, 1)
     pair_id = np.full((d, d), d * (d - 1) // 2, dtype=np.intp)  # C where p = q
     pair_id[rows, cols] = pair_id[cols, rows] = np.arange(len(rows))
@@ -86,9 +89,10 @@ def _layout(d: int):
     key_code = 2 * pair_id[np.ix_(partner, partner)] + (positive[:, None] == positive)
     entries = np.stack([np.concatenate([np.arange(d), part]) for part in (rows, cols)])
     column_code = 2 * len(rows) * np.arange(len(rows))
-    for array in (entries, column_code, key_code):
+    for array in (entries, column_code, key_code, pair_id):
         array.flags.writeable = False
-    return list(zip((rows + 1).tolist(), (cols + 1).tolist())), entries, column_code, key_code
+    pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return pairs, entries, column_code, key_code, pair_id
 
 
 def _pairing_grams(a_set: OperatorSet, least: int = 1):
@@ -147,7 +151,7 @@ def _slice_counts(source, start: int, stop: int):
     its table holds."""
     keys, weights = source
     d = keys.shape[1]
-    pairs, entries, column_code, key_code = _layout(d)
+    pairs, entries, column_code, key_code, _ = _layout(d)
     most = max(1, _BLOCK // (2 * len(pairs)))
     for first in range(start, stop, most):
         last = min(first + most, stop)
@@ -166,13 +170,32 @@ def _slice_counts(source, start: int, stop: int):
         yield first, last, table.reshape(-1, 2)
 
 
+def _column_tables(a_set: OperatorSet):
+    """A function of (start, stop) that yields what :func:`_slice_counts` yields over
+    those of the C = d(d-1)/2 columns, scattered at width C.  Where all C columns fit
+    one table of _BLOCK entries (d <= 18), a set scatters them once, whichever of
+    :func:`is_balanced` and :func:`_form_rows` comes first, and keeps the table
+    read-only, as it keeps its pairing grouping."""
+    d = a_set.dim
+    columns = d * (d - 1) // 2
+    if 2 * columns * columns > _BLOCK:
+        return partial(_slice_counts, _slice_source(a_set, columns))
+    table = vars(a_set).get("_slice_table")
+    if table is None:
+        _, _, table = next(_slice_counts(_slice_source(a_set, columns), 0, columns))
+        table.flags.writeable = False
+        vars(a_set)["_slice_table"] = table
+    return lambda start, stop: ([(start, stop, table[columns * start:columns * stop])]
+                                if start < stop else [])
+
+
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     """Number of members whose pairing matches coordinate p with coordinate q."""
     d = a_set.dim
     _check_indices(d, p=p, q=q)
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
-    column = int(_layout(d)[3][p - 1, q - 1]) // 2
+    column = int(_layout(d)[4][p - 1, q - 1])
     _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
     return int(table[column, 0])
 
@@ -187,10 +210,10 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
     if not is_integer(sign) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    key_code = _layout(d)[3]
-    column = int(key_code[r - 1, s - 1]) // 2
+    pair_id = _layout(d)[4]
+    column = int(pair_id[r - 1, s - 1])
     _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
-    return int(table[key_code[p - 1, q - 1] // 2, int(sign > 0)])
+    return int(table[pair_id[p - 1, q - 1], int(sign > 0)])
 
 
 def is_balanced(a_set: OperatorSet) -> BalanceReport:
@@ -207,7 +230,7 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     pairs = _layout(d)[0]
     columns = len(pairs)
     pair_counts, cond_ii = [0] * columns, []
-    for start, _, table in _slice_counts(_slice_source(a_set, columns), 0, columns):
+    for start, _, table in _column_tables(a_set)(0, columns):
         differ = (table[:, 1] != table[:, 0]).nonzero()[0]
         counts = table.take(differ, axis=0).astype(int, copy=False)  # ints also from weights
         for row, (minus, plus) in zip(differ.tolist(), counts.tolist()):
@@ -233,17 +256,18 @@ def _form_rows(a_set: OperatorSet):
     count_plus - count_minus of each slice of column (r, s), and entry (r, r)
     the pair counts #A_{r,p} at a_p^2, from the later blocks."""
     d = a_set.dim
-    _, entries, _, key_code = _layout(d)
+    _, entries, _, _, pair_id = _layout(d)
     size = entries.shape[1]
-    source = _slice_source(a_set, size - d)
+    tables = _column_tables(a_set)
     counts = np.zeros(size - d + 1)  # #A_{r,s} of each pair, as the pair slices come, then 0
     for first, stop in reversed(_blocks(size, max(1, _FORM // size))):
         form = np.zeros((stop - first, size))
-        for start, end, table in _slice_counts(source, max(first - d, 0), stop - d):
+        for start, end, table in tables(max(first - d, 0), stop - d):
             block = form[start + d - first:end + d - first, d:]
-            np.subtract(*table.T[::-1].reshape(2, end - start, -1), out=block)  # plus - minus
+            counts_by_sign = table.reshape(end - start, -1, 2)
+            np.subtract(counts_by_sign[..., 1], counts_by_sign[..., 0], out=block)  # plus - minus
             np.negative(block.diagonal(start), out=counts[start:end])
-        pair = key_code[first:min(d, stop), :d] // 2  # the pair {r, p} of each (r, r) and a_p^2
+        pair = pair_id[first:min(d, stop)]  # the pair {r, p} of each (r, r) and a_p^2
         form[:len(pair), :d] = counts[pair]
         yield first, form
 

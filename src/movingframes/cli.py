@@ -4,7 +4,7 @@ Subcommands:
     gen-full       enumerate every operator for a given n
     gen-min        build the balanced set of Theorem 3.4 for a given n
     check-balance  exact balance verdict for a stored operator set
-    check-funtf    numerical moving-frame certification
+    check-funtf    moving-frame certification, exact with a float cross-check
     matrix         print the pairing matrix
     demo-erasure   compare erasure robustness of a frame against a basis
 
@@ -181,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_balance)
 
     p = sub.add_parser("check-funtf", parents=[output],
-                       help="certify a moving tight frame numerically")
+                       help="certify a moving tight frame, exactly, with a float cross-check")
     p.add_argument("file")
     p.add_argument("--tol", type=at_least(0.0, float), default=DEFAULT_TIGHTNESS_TOL,
-                   help=f"tightness tolerance (default {DEFAULT_TIGHTNESS_TOL})")
+                   help="bound on the float cross-check; the exact coefficients decide "
+                        f"(default {DEFAULT_TIGHTNESS_TOL})")
     p.add_argument("--samples", type=at_least(1), default=DEFAULT_NUM_SAMPLES,
                    help=f"random sphere points to check (default {DEFAULT_NUM_SAMPLES})")
     p.add_argument("--seed", type=at_least(0), default=0,

@@ -4,11 +4,13 @@ The tangent images of a balanced operator set form a unit tight frame of
 every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
-augmented system is #A/(2n-1).  :func:`verify_moving_funtf` evaluates it,
-for most sets, as one quadratic form: the exact integer coefficients F,
-read once per set from the balance slice tables, times the monomials
-a_p*a_q of blocks of points.  Sets for which F costs more are evaluated
-from their image rows.  Either way the worst point is re-checked directly.
+augmented system is #A/(2n-1).  :func:`verify_moving_funtf` decides it from
+the exact integer coefficients F of a quadratic form, read once per set from
+the balance slice tables: the set is tight exactly when F, plus C on each
+entry's own monomial and minus C at each a_p^2 of a diagonal entry, is zero.
+The float deviations at sampled points, and a direct re-check at the worst
+of them, cross-check that verdict.  Sets for which F costs more are first
+evaluated from their image rows.
 """
 
 from __future__ import annotations
@@ -93,8 +95,13 @@ def operator_images(a_set: OperatorSet, a) -> np.ndarray:
     av = _as_floats(a)
     if av.ndim not in (1, 2) or av.shape[-1] != a_set.dim:
         raise ValueError(f"expected points of length {a_set.dim}, got shape {av.shape}")
+    return _images(a_set, av)
+
+
+def _images(a_set: OperatorSet, a: np.ndarray) -> np.ndarray:
+    """What :func:`operator_images` returns, for points already checked."""
     k, sign = a_set.index_arrays
-    return sign * np.negative(av)[..., k]
+    return sign * np.negative(a)[..., k]
 
 
 def frame_operator(vectors) -> np.ndarray:
@@ -171,11 +178,13 @@ def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _points(dim: int, num_samples: int, seed: int) -> np.ndarray:
-    """The probe points, then ``sample_sphere(dim, num_samples, seed)``; read-only, as shared."""
+def _points(dim: int, num_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe points, then ``sample_sphere(dim, num_samples, seed)``, and
+    |a|^2 - 1 at each; read-only, as shared."""
     points = np.vstack([probe_points(dim), sample_sphere(dim, num_samples, seed)])
-    points.flags.writeable = False
-    return points
+    errors = np.square(points).sum(axis=1) - 1.0
+    points.flags.writeable = errors.flags.writeable = False
+    return points, errors
 
 
 def _route(a_set: OperatorSet) -> bool:
@@ -201,25 +210,43 @@ def _route(a_set: OperatorSet) -> bool:
     return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d
 
 
-def _form_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
-    """Per point: the sum of the diagonal of S, the largest off-diagonal |S_rs|
-    and the largest |S_rr - C|, for S = F of balance._form_rows, plus C on
-    each entry's own monomial, times the monomials X: one matmul per block of
-    about _BLOCK floats of X and row block of F.  Entries go down the rows,
-    so each point's reductions run along the fast axis."""
-    d = a_set.dim
-    rows, cols = _layout(d)[1]
-    size = len(rows)
-    total, off, diag = deviations = np.zeros((3, len(points)))
+def _defect_rows(a_set: OperatorSet):
+    """Yield (first, diagonal, (d-1)*D[first:stop]) over the row blocks of F
+    from balance._form_rows, their first ``diagonal`` rows the diagonal
+    entries.  D = F + C*P, P being +1 at each entry's own monomial and -1 at
+    each a_p^2 of each diagonal entry (r, r), holds the coefficients of
+    S(a) - C*|a|^2*I, so the set is tight at every point of the sphere
+    exactly when D = 0.  (d-1)*D = (d-1)*F + #A*P is an array of integers of
+    at most d*#A in magnitude (0 <= F <= #A on the diagonal rows, |F| <= #A
+    elsewhere), far below 2^53 for any set that fits in memory, so float64
+    holds it exactly."""
+    d, size = a_set.dim, len(a_set)
+    entries = d * (d + 1) // 2
     for first, form in _form_rows(a_set):
-        form.ravel()[first::size + 1] += expected  # C*a*a^T, at (e, e) for e = first, first + 1, ...
+        form *= d - 1
+        form.ravel()[first::entries + 1] += size  # at (e, e) for e = first, first + 1, ...
         diagonal = max(0, d - first)  # entries below d are the diagonal
-        for lo, hi in _blocks(len(points), max(1, _BLOCK // size)):
+        form[:diagonal, :d] -= size
+        yield first, diagonal, form
+
+
+def _form_deviations(a_set: OperatorSet, points: np.ndarray):
+    """Per point, the largest off-diagonal |S_rs| and the largest
+    |S_rr - C*|a|^2|, both times d - 1, from the nonzero row blocks of
+    :func:`_defect_rows` times the monomials X: one matmul per block of about
+    _BLOCK floats of X and nonzero row block.  None where D = 0.  Entries go
+    down the rows, so each point's reductions run along the fast axis."""
+    rows, cols = _layout(a_set.dim)[1]
+    deviations = None
+    for _, diagonal, form in _defect_rows(a_set):
+        if not form.any():
+            continue
+        if deviations is None:
+            deviations = np.zeros((2, len(points)))
+        off, diag = deviations
+        for lo, hi in _blocks(len(points), max(1, _BLOCK // len(rows))):
             a = points[lo:hi].T
-            s = form @ (a.take(rows, axis=0) * a.take(cols, axis=0))
-            total[lo:hi] += s[:diagonal].sum(axis=0)
-            s[:diagonal] -= expected
-            np.abs(s, out=s)  # NaN stays NaN, in the maxima and in the argmax, so it fails below
+            s = np.abs(form @ (a.take(rows, axis=0) * a.take(cols, axis=0)))
             np.maximum(diag[lo:hi], s[:diagonal].max(axis=0, initial=0.0), out=diag[lo:hi])
             np.maximum(off[lo:hi], s[diagonal:].max(axis=0, initial=0.0), out=off[lo:hi])
     return deviations
@@ -262,40 +289,67 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> 
     return deviations
 
 
+def _direct_deviation(a_set: OperatorSet, point: np.ndarray, expected: float) -> float:
+    """max |S - C*I| for S built at ``point`` from the scaled normal and every member's image row."""
+    images = _images(a_set, point)
+    direct = expected * np.outer(point, point) + images.T @ images
+    direct.ravel()[::a_set.dim + 1] -= expected
+    return float(np.abs(direct).max())
+
+
 def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
                         seed: int = 0,
                         tolerance: float = DEFAULT_TIGHTNESS_TOL) -> FrameReport:
-    """Certify tightness of the tangent images over sampled sphere points.
+    """Certify tightness of the tangent images: exactly, with a float cross-check.
 
-    Checks S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), against C*I at
-    every probe point (e_p + e_q)/sqrt(2) plus ``num_samples`` seeded random
-    points, drawn once per (dimension, num_samples, seed).  S(a) is a
-    quadratic form in the monomials a_p*a_q, p <= q, with the exact integer
-    coefficients F of balance._form_rows plus C on each entry's own
-    monomial (:func:`_form_deviations`); a balanced set's off-diagonal
-    entries come out exactly 0.0.  Where F would cost more (:func:`_route`),
-    S is built from the image rows (:func:`_row_deviations`).  The report is
-    that of the first point of largest deviation (or the first NaN); its
-    verdict also needs max |S - C*I| <= tolerance for S built there directly
-    from every member's image row.
+    S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), is C*I on the whole
+    sphere exactly when the integer coefficients D of :func:`_defect_rows`
+    vanish.  The set is tight when D = 0, the largest deviation |S - C*I|
+    over the probe points (e_p + e_q)/sqrt(2) and ``num_samples`` seeded
+    random points (drawn once per dimension, num_samples and seed) is at
+    most ``tolerance``, and so is max |S - C*I| for S built at the worst of
+    them from every member's image row.  Each part is evaluated only while
+    the verdict is open, so no tolerance passes a set with D != 0.
+
+    On F's route a set with D = 0 evaluates no point: S(a) = C*|a|^2*I, so
+    its off-diagonal deviation is exactly 0.0 and its worst point the first
+    at which ||a|^2 - 1| is largest.  Any other set is refused by D, and its
+    deviations come from the nonzero row blocks of D
+    (:func:`_form_deviations`).  Where F would cost more (:func:`_route`),
+    the image rows give the deviations (:func:`_row_deviations`), and D is
+    read last.  The report is that of the first point of largest deviation
+    (or the first NaN); its frame constant is the mean diagonal of S there,
+    C*|a|^2 on F's route, as trace S(a) = d*C*|a|^2 for every set.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)
     d, expected = a_set.dim, _frame_constant(a_set)
     check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
-    points = _points(d, num_samples, seed)
-    deviations = _form_deviations if _route(a_set) else _row_deviations
-    total, off, diag = deviations(a_set, points, expected)
-    deviation = np.maximum(off, diag)
-    worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
+    points, errors = _points(d, num_samples, seed)
+    if _route(a_set):
+        deviations = _form_deviations(a_set, points)
+        exact = deviations is None  # D = 0
+        if exact:
+            worst = int(np.argmax(np.abs(errors)))
+            off, diag = 0.0, expected * abs(float(errors[worst]))
+        else:
+            worst = int(np.argmax(np.maximum(*deviations)))
+            off, diag = (float(x[worst]) / (d - 1) for x in deviations)
+        deviation, constant = max(off, diag), expected * (1.0 + float(errors[worst]))
+    else:
+        exact = None  # D is read below, if still needed
+        total, off, diag = _row_deviations(a_set, points, expected)
+        deviation = np.maximum(off, diag)
+        worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
+        deviation, constant = deviation[worst], float(total[worst] / d)
+        off, diag = float(off[worst]), float(diag[worst])
     point = points[worst].copy()
-    images = operator_images(a_set, point)
-    direct = expected * np.outer(point, point) + images.T @ images
-    direct.ravel()[::d + 1] -= expected
-    tight = deviation[worst] <= tolerance and np.abs(direct).max() <= tolerance
-    return FrameReport(bool(tight), float(total[worst] / d), float(off[worst]),
-                       float(diag[worst]), len(points), point, expected)
+    # D = 0 comes first on F's route, where it is known, and last on the rows'
+    tight = (exact is not False and deviation <= tolerance
+             and _direct_deviation(a_set, point, expected) <= tolerance
+             and (exact or not any(form.any() for *_, form in _defect_rows(a_set))))
+    return FrameReport(bool(tight), constant, off, diag, len(points), point, expected)
 
 
 def reconstruct(a_set: OperatorSet, a, coefficients) -> np.ndarray:
@@ -334,6 +388,6 @@ def witness_unbalanced(a_set: OperatorSet, report: BalanceReport) -> UnbalancedW
 def witness_cross_term(a_set: OperatorSet, witness: UnbalancedWitness) -> float:
     """The frame-operator entry the witness predicts, C*a_r*a_c + sum_U U(a)_r*U(a)_c, at its point."""
     a = unit_point(witness.point, a_set.dim)
-    images = operator_images(a_set, a)
+    images = _images(a_set, a)
     r, c = witness.probe_pair[0] - 1, witness.probe_pair[1] - 1
     return float(_frame_constant(a_set) * a[r] * a[c] + images[:, r] @ images[:, c])

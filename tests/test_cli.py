@@ -171,6 +171,26 @@ class TestCheckFuntf:
         assert report["witness"]["defect"] == "1/3"
         assert report["witness"]["probe_pair"] == [1, 2]
 
+    @pytest.mark.parametrize("case", ["min3-minus-last", "one-operator-n8"])
+    def test_a_large_tolerance_never_passes_an_unbalanced_set(self, case, tmp_path, capsys):
+        """--tol bounds the float cross-check; the exact coefficients decide.
+        gen-min 3 minus its last operator takes F's route, and one operator at
+        n = 8 (d = 16) the image rows."""
+        path = tmp_path / "doc.json"
+        if case == "min3-minus-last":
+            assert run(capsys, "gen-min", 3, "-o", path)[0] == 0
+            doc = json.loads(path.read_text())
+            doc["operators"].pop()
+        else:
+            doc = {"n": 8, "operators": [{"pairing": [i + 2 - 2 * (i % 2) for i in range(16)],
+                                          "signs": [1 - 2 * (i % 2) for i in range(16)]}]}
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check-funtf", path, "--tol", 1000)
+        assert code == 1
+        report = json.loads(out)
+        assert report["tight"] is False
+        assert "witness" in report
+
     def test_deterministic_reports(self, min2_file, capsys):
         _, out1, _ = run(capsys, "check-funtf", min2_file, "--samples", 10, "--seed", 4)
         _, out2, _ = run(capsys, "check-funtf", min2_file, "--samples", 10, "--seed", 4)

@@ -34,6 +34,12 @@ def subset(a_set, pick):
     return OperatorSet.from_arrays(k[pick] + 1, sign[pick])
 
 
+def fresh(a_set):
+    """The same members in a new set, which holds no grouping and no slice table yet."""
+    k, sign = a_set.index_arrays
+    return OperatorSet.from_arrays(k + 1, sign)
+
+
 # 100 of the 120 members of the full n = 3 set, in 15 pairings of 3 to 8
 FULL3_SUBSET = subset(enumerate_full(3), np.sort(np.random.default_rng(0).choice(120, 100, replace=False)))
 
@@ -130,26 +136,43 @@ def whole_form(a_set):
     return np.vstack([blocks[first] for first in sorted(blocks)])
 
 
+def reference_defect(a_set):
+    """(d-1)*D of verify_moving_funtf, from its own F: (d-1)*F, plus #A on each
+    entry's own monomial and minus #A at each a_p^2 of each diagonal entry, the
+    coefficients of (d-1)*(S(a) - C*|a|^2*I)."""
+    d, size = a_set.dim, len(a_set)
+    defect = (d - 1) * reference_form(a_set) + size * np.eye(d * (d + 1) // 2)
+    defect[:d, :d] -= size
+    return defect
+
+
 def reduced_worst_point(a_set, num_samples, seed):
-    """The per-point arithmetic of verify_moving_funtf, written out with its
-    own F: S at every point at once is F, plus C on each entry's own
-    monomial, times the points' monomials, in one matmul; then a plain loop
-    over the points.  Returns what reference_worst_point returns, then the
-    mean diagonal of S at the worst point, its entries summed in order.
+    """The arithmetic of verify_moving_funtf on F's route, written out with
+    its own D (reference_defect).  Where D = 0: off the diagonal 0.0, on it
+    C*||a|^2 - 1|, at the first point where that is largest.  Otherwise
+    (d-1)*S - (d-1)*C*|a|^2*I at every point at once is (d-1)*D times the
+    points' monomials, in one matmul; then a plain loop over the points, and
+    the worst one's maxima divided by d - 1.  Returns what
+    reference_worst_point returns, then the frame constant C*|a|^2 there.
     """
     d = a_set.dim
     expected = len(a_set) / (d - 1)
     rows, cols = np.array(entry_order(d)).T
-    form = reference_form(a_set) + expected * np.eye(len(rows))
+    defect = reference_defect(a_set)
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
-    entries = form @ (points.T[rows] * points.T[cols])
+    errors = np.square(points).sum(axis=1) - 1.0  # |a|^2 - 1, as verify_moving_funtf sums it
+    if not defect.any():
+        widest = max(range(len(points)), key=lambda i: abs(errors[i]))  # the first largest
+        return (points[widest], 0.0, expected * abs(errors[widest]),
+                expected * (1.0 + errors[widest]))
+    entries = defect @ (points.T[rows] * points.T[cols])
     worst_dev, worst = -1.0, None
-    for a, column in zip(points, entries.T.tolist()):
+    for a, error, column in zip(points, errors, entries.T.tolist()):
         max_off = max((abs(x) for x in column[d:]), default=0.0)
-        max_diag = max(abs(x - expected) for x in column[:d])
+        max_diag = max(abs(x) for x in column[:d])
         if max(max_off, max_diag) > worst_dev:
             worst_dev = max(max_off, max_diag)
-            worst = (a, max_off, max_diag, sum(column[:d]) / d)
+            worst = (a, max_off / (d - 1), max_diag / (d - 1), expected * (1.0 + error))
     return worst
 
 
@@ -370,6 +393,7 @@ class TestVerifyMovingFuntf:
         for name, value in shrunk.items():
             module, name = name.split(".")
             monkeypatch.setattr(MODULES[module], name, value)
+        a_set = fresh(a_set)  # so no table kept by another case serves this one
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
@@ -394,7 +418,8 @@ class TestVerifyMovingFuntf:
         """The slice tables scattered member by member and pairing by pairing
         (each pairing's W_pi) give the same F, whole or in row blocks, from
         large tables or from tables of 3 columns, an array of exact integers;
-        and the same balance report and slice counts, those of the definitions."""
+        and the same balance report and slice counts, those of the definitions.
+        Each mode gets a fresh set, so a table kept by one never serves the other."""
         d = a_set.dim
         size = d * (d + 1) // 2
         k, sign = a_set.index_arrays
@@ -404,6 +429,7 @@ class TestVerifyMovingFuntf:
         forms, counts = [], []
         for grouping in (group_always, group_never):
             monkeypatch.setattr(balance, "_grouping", grouping)
+            a_set = fresh(a_set)
             keys, weights = balance._slice_source(a_set, size - d)
             assert len(keys) == (pairings if grouping is group_always else len(a_set))
             assert (weights is None) == (grouping is group_never)
@@ -472,10 +498,13 @@ class TestVerifyMovingFuntf:
     def test_row_route_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
         """The row route, taken by every set here with F refused: pairings of
         at least d members (one of MIXED's, 12 of full3-subset's and all of
-        reversed-min5's) add their W_pi, the other members their image rows."""
+        reversed-min5's) add their W_pi, the other members their image rows.
+        F is read only for the sets that pass the rows and the re-check."""
         monkeypatch.setattr(framecheck, "_SMALL", 0)
         monkeypatch.setattr(framecheck, "_DENSE", 0)
-        monkeypatch.setattr(framecheck, "_form_rows", None)
+        reads, form_rows = [], balance._form_rows
+        monkeypatch.setattr(framecheck, "_form_rows",
+                            lambda a_set: reads.append(1) or form_rows(a_set))
         for name, value in shrunk.items():
             monkeypatch.setattr(framecheck, name, value)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
@@ -487,7 +516,7 @@ class TestVerifyMovingFuntf:
         _, direct_off, direct_diag = reference_worst_point(a_set, num_samples, 4)
         assert abs(max(direct_off, direct_diag) - max(max_off, max_diag)) <= 1e-12
         assert abs(direct_deviation(a_set, point) - max(max_off, max_diag)) <= 1e-12
-        assert report.tight == is_balanced(a_set).balanced
+        assert report.tight == is_balanced(a_set).balanced == (reads == [1])
 
     @pytest.mark.parametrize("pick,route", [
         (np.arange(0, 512, 512), "rows"),  # one member
@@ -520,14 +549,19 @@ class TestVerifyMovingFuntf:
 
     def test_the_direct_recheck_refuses_what_the_form_missed(self, monkeypatch):
         """The verdict also needs S rebuilt from the image rows at the worst
-        point: with every point's S replaced by C*I, only that re-check is left."""
-        def exact(a_set, points, expected):
-            return np.array([[a_set.dim * expected], [0.0], [0.0]]).repeat(len(points), axis=1)
-        monkeypatch.setattr(framecheck, "_form_deviations", exact)
+        point: with D stubbed to zero on an unbalanced set, only that re-check
+        is left to refuse it."""
+        def vanishing(a_set):
+            size = a_set.dim * (a_set.dim + 1) // 2
+            yield 0, a_set.dim, np.zeros((size, size))
+        monkeypatch.setattr(framecheck, "_defect_rows", vanishing)
         assert verify_moving_funtf(MIN2, num_samples=5).tight
         report = verify_moving_funtf(OperatorSet(4, MIN2.members[:-1]), num_samples=5)
         assert not report.tight
-        assert report.max_offdiag == report.max_diag_dev == 0.0
+        errors = framecheck._points(4, 5, 0)[1]
+        assert report.max_offdiag == 0.0
+        assert report.max_diag_dev == 5 / 3 * np.abs(errors).max()
+        assert direct_deviation(OperatorSet(4, MIN2.members[:-1]), report.worst_point) > 0.1
 
     @pytest.mark.parametrize("a_set", [
         subset(build_minimal_balanced(8), np.arange(1919)),
@@ -539,7 +573,7 @@ class TestVerifyMovingFuntf:
         balance, both reading the set's one grouping by pairing."""
         calls, unique = [], np.unique
         monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
-        a_set = OperatorSet.from_arrays(a_set.index_arrays[0] + 1, a_set.index_arrays[1])
+        a_set = fresh(a_set)
         assert not verify_moving_funtf(a_set, num_samples=5).tight
         assert not is_balanced(a_set).balanced
         assert len(calls) == 1
@@ -547,6 +581,44 @@ class TestVerifyMovingFuntf:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("a_set,tolerance", [
+        (build_minimal_balanced(3), 1e-9),
+        (subset(build_minimal_balanced(3), np.arange(19)), 1e-9),
+        (build_minimal_balanced(9), 1e-9),
+        (subset(build_minimal_balanced(9), np.arange(4351)), 1e-9),
+        # one member at d = 16 takes the image rows, and reads F only where a
+        # large tolerance lets them and the re-check pass
+        (subset(build_minimal_balanced(8), [0]), 1e3),
+    ], ids=["min3", "min3-minus-last", "min9", "min9-minus-last", "one-member-d16"])
+    @pytest.mark.parametrize("balance_first", [True, False], ids=["balance-first", "frame-first"])
+    def test_one_scatter_per_set(self, a_set, tolerance, balance_first, monkeypatch):
+        """Up to d = 18 a set keeps its slice tables, so exact balance and the
+        frame check, in either order, scatter it once: one np.bincount, as
+        each set here fits one chunk."""
+        calls, bincount = [], np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *args: calls.append(1) or bincount(*args))
+        a_set = fresh(a_set)
+        steps = [lambda: is_balanced(a_set).balanced,
+                 lambda: verify_moving_funtf(a_set, num_samples=5, tolerance=tolerance).tight]
+        verdicts = [step() for step in (steps if balance_first else steps[::-1])]
+        assert verdicts[0] == verdicts[1]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,kept", [(1, True), (3, True), (9, True), (10, False)])
+    def test_tables_are_kept_read_only_up_to_d18(self, n, kept):
+        """All C = d(d-1)/2 columns fit one table of balance._BLOCK entries up
+        to d = 18, where 2*C^2 = 46,818; at d = 20 it would take 72,200."""
+        a_set = fresh(build_minimal_balanced(n))
+        assert is_balanced(a_set).balanced and verify_moving_funtf(a_set, num_samples=5).tight
+        assert ("_slice_table" in vars(a_set)) == kept
+        if kept:
+            table = vars(a_set)["_slice_table"]
+            assert table.shape == (n * (2 * n - 1) * n * (2 * n - 1), 2)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+            is_balanced(a_set)
+            assert vars(a_set)["_slice_table"] is table
 
     def test_heavy_pairings_take_the_rows(self, monkeypatch):
         monkeypatch.setattr(framecheck, "_form_rows", None)
@@ -616,11 +688,13 @@ class TestVerifyMovingFuntf:
         assert first.to_dict() == second.to_dict()
         first.worst_point[:] = 0.0
         assert np.array_equal(second.worst_point, reduced_worst_point(clipped, 5, 2)[0])
-        points = framecheck._points(4, 5, 2)
-        assert not points.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            points[0, 0] = 1.0
-        for other in (framecheck._points(4, 5, 3), framecheck._points(4, 6, 2)):
+        points, errors = framecheck._points(4, 5, 2)
+        assert errors.tolist() == (np.square(points).sum(axis=1) - 1.0).tolist()
+        for array in (points, errors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        for other, _ in (framecheck._points(4, 5, 3), framecheck._points(4, 6, 2)):
             assert not np.array_equal(other[6:11], points[6:])
         assert framecheck._points.cache_info().maxsize <= 16
 
@@ -640,6 +714,41 @@ class TestVerifyMovingFuntf:
         assert not report.tight
         assert report.max_offdiag > 0.1
         assert report.points_checked == 11  # 6 probes + 5 samples
+
+
+@st.composite
+def sylvester_sets(draw):
+    """sylvester_set(n) for 2 <= n <= 16, whole or minus one drawn member."""
+    whole = sylvester_set(draw(st.integers(2, 16)))
+    if draw(st.booleans()):
+        return whole
+    return subset(whole, np.delete(np.arange(len(whole)), draw(st.integers(0, len(whole) - 1))))
+
+
+class TestExactVerdict:
+    """The frame verdict rests on D = 0 alone: with tolerance 1000 as with the
+    default, it is the balance verdict of the definitions."""
+
+    @staticmethod
+    def check(a_set, balanced):
+        assert (not any(form.any() for *_, form in framecheck._defect_rows(a_set))) == balanced
+        for tolerance in (framecheck.DEFAULT_TIGHTNESS_TOL, 1e3):
+            report = verify_moving_funtf(a_set, num_samples=5, tolerance=tolerance)
+            assert report.tight == balanced
+            if balanced:
+                assert report.max_offdiag == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_shaped_sets())
+    def test_on_sweep_shaped_sets(self, a_set):
+        self.check(a_set, failures_from_definitions(a_set) == ([], []))
+
+    @settings(max_examples=20, deadline=None)
+    @given(sylvester_sets())
+    def test_on_sylvester_sets(self, a_set):
+        """failures_by_pair reads the definitions per pair of each member, as
+        failures_from_definitions' walk over every quadruple takes minutes at d = 32."""
+        self.check(a_set, failures_by_pair(a_set) == ([], []))
 
 
 class TestReconstruct:
