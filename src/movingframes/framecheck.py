@@ -253,7 +253,8 @@ def _form_deviations(a_set: OperatorSet, points: np.ndarray):
 
 
 def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
-    """What :func:`_form_deviations` returns, with S = V^T V for V the scaled
+    """Per point: the sum of the diagonal of S, the largest off-diagonal
+    |S_rs| and the largest |S_rr - C|, with S = V^T V for V the scaled
     normal and the image rows, one batched matmul per block of about _ROWS
     floats of V and W_pi coordinates.  Members sharing a pairing pi differ
     only in signs, so they add W_pi o (a[pi] a[pi]^T): a pairing of at least
