@@ -738,6 +738,24 @@ class TestExactVerdict:
             if balanced:
                 assert report.max_offdiag == 0.0
 
+    @pytest.mark.parametrize("a_set,route", [
+        (build_minimal_balanced(3), "form"), (subset(build_minimal_balanced(3), np.arange(19)), "form"),
+        (subset(build_minimal_balanced(8), [0]), "rows"),
+    ], ids=["min3", "min3-minus-last", "one-member-d16"])
+    def test_each_part_only_while_the_verdict_is_open(self, a_set, route, monkeypatch):
+        """At tolerance 1000 every float check passes, so the parts run are
+        those the rule leaves open: F is read once, and on F's route only a
+        set with D = 0 is re-checked."""
+        reads, rechecks = [], []
+        form_rows, direct = framecheck._form_rows, framecheck._direct_deviation
+        monkeypatch.setattr(framecheck, "_form_rows", lambda s: reads.append(1) or form_rows(s))
+        monkeypatch.setattr(framecheck, "_direct_deviation",
+                            lambda *args: rechecks.append(1) or direct(*args))
+        balanced = is_balanced(a_set).balanced
+        assert framecheck._route(a_set) == (route == "form")
+        assert verify_moving_funtf(a_set, num_samples=5, tolerance=1e3).tight == balanced
+        assert (len(reads), len(rechecks)) == (1, int(balanced or route == "rows"))
+
     @settings(max_examples=60, deadline=None)
     @given(sweep_shaped_sets())
     def test_on_sweep_shaped_sets(self, a_set):
