@@ -387,8 +387,13 @@ def witness_unbalanced(a_set: OperatorSet, report: BalanceReport) -> UnbalancedW
 
 
 def witness_cross_term(a_set: OperatorSet, witness: UnbalancedWitness) -> float:
-    """The frame-operator entry the witness predicts, C*a_r*a_c + sum_U U(a)_r*U(a)_c, at its point."""
+    """The frame-operator entry the witness predicts, C*a_r*a_c + sum_U U(a)_r*U(a)_c, at its point.
+
+    Only columns r and c of the images are formed, as S[:, j] * a[K[:, j]]:
+    the minus signs of U(a) = -S * a[K] cancel in the product.
+    """
     a = unit_point(witness.point, a_set.dim)
-    images = _images(a_set, a)
+    k, sign = a_set.index_arrays
     r, c = witness.probe_pair[0] - 1, witness.probe_pair[1] - 1
-    return float(_frame_constant(a_set) * a[r] * a[c] + images[:, r] @ images[:, c])
+    cross = (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]])
+    return float(_frame_constant(a_set) * a[r] * a[c] + cross)

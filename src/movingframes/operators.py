@@ -39,6 +39,20 @@ class SignedInvolution:
             raise ValueError(f"dimension must be a positive even integer, got {d}")
         if len(signs) != d:
             raise ValueError(f"signs has length {len(signs)}, expected {d} to match pairing")
+        # One pass accepts a valid member: at each position an int (not bool) in 1..d,
+        # not fixed, mapped back, with a sign +-1 opposite to its partner's.  It accepts
+        # exactly what the two passes below accept; they only word the refusal.  A counter
+        # runs faster here than enumerate.
+        i = 0
+        for k, s in zip(pairing, signs):
+            i += 1
+            if not ((type(k) is int or isinstance(k, int) and not isinstance(k, bool))
+                    and (type(s) is int or isinstance(s, int) and not isinstance(s, bool))
+                    and 0 < k <= d and k != i and pairing[k - 1] == i
+                    and (s == 1 or s == -1) and signs[k - 1] == -s):
+                break
+        else:
+            return
         for i in range(d):  # each position on its own; messages count positions from 1
             k, s = pairing[i], signs[i]
             if not isinstance(k, int) or isinstance(k, bool):
