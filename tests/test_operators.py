@@ -227,8 +227,6 @@ class TestAgainstFivePassReference:
         message = constructor_message(*operator)
         assert message == five_pass_reference(*operator)
         assert (message is None) == accepted
-        if accepted:
-            assert SignedInvolution(*operator).pairing == operator[0]
 
 
 class TestApply:
