@@ -291,7 +291,7 @@ def build_pairing_matrix(n: int, cap: int | None = DEFAULT_MATRIX_CAP) -> np.nda
     (2n-1)) + 1; the last row and column hold (2i mod (2n-1)) + 1, which runs
     over all labels as 2 and 2n-1 are coprime.  ``cap`` bounds ``n`` (None lifts it).
     """
-    check_cap(n, cap, "size", "build larger matrices")
+    n = check_cap(n, cap, "size", "build larger matrices")
     i = np.arange(2 * n)
     matrix = (i[:, None] + i) % (2 * n - 1) + 1
     matrix[-1] = matrix[:, -1] = 2 * i % (2 * n - 1) + 1
@@ -355,6 +355,6 @@ def build_minimal_balanced(n: int, cap: int | None = DEFAULT_THEOREM_SET_CAP) ->
     (the three operators of ``s3_basis()`` are balanced at n = 2, where this
     set has six).  ``cap`` bounds ``n`` (None lifts it).
     """
-    check_cap(n, cap, "size", "build larger sets")
+    n = check_cap(n, cap, "size", "build larger sets")
     return signed_pairings(extract_pairings(build_pairing_matrix(n, cap=None)),
                            sign_design(n)[:2 ** (n - 1)])

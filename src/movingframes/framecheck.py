@@ -326,8 +326,8 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)
     d, expected = a_set.dim, _frame_constant(a_set)
-    check_draw(d, num_samples, seed)  # before the cache, to which True and 1.0 are the key 1
-    points, errors = _points(d, num_samples, seed)
+    # checked before the cache, to which True and 1.0 are the key 1, and passed on as ints
+    points, errors = _points(*check_draw(d, num_samples, seed))
     if _route(a_set):
         deviations = _form_deviations(a_set, points)
         exact = deviations is None  # D = 0

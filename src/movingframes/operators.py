@@ -39,42 +39,35 @@ class SignedInvolution:
             raise ValueError(f"dimension must be a positive even integer, got {d}")
         if len(signs) != d:
             raise ValueError(f"signs has length {len(signs)}, expected {d} to match pairing")
-        # One pass accepts a valid member: at each position an int (not bool) in 1..d,
-        # not fixed, mapped back, with a sign +-1 opposite to its partner's.  It accepts
-        # exactly what the two passes below accept; they only word the refusal.  A counter
-        # runs faster here than enumerate.
-        i = 0
+        # Each position's own fault is raised at once (positions count from 1); the first
+        # position not mapped back or with its partner's sign is worded after the loop, so
+        # every own fault comes first.  A comparison that raises has met a partner not yet
+        # checked, whose own check raises later.  A counter runs faster here than enumerate.
+        i = mismatch = 0
         for k, s in zip(pairing, signs):
             i += 1
-            if not ((type(k) is int or isinstance(k, int) and not isinstance(k, bool))
-                    and (type(s) is int or isinstance(s, int) and not isinstance(s, bool))
-                    and 0 < k <= d and k != i and pairing[k - 1] == i
-                    and (s == 1 or s == -1) and signs[k - 1] == -s):
-                break
-        else:
-            return
-        for i in range(d):  # each position on its own; messages count positions from 1
-            k, s = pairing[i], signs[i]
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise ValueError(f"pairing index at position {i + 1} must be an int, got {k!r}")
-            if not 1 <= k <= d:
-                raise ValueError(f"pairing index at position {i + 1} is out of range 1..{d}: {k!r}")
-            if k == i + 1:
-                raise ValueError(f"pairing has a fixed point at position {i + 1}")
-            if not isinstance(s, int) or isinstance(s, bool) or s not in (-1, 1):
-                raise ValueError(f"sign at position {i + 1} must be -1 or +1, got {s!r}")
-        for i in range(d):  # each position against its partner
-            k = pairing[i]
-            if pairing[k - 1] != i + 1:
-                raise ValueError(
-                    f"pairing is not an involution at position {i + 1}: "
-                    f"position {i + 1} maps to {k} but {k} maps to {pairing[k - 1]}"
-                )
-            if signs[i] != -signs[k - 1]:
-                raise ValueError(
-                    f"signs are not antisymmetric within the pair at position {i + 1}: "
-                    f"sign[{i + 1}] = {signs[i]} but sign[{k}] = {signs[k - 1]}"
-                )
+            if not (type(k) is int or isinstance(k, int) and not isinstance(k, bool)):
+                raise ValueError(f"pairing index at position {i} must be an int, got {k!r}")
+            if not 0 < k <= d:
+                raise ValueError(f"pairing index at position {i} is out of range 1..{d}: {k!r}")
+            if k == i:
+                raise ValueError(f"pairing has a fixed point at position {i}")
+            if not (type(s) is int or isinstance(s, int) and not isinstance(s, bool)) or (
+                    s != 1 and s != -1):
+                raise ValueError(f"sign at position {i} must be -1 or +1, got {s!r}")
+            if not mismatch:
+                try:
+                    if pairing[k - 1] != i or s != -signs[k - 1]:
+                        mismatch = i
+                except Exception:
+                    mismatch = i
+        if mismatch:
+            i, k = mismatch, pairing[mismatch - 1]
+            if pairing[k - 1] != i:
+                raise ValueError(f"pairing is not an involution at position {i}: "
+                                 f"position {i} maps to {k} but {k} maps to {pairing[k - 1]}")
+            raise ValueError(f"signs are not antisymmetric within the pair at position {i}: "
+                             f"sign[{i}] = {signs[i - 1]} but sign[{k}] = {signs[k - 1]}")
 
     @property
     def dim(self) -> int:
@@ -105,10 +98,10 @@ class OperatorSet:
     """An ordered, duplicate-free collection of signed involutions of one dimension.
 
     ``OperatorSet(dim, members)`` takes the members as objects, and ``dim``
-    must be an ``int`` or numpy integer (not ``bool``); :meth:`from_arrays`
-    takes them as one pairing row and one sign row per member and builds no
-    member objects.  Both need at least one member, all distinct by a ``set``
-    of the members or of the rows.  Either way equality and hashing are by dimension
+    must be an ``int`` or numpy integer (not ``bool``), kept as an ``int``;
+    :meth:`from_arrays` takes them as one pairing row and one sign row per
+    member and builds no member objects.  Both need at least one member, all
+    distinct by a ``set`` of the members or of the rows.  Either way equality and hashing are by dimension
     and members in order, and ``members``, iteration and indexing give
     :class:`SignedInvolution` views, built from the arrays on first use.
     """
@@ -121,7 +114,7 @@ class OperatorSet:
             if u.dim != dim:
                 raise ValueError(f"member {idx} has dimension {u.dim}, expected {dim}")
         _refuse_duplicates(members)
-        self.__dict__.update(dim=dim, members=members, _size=len(members))
+        self.__dict__.update(dim=int(dim), members=members, _size=len(members))
 
     @classmethod
     def from_arrays(cls, pairing: np.ndarray, signs: np.ndarray) -> "OperatorSet":
@@ -269,10 +262,11 @@ def _fixed_point_free_involutions(d: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
+def check_cap(n: int, cap: int | None, what: str, action: str) -> int:
     """Refuse an n that is not an ``int`` or numpy integer, a bool or n < 1,
     a ``cap`` that is neither None nor such an integer of at least 1, and n
-    above ``cap`` unless ``cap`` is None.
+    above ``cap`` unless ``cap`` is None.  Returns n as an ``int``, so that
+    no size is computed in a narrow numpy type.
 
     ``what`` names the cap in the message and ``action`` says what raising
     it allows.
@@ -284,6 +278,7 @@ def check_cap(n: int, cap: int | None, what: str, action: str) -> None:
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {what} cap {cap}; "
                          f"raise the cap explicitly to {action}")
+    return int(n)
 
 
 def sign_design(n: int) -> np.ndarray:
@@ -318,5 +313,5 @@ def enumerate_full(n: int, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Operato
     then by signs (+1 before -1).  ``cap`` bounds ``n`` because the count
     grows factorially; pass a larger cap (or None) to override.
     """
-    check_cap(n, cap, "enumeration", "enumerate larger sets")
+    n = check_cap(n, cap, "enumeration", "enumerate larger sets")
     return signed_pairings(_fixed_point_free_involutions(2 * n), sign_design(n))

@@ -46,8 +46,8 @@ def unit_point(a, dim: int) -> np.ndarray:
     return av
 
 
-def check_draw(dim: int, count: int, seed: int) -> None:
-    """Refuse arguments that :func:`sample_sphere` cannot draw from."""
+def check_draw(dim: int, count: int, seed: int) -> tuple[int, int, int]:
+    """Refuse arguments that :func:`sample_sphere` cannot draw from; return them as ints."""
     if not all(map(is_integer, (dim, count, seed))):
         raise ValueError(f"dim, count and seed must be integers, got {(dim, count, seed)!r}")
     if dim < 2 or dim % 2 != 0:
@@ -56,6 +56,7 @@ def check_draw(dim: int, count: int, seed: int) -> None:
         raise ValueError(f"count must be nonnegative, got {count}")
     if seed < 0:  # random.Random would take |seed|
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    return int(dim), int(count), int(seed)
 
 
 def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
@@ -69,9 +70,9 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
     the radii and the rest the angles, and cosines fill the first half of the
     slice, sines the second.
     """
-    check_draw(dim, count, seed)
+    dim, count, seed = check_draw(dim, count, seed)  # numpy integers would overflow below
     points = np.empty((count, dim))  # first, so that an impossible count fails before any draw
-    flat, rng = points.reshape(-1), random.Random(int(seed))
+    flat, rng = points.reshape(-1), random.Random(seed)
     for start in range(0, count * dim // 2, _DRAW_PAIRS):  # dim is even
         pairs = min(_DRAW_PAIRS, count * dim // 2 - start)
         bits = np.frombuffer(rng.randbytes(16 * pairs), dtype="<u8")

@@ -698,6 +698,25 @@ class TestVerifyMovingFuntf:
             assert not np.array_equal(other[6:11], points[6:])
         assert framecheck._points.cache_info().maxsize <= 16
 
+    @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8])
+    def test_numpy_integer_arguments_are_read_as_ints(self, kind):
+        """A numpy integer gives the plain int's result, with no size computed in
+        its own type; np.int8(12) used to cache a draw of NaN rows under the key 12."""
+        balanced = build_minimal_balanced(6)
+        framecheck._points.cache_clear()
+        report = verify_moving_funtf(OperatorSet(kind(12), balanced.members), seed=5)
+        later = verify_moving_funtf(balanced, seed=5)
+        assert report.tight and report.to_dict() == later.to_dict()
+        assert np.isfinite(framecheck._points(12, framecheck.DEFAULT_NUM_SAMPLES, 5)[0]).all()
+        framecheck._points.cache_clear()
+        assert verify_moving_funtf(balanced, seed=5).to_dict() == later.to_dict()
+        assert np.array_equal(sample_sphere(kind(12), 100, 5), sample_sphere(12, 100, 5))
+        assert build_minimal_balanced(kind(8)) == build_minimal_balanced(8)
+        assert np.array_equal(build_pairing_matrix(kind(70)), build_pairing_matrix(70))
+        small = build_minimal_balanced(3)
+        assert (verify_moving_funtf(small, num_samples=kind(100)).to_dict()
+                == verify_moving_funtf(small, num_samples=100).to_dict())
+
     @settings(max_examples=100, deadline=None)
     @given(sweep_shaped_sets(), st.integers(0, 2 ** 16))
     def test_worst_point_matches_reference_on_sweep_shaped_sets(self, a_set, seed):

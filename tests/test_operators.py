@@ -171,7 +171,8 @@ def changed_entries(draw, count):
     for _ in range(count):
         changed = draw(st.sampled_from((pairing, signs)))
         changed[draw(st.integers(0, d - 1))] = draw(
-            small | ENTRIES | small.map(np.int64) | small.map(Index) | st.sampled_from(Small))
+            small | ENTRIES | small.map(np.int64) | small.map(Index) | st.sampled_from(Small)
+            | st.lists(small, min_size=2, max_size=2).map(np.array))
     container = draw(st.sampled_from((tuple, list)))
     return container(pairing), container(signs)
 
@@ -221,6 +222,10 @@ class TestAgainstFivePassReference:
         ((-1, 4, 4, 2), (1, 1, -1, -1), False),
         ((2, 1, 0, 3), (1, -1, -1, 1), False),
         ((2, 1, -9, 3), (1, -1, -1, 1), False),
+        # an array entry is refused by its own check, also where a partner meets it first
+        ((2, np.array([1, 1]), 4, 3), (1, -1, 1, -1), False),
+        ((2, 1, 4, 3), (1, np.array([-1, -1]), 1, -1), False),
+        ((2, 1, 4, 3), (1, np.array([-1]), 1, -1), False),
     ])
     def test_edge_entries_keep_outcome_and_message(self, pairing, signs, accepted, container):
         operator = container(pairing), container(signs)

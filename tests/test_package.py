@@ -4,6 +4,7 @@ import shlex
 from pathlib import Path
 
 import movingframes
+from movingframes import balance, framecheck
 from movingframes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,6 +30,19 @@ def test_public_names_are_pinned():
         "sign_flip_bijection", "tangency_defect", "tangent_basis", "validate_pairing_matrix",
         "verify_moving_funtf", "witness_cross_term", "witness_unbalanced", "write_document",
     ]
+
+
+def test_tuning_constants_are_pinned():
+    """The private all-caps ints of the two kernels' modules, nine in all: a new
+    one changes this pin and the count in the ROADMAP together."""
+    constants = {module.__name__: sorted(name for name, value in vars(module).items()
+                                         if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name)
+                                         and type(value) is int)
+                 for module in (balance, framecheck)}
+    assert constants == {
+        "movingframes.balance": ["_BLOCK", "_CHUNK", "_FORM", "_GROUP"],
+        "movingframes.framecheck": ["_BLOCK", "_DENSE", "_EINSUM", "_ROWS", "_SMALL"],
+    }
 
 
 def test_readme_quick_tour_runs():
