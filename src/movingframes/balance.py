@@ -95,17 +95,15 @@ def _layout(d: int):
     return pairs, entries, column_code, key_code, pair_id
 
 
-def _pairing_grams(a_set: OperatorSet, least: int = 1):
-    """W_pi = S_pi^T S_pi of each pairing pi of at least ``least`` members, in
-    pairing order, shape (H, d, d): sums of +-1 terms, exact.  The pairings of
-    one member count go through one batched float32 matmul, exact below 2^24."""
+def _pairing_grams(a_set: OperatorSet):
+    """W_pi = S_pi^T S_pi of each pairing pi, in pairing order, shape (P, d, d):
+    sums of +-1 terms, exact.  The pairings of one member count go through
+    one batched float32 matmul, exact below 2^24."""
     sign, (_, group, count) = a_set.index_arrays[1], a_set._pairings
-    sizes = count[count >= least]
-    members = np.flatnonzero(count[group] >= least)
-    signs = sign.astype(np.int8)[members[np.lexsort((group[members], count[group[members]]))]]
-    grams, start = np.empty((len(sizes), sign.shape[1], sign.shape[1])), 0
-    for size in sorted(set(sizes.tolist())):  # members by count, then by pairing
-        which = np.flatnonzero(sizes == size)
+    signs = sign.astype(np.int8)[np.lexsort((group, count[group]))]
+    grams, start = np.empty((len(count), sign.shape[1], sign.shape[1])), 0
+    for size in sorted(set(count.tolist())):  # members by count, then by pairing
+        which = np.flatnonzero(count == size)
         block = signs[start:start + size * len(which)].astype(np.float32).reshape(len(which), size, -1)
         grams[which] = block.transpose(0, 2, 1) @ block
         start += size * len(which)
@@ -116,10 +114,10 @@ def _grouping(a_set: OperatorSet, width: int) -> bool:
     """Whether ``width`` columns are counted pairing by pairing: where 2*width
     entries per pairing, _GROUP for its W_pi and #A*d for finding the
     pairings come to less than #A*width member by member.  The pairings are
-    looked for only where that could save more than a table, or where the
-    set already holds them, so small sets never pay for ``np.unique``."""
+    looked for only where that could save more than a table, so small sets
+    never pay for ``np.unique``."""
     size, d = a_set.index_arrays[0].shape
-    if size * (width - d) <= _BLOCK and "_pairings" not in vars(a_set):
+    if size * (width - d) <= _BLOCK:
         return False
     return len(a_set._pairings[2]) * (2 * width + _GROUP) + size * d < size * width
 

@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .balance import BalanceReport, _blocks, _form_rows, _layout, _pairing_grams
+from .balance import BalanceReport, _blocks, _form_rows, _layout
 from .operators import OperatorSet
 from .sphere import UNIT_POINT_TOL, _as_floats, check_draw, is_integer, sample_sphere, unit_point
 
@@ -30,16 +30,14 @@ DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
 
 # Working sizes of verify_moving_funtf, in floats: point monomials per block
-# of points through F; and image rows and W_pi coordinates per block of
-# points on the row route.
+# of points through F; and image rows per block of points on the row route.
 _BLOCK = 2 ** 17
 _ROWS = 2 ** 14
 
 # Where F pays, as timed (see :func:`_route`): up to d = _SMALL always, above
-# it where E^2 <= _DENSE (L + 1 + _EINSUM H) d^2.
+# it where E^2 <= _DENSE (#A + 1) d^2.
 _SMALL = 14
 _DENSE = 2
-_EINSUM = 8
 
 
 @dataclass
@@ -192,22 +190,14 @@ def _route(a_set: OperatorSet) -> bool:
 
     Timed on random sets of d = 10 to 64 (one BLAS thread of a shared
     2-vCPU machine, against the rows of :func:`_row_deviations`): up to
-    d = 14, F was faster for every member count and pairing count tried.
-    Above, F costs E^2 products per point and the rows (L + 1 + kappa H) d^2,
-    for the L members of pairings under d members, the normal, and H pairings
-    of at least d members whose W_pi cost kappa = 10 to 19 rows each; F and
-    the rows took equal time at about E^2 = 3 (L + 1) d^2.  F is taken where
-    E^2 <= 2 (L + 1 + 8 H) d^2, so only where the timings put it clearly ahead.
+    d = 14, F was faster for every member count tried.  Above, F costs E^2
+    products per point and the rows (#A + 1) d^2, for the members and the
+    normal; they took equal time at about E^2 = 3 (#A + 1) d^2.  F is taken
+    where E^2 <= 2 (#A + 1) d^2, so only where the timings put it clearly ahead.
     """
     d = a_set.dim
-    if d <= _SMALL:
-        return True
-    light, heavy = len(a_set), 0
-    if len(a_set) >= d:  # else no pairing has d members
-        count = a_set._pairings[2]
-        light, heavy = int(count[count < d].sum()), int((count >= d).sum())
     size = d * (d + 1) // 2
-    return size * size <= _DENSE * (light + 1 + _EINSUM * heavy) * d * d
+    return d <= _SMALL or size * size <= _DENSE * (len(a_set) + 1) * d * d
 
 
 def _defect_rows(a_set: OperatorSet):
@@ -255,33 +245,18 @@ def _form_deviations(a_set: OperatorSet, points: np.ndarray):
 def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
     """Per point: the sum of the diagonal of S, the largest off-diagonal
     |S_rs| and the largest |S_rr - C|, with S = V^T V for V the scaled
-    normal and the image rows, one batched matmul per block of about _ROWS
-    floats of V and W_pi coordinates.  Members sharing a pairing pi differ
-    only in signs, so they add W_pi o (a[pi] a[pi]^T): a pairing of at least
-    d members adds that (d*d floats against the m*d of their rows per point,
-    pairings in order of first appearance), the other members their rows.
-    """
+    normal and every member's image row in set order, one batched matmul
+    per block of about _ROWS floats of V."""
     d = a_set.dim
     k, sign = a_set.index_arrays
-    w = k_heavy = np.empty((0, d, d))
-    if len(k) >= d:  # else no pairing has d members
-        first, group, count = a_set._pairings
-        heavy = np.flatnonzero(count >= d)
-        order = np.argsort(first[heavy])  # pairings in order of first appearance
-        w, k_heavy = _pairing_grams(a_set, d)[order], k[first[heavy[order]]]
-        k, sign = k[count[group] < d], sign[count[group] < d]
     total, off, diag = deviations = np.empty((3, len(points)))
-    blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1 + len(w)) * d)))
+    blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1) * d)))
     v = np.empty((max(hi - lo for lo, hi in blocks), len(k) + 1, d))  # the normal, then the images
     for lo, hi in blocks:
         a, vb = points[lo:hi], v[:hi - lo]
         np.multiply(sqrt(expected), a, out=vb[:, 0])
         np.multiply(sign, np.negative(a)[:, k], out=vb[:, 1:])
-        s = np.matmul(vb.transpose(0, 2, 1), vb)
-        if len(w):
-            a_heavy = a[:, k_heavy]
-            s += np.einsum("prs,xpr,xps->xrs", w, a_heavy, a_heavy)
-        s = s.reshape(hi - lo, -1)
+        s = np.matmul(vb.transpose(0, 2, 1), vb).reshape(hi - lo, -1)
         diagonal = s[:, ::d + 1]
         total[lo:hi] = diagonal.sum(axis=1)
         diag[lo:hi] = np.abs(diagonal - expected).max(axis=1)  # NaN stays NaN, as above

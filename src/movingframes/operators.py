@@ -111,6 +111,8 @@ class OperatorSet:
         if not is_integer(dim) or dim <= 0 or dim % 2 != 0:
             raise ValueError(f"dimension must be a positive even integer, got {dim}")
         for idx, u in enumerate(members):
+            if not isinstance(u, SignedInvolution):
+                raise ValueError(f"member {idx} must be a SignedInvolution, got {type(u).__name__}")
             if u.dim != dim:
                 raise ValueError(f"member {idx} has dimension {u.dim}, expected {dim}")
         _refuse_duplicates(members)
@@ -231,9 +233,12 @@ def _refuse_duplicates(rows: Sequence) -> None:
 def make_operator(dim: int, pairing: Sequence[int], signs: Sequence[int]) -> SignedInvolution:
     """Validate and build a signed involution with 1-based pairing indices.
 
-    Entries must be ``int`` (not ``bool``); nothing is coerced.  Only the
-    pairing length is checked here; :class:`SignedInvolution` checks the rest.
+    ``dim`` and the entries must be ``int`` (not ``bool``; ``dim`` may be a
+    numpy integer); nothing is coerced.  Only ``dim`` and the pairing length
+    are checked here; :class:`SignedInvolution` checks the rest.
     """
+    if not (type(dim) is int or is_integer(dim)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if len(pairing) != dim:
         raise ValueError(f"pairing has length {len(pairing)}, expected {dim}")
     return SignedInvolution(tuple(pairing), tuple(signs))

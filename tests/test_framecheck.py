@@ -54,7 +54,7 @@ def one_member_per_pairing():
 def heavy_pairings(n, pairings, members):
     """``members`` seeded distinct sign patterns of each of the first ``pairings``
     pairings of build_pairing_matrix(n): pairings of at least d = 2n members,
-    so few that verify_moving_funtf takes the row route."""
+    which verify_moving_funtf prices by their member count alone."""
     codes = np.random.default_rng(n).choice(2 ** 16, members, replace=False)
     design = (1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)).astype(np.int8)
     return signed_pairings(extract_pairings(build_pairing_matrix(n))[:pairings], design)
@@ -178,30 +178,16 @@ def reduced_worst_point(a_set, num_samples, seed):
 
 def reduced_row_worst_point(a_set, num_samples, seed):
     """The per-point arithmetic of verify_moving_funtf's row route, written
-    out with its own grouping.  A pairing of at least d members becomes the
-    integer Gram matrix of their sign rows (pairings in order of first
-    appearance); the other members keep their image rows, after the scaled
-    normal and in set order.  Returns what reduced_worst_point returns."""
+    out: the scaled normal, then the image row -S*a[K] of every member in
+    set order.  Returns what reduced_worst_point returns."""
     k, sign = a_set.index_arrays
     d = a_set.dim
     expected = len(a_set) / (d - 1)
-    groups = {}
-    for m, row in enumerate(k.tolist()):
-        groups.setdefault(tuple(row), []).append(m)
-    heavy = [rows for rows in groups.values() if len(rows) >= d]
-    light = sorted(m for rows in groups.values() if len(rows) < d for m in rows)
-    w = np.zeros((len(heavy), d, d))
-    for j, rows in enumerate(heavy):
-        for m in rows:
-            w[j] += np.outer(sign[m], sign[m])
-    k_heavy = k[[rows[0] for rows in heavy]]
     points = np.vstack([probe_points(d), sample_sphere(d, num_samples, seed)])
     worst_dev, worst = -1.0, None
     for a in points:
-        v = np.vstack([math.sqrt(expected) * a, -sign[light] * a[k[light]]])
+        v = np.vstack([math.sqrt(expected) * a, -sign * a[k]])
         s = v.T @ v
-        if heavy:
-            s = s + np.einsum("prs,pr,ps->rs", w, a[k_heavy], a[k_heavy])
         max_off = float(np.max(np.abs(s - np.diag(np.diagonal(s)))))
         max_diag = float(np.max(np.abs(np.diagonal(s) - expected)))
         if max(max_off, max_diag) > worst_dev:
@@ -489,17 +475,18 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("a_set,num_samples,shrunk", [
         (MIN2, 10, {}), (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
         (build_minimal_balanced(3), 10, {}), (reversed_coordinates(build_minimal_balanced(5)), 10, {}),
-        # 13 image rows, the normal and 12 W_pi: 156 floats a point, so 215 points
-        # in 22 blocks of up to 10
-        (FULL3_SUBSET, 200, {"_ROWS": 156 * 10}),
+        # the normal and 100 image rows: 606 floats a point, so 215 points in
+        # 22 blocks of up to 10
+        (FULL3_SUBSET, 200, {"_ROWS": 606 * 10}),
         (one_member_per_pairing(), 10, {}),
     ], ids=["min2", "clipped-min2", "mixed", "min3", "reversed-min5", "full3-subset",
             "one-per-pairing"])
     def test_row_route_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
-        """The row route, taken by every set here with F refused: pairings of
-        at least d members (one of MIXED's, 12 of full3-subset's and all of
-        reversed-min5's) add their W_pi, the other members their image rows.
-        F is read only for the sets that pass the rows and the re-check."""
+        """The row route, taken by every set here with F refused: the scaled
+        normal and every member's image row, also in pairings of at least d
+        members (one of MIXED's, 12 of full3-subset's and all of
+        reversed-min5's).  F is read only for the sets that pass the rows and
+        the re-check."""
         monkeypatch.setattr(framecheck, "_SMALL", 0)
         monkeypatch.setattr(framecheck, "_DENSE", 0)
         reads, form_rows = [], balance._form_rows
@@ -521,16 +508,19 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("pick,route", [
         (np.arange(0, 512, 512), "rows"),  # one member
         (np.arange(0, 2560, 512), "rows"),  # five members of five pairings
-        (np.arange(1024), "rows"),  # two whole pairings, each a W_pi
+        (np.arange(54), "rows"),  # 2 (54 + 1) 400 = 44,000 < 44,100
+        (np.arange(55), "form"),  # 2 (55 + 1) 400 = 44,800
         (np.arange(0, 9728, 2), "form"),  # half of each of the 19 pairings
-    ], ids=["one", "five", "two-pairings", "half"])
+    ], ids=["one", "five", "first-54", "first-55", "half"])
     def test_route_follows_the_cost_of_the_rows(self, pick, route, monkeypatch):
-        """At d = 20 F costs E^2 = 44,100 products per point: more than
-        _route allows against the rows of a few members or of two pairings'
-        W_pi, less than it allows for half of the Theorem 3.4 set.  Either
-        route gives the same verdict and worst deviation, and the rows never
-        build F."""
+        """At d = 20 F costs E^2 = 44,100 products per point, which _route
+        sets against 2 (#A + 1) d^2 = 800 (#A + 1) for the rows: so the first
+        54 members of the Theorem 3.4 set take the rows, the first 55 take F.
+        Either route gives the same verdict and worst deviation, and the rows
+        never build F."""
+        assert (44_100 <= 2 * (len(pick) + 1) * 400) == (route == "form")
         a_set = subset(build_minimal_balanced(10), pick)
+        assert framecheck._route(a_set) == (route == "form")
         patched = "_row_deviations" if route == "form" else "_form_rows"
         with monkeypatch.context() as patch:
             patch.setattr(framecheck, patched, None)
@@ -621,11 +611,27 @@ class TestVerifyMovingFuntf:
             assert vars(a_set)["_slice_table"] is table
 
     def test_heavy_pairings_take_the_rows(self, monkeypatch):
-        monkeypatch.setattr(framecheck, "_form_rows", None)
-        for n, pairings, members in ((16, 4, 64), (32, 2, 128)):
+        """Pairings of at least d members take the route of their member count:
+        256 members at d = 32 take F, 256 at d = 64 the rows, which never build F."""
+        for (n, pairings, members), form in (((16, 4, 64), True), ((32, 2, 128), False)):
             a_set = heavy_pairings(n, pairings, members)
-            assert not framecheck._route(a_set)
-            assert verify_moving_funtf(a_set, num_samples=5).tight == is_balanced(a_set).balanced
+            assert framecheck._route(a_set) == form
+            with monkeypatch.context() as patch:
+                patch.setattr(framecheck, "_row_deviations" if form else "_form_rows", None)
+                assert verify_moving_funtf(a_set, num_samples=5).tight == is_balanced(a_set).balanced
+
+    @pytest.mark.parametrize("a_set", [
+        subset(build_minimal_balanced(8), [0]), heavy_pairings(32, 2, 128),
+    ], ids=["one-member-d16", "heavy-d64"])
+    def test_the_row_route_never_finds_the_grouping(self, a_set, monkeypatch):
+        """The rows read every member's image row, and the route is priced by
+        the member count alone, so the row route never calls np.unique."""
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+        a_set = fresh(a_set)
+        assert not framecheck._route(a_set)
+        assert not verify_moving_funtf(a_set).tight
+        assert calls == []
 
     @settings(max_examples=30, deadline=None)
     @given(sweep_shaped_sets())

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from enum import IntEnum
 from fractions import Fraction
 
@@ -61,6 +62,18 @@ class TestMakeOperator:
         # True == 1, but a boolean is not a sign
         with pytest.raises(ValueError, match="sign at position 1"):
             SignedInvolution((2, 1), (True, -1))
+
+    @pytest.mark.parametrize("dim,pairing,signs", [
+        (4.0, (2, 1, 4, 3), (1, -1, 1, -1)), (np.float64(4), (2, 1, 4, 3), (1, -1, 1, -1)),
+        ("4", (2, 1, 4, 3), (1, -1, 1, -1)), (True, (2, 1), (1, -1)),
+    ], ids=["float", "numpy-float", "str", "bool"])
+    def test_dim_follows_the_integer_rule(self, dim, pairing, signs):
+        """A dim that is not an int or numpy integer, or is a bool, is refused
+        before the pairing is read; a numpy integer is taken as its int."""
+        with pytest.raises(ValueError, match=f"^dim must be an integer, got {re.escape(repr(dim))}$"):
+            make_operator(dim, pairing, signs)
+        assert make_operator(np.int64(len(pairing)), pairing, signs) == make_operator(
+            len(pairing), pairing, signs)
 
     def test_rejects_length_mismatch(self):
         for pairing, signs in [((2, 1), (1, -1)), ((2, 1, 4, 3), (1, -1))]:
@@ -544,6 +557,14 @@ class TestFromArrays:
         assert OperatorSet(np.int64(4), one) == OperatorSet(4, one)
         with pytest.raises(ValueError, match="^member 1 has dimension 2, expected 4$"):
             OperatorSet(4, (enumerate_full(2)[0], enumerate_full(1)[0]))
+
+    @pytest.mark.parametrize("members,index,kind", [
+        ([(1, 2)], 0, "tuple"), ("ab", 0, "str"), ([None], 0, "NoneType"),
+        ([enumerate_full(2)[0], (2, 1, 4, 3)], 1, "tuple"),
+    ], ids=["tuple", "str", "none", "second-member"])
+    def test_refuses_members_that_are_not_signed_involutions(self, members, index, kind):
+        with pytest.raises(ValueError, match=f"^member {index} must be a SignedInvolution, got {kind}$"):
+            OperatorSet(4, members)
 
 
 class TestTangencyDefect:

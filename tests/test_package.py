@@ -1,10 +1,11 @@
 import ast
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import movingframes
-from movingframes import balance, framecheck
 from movingframes.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,15 +34,20 @@ def test_public_names_are_pinned():
 
 
 def test_tuning_constants_are_pinned():
-    """The private all-caps ints of the two kernels' modules, nine in all: a new
-    one changes this pin and the count in the ROADMAP together."""
-    constants = {module.__name__: sorted(name for name, value in vars(module).items()
-                                         if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name)
-                                         and type(value) is int)
-                 for module in (balance, framecheck)}
+    """The private all-caps ints of every module of the package, twelve in
+    all: a new one changes this pin and the count in the ROADMAP together."""
+    constants = {}
+    for info in pkgutil.iter_modules(movingframes.__path__, "movingframes."):
+        module = importlib.import_module(info.name)
+        names = sorted(name for name, value in vars(module).items()
+                       if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name) and type(value) is int)
+        if names:
+            constants[info.name] = names
     assert constants == {
         "movingframes.balance": ["_BLOCK", "_CHUNK", "_FORM", "_GROUP"],
-        "movingframes.framecheck": ["_BLOCK", "_DENSE", "_EINSUM", "_ROWS", "_SMALL"],
+        "movingframes.documents": ["_BLOCK", "_CHUNK", "_MAX_NUMBER"],
+        "movingframes.framecheck": ["_BLOCK", "_DENSE", "_ROWS", "_SMALL"],
+        "movingframes.sphere": ["_DRAW_PAIRS"],
     }
 
 
