@@ -33,7 +33,7 @@ import numpy as np
 from .operators import OperatorSet, make_operator
 from .sphere import is_integer
 
-_CHUNK = 1024  # records formatted at a time
+_CHUNK = 1024  # records tiled from the template and filled from the token table at a time
 _BLOCK = 1 << 18  # bytes of written records read at a time
 
 _HEADER = re.compile(rb'\{\n  "n": ([1-9][0-9]{0,17}),\n  "operators": \[\n')
@@ -52,9 +52,13 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     """The document of ``a_set`` in pieces, which together are the text of
     ``json.dumps(doc, indent=2)`` and a newline.
 
-    Records are formatted straight from the set's arrays, _CHUNK at a time,
-    so the whole text is never held at once; only the metadata goes through
-    ``json``.
+    Records are written straight from the set's arrays as bytes, _CHUNK at
+    a time, so the whole text is never held at once; only the metadata goes
+    through ``json``.  This is the inverse of :func:`_written_arrays`: each
+    number a record can hold, -1 to d, is formatted once, NUL-padded to one
+    width, and a chunk tiles ",\\n" and the record template with that many
+    NULs in each number slot, writes the tokens of its pairings and signs
+    into the slots and drops every NUL.
     """
     metadata = {}
     if generator is not None:
@@ -62,13 +66,19 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     if timestamp:
         metadata["created"] = datetime.now(timezone.utc).isoformat()
     yield f'{{\n  "n": {a_set.dim // 2},\n  "operators": ['
-    record = _record_template(a_set.dim)
+    # the token of each value v from -1 to d, NUL-padded to one width, at row v + 1
+    table = np.array([str(value) for value in range(-1, a_set.dim + 1)], "S")
+    template = (",\n" + _record_template(a_set.dim)).replace("%d", "\0" * table.itemsize)
+    template = np.frombuffer(template.encode(), np.uint8)
+    slots = np.flatnonzero(template == 0)
     k, sign = a_set.index_arrays
-    rows = np.hstack([k + 1, sign])
-    for start in range(0, len(rows), _CHUNK):
-        chunk = rows[start:start + _CHUNK]
-        yield ",\n" if start else "\n"
-        yield ",\n".join([record] * len(chunk)) % tuple(chunk.ravel().tolist())
+    for start in range(0, len(k), _CHUNK):
+        rows = np.hstack([k[start:start + _CHUNK] + 2, sign[start:start + _CHUNK] + 1])
+        records = np.tile(template, (len(rows), 1))
+        records[:, slots] = table[rows].view(np.uint8)
+        flat = records.ravel()
+        chunk = flat[flat != 0].tobytes().decode()
+        yield chunk if start else chunk[1:]  # "[" is followed by "\n", not ",\n"
     yield "\n  ]"
     if metadata:  # json.dumps escapes newlines in strings, so each "\n" starts a line
         yield ',\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  ")

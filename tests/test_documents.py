@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 
@@ -45,11 +46,27 @@ def json_document(a_set, metadata=None):
     return json.dumps(doc, indent=2) + "\n"
 
 
+# one member at d = 200: numbers of one, two and three digits in one record
+D200 = OperatorSet(200, [make_operator(200, [i + 2 - 2 * (i % 2) for i in range(200)],
+                                       [1 - 2 * (i % 2) for i in range(200)])])
+SOURCES = [enumerate_full(n) for n in (1, 2, 3)] + [build_minimal_balanced(n) for n in range(2, 8)]
+
+
+@st.composite
+def written_sets(draw):
+    """A random subset, in random order and of at least one member, of a full
+    or Theorem 3.4 set."""
+    k, sign = draw(st.sampled_from(SOURCES)).index_arrays
+    size = draw(st.integers(1, len(k)))
+    order = draw(st.randoms(use_true_random=False)).sample(range(len(k)), size)
+    return OperatorSet.from_arrays(k[order] + 1, sign[order])
+
+
 class TestWrittenText:
     SETS = [enumerate_full(1), enumerate_full(3), build_minimal_balanced(4),
-            OperatorSet(4, enumerate_full(2).members[::-1])]
+            OperatorSet(4, enumerate_full(2).members[::-1]), D200]
 
-    @pytest.mark.parametrize("a_set", SETS, ids=["full1", "full3", "min4", "reversed"])
+    @pytest.mark.parametrize("a_set", SETS, ids=["full1", "full3", "min4", "reversed", "d200"])
     def test_same_text_as_json_dumps(self, a_set, tmp_path):
         path = tmp_path / "ops.json"
         write_document(path, a_set, timestamp=False)
@@ -78,6 +95,36 @@ class TestWrittenText:
     def test_more_records_than_one_chunk(self):
         a_set = build_minimal_balanced(7)  # 1,664 records
         assert "".join(document_chunks(a_set, timestamp=False)) == json_document(a_set)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    @settings(max_examples=60, deadline=None)
+    @given(a_set=written_sets())
+    def test_any_subset_at_any_chunk_boundary(self, chunk, a_set, tmp_path_factory):
+        """The text is json.dumps's wherever the chunks are cut, and it is read
+        back by the byte route as the same set."""
+        def refuse(doc):
+            raise AssertionError("the json route was taken")
+
+        path = tmp_path_factory.getbasetemp() / "subset.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(documents, "_CHUNK", chunk)
+            patch.setattr(documents, "parse_document", refuse)
+            write_document(path, a_set, timestamp=False)
+            assert path.read_text(encoding="utf-8") == json_document(a_set)
+            assert read_document(path) == a_set
+
+    def test_memory_stays_within_a_chunk(self):
+        """The whole text is never held at once: the 12.3 MB document of the
+        Theorem 3.4 set at n = 11 is written within a fixed few MB."""
+        a_set = build_minimal_balanced(11)
+        a_set.index_arrays  # the set's own arrays, built before tracing
+        tracemalloc.start()
+        try:
+            write_document(os.devnull, a_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def reference_parse_error(doc):

@@ -557,10 +557,11 @@ class TestVerifyMovingFuntf:
         subset(build_minimal_balanced(8), np.arange(1919)),
         subset(enumerate_full(5), np.arange(3, 30240)),
         heavy_pairings(16, 4, 64),
-    ], ids=["min8-minus-one", "full5-minus-three", "heavy-rows"])
+    ], ids=["min8-minus-one", "full5-minus-three", "heavy-d32"])
     def test_the_grouping_is_found_once(self, a_set, monkeypatch):
-        """check-funtf on an unbalanced set: the frame check, then exact
+        """check-funtf on an unbalanced set: the frame check by F, then exact
         balance, both reading the set's one grouping by pairing."""
+        assert framecheck._route(a_set)
         calls, unique = [], np.unique
         monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
         a_set = fresh(a_set)
