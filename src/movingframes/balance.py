@@ -7,14 +7,15 @@ Theorem 3.4: (2n-1) * 2^(n-1) operators, every pairing of the family with
 every sign pattern pinned at coordinate 1.  The slice counts are integer
 numpy arrays from one ``np.bincount`` kernel, so still exact.  It scatters a
 set member by member or, where one rule finds that smaller, pairing by
-pairing, and the frame check's integer form F is read from the same tables.
+pairing.  A set decodes its tables once, and the balance report, the exact
+frame verdict and the frame check's integer form D all read that decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .operators import OperatorSet, SignedInvolution, check_cap, sign_design, si
 from .sphere import is_integer
 
 # Working sizes of the slice counts: entries of one table; the least codes one np.bincount
-# scatters; one pairing's W_pi, in scattered entries; and floats of a row block of F (4 MB).
+# scatters; one pairing's W_pi, in scattered entries; and floats of a row block of D (4 MB).
 _BLOCK = 1 << 16
 _CHUNK = 1 << 12
 _GROUP = 1 << 8
@@ -79,7 +80,7 @@ def _layout(d: int):
     """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
     lexicographic, 1-based), ``entries`` (rows and columns of the entries r <= s,
     0-based: the diagonal, then the pairs, so table column c is entry d + c, as
-    the frame check's F is ordered), ``column_code`` (2C*c for pair c), ``key_code``
+    the frame check's D is ordered), ``column_code`` (2C*c for pair c), ``key_code``
     (key_code[p, q] // 2 numbers {p, q}, C where p = q mod d; flat at p*2d + q) and
     ``pair_id`` (pair_id[p, q] = key_code[p, q] // 2 for p, q < d)."""
     rows, cols = np.triu_indices(d, 1)
@@ -110,26 +111,27 @@ def _pairing_grams(a_set: OperatorSet):
     return grams
 
 
-def _grouping(a_set: OperatorSet, width: int) -> bool:
-    """Whether ``width`` columns are counted pairing by pairing: where 2*width
-    entries per pairing, _GROUP for its W_pi and #A*d for finding the
-    pairings come to less than #A*width member by member.  The pairings are
+def _grouping(a_set: OperatorSet) -> bool:
+    """Whether the C = d(d-1)/2 columns are counted pairing by pairing: where
+    2*C entries per pairing, _GROUP for its W_pi and #A*d for finding the
+    pairings come to less than #A*C member by member.  The pairings are
     looked for only where that could save more than a table, so small sets
     never pay for ``np.unique``."""
     size, d = a_set.index_arrays[0].shape
+    width = d * (d - 1) // 2
     if size * (width - d) <= _BLOCK:
         return False
     return len(a_set._pairings[2]) * (2 * width + _GROUP) + size * d < size * width
 
 
-def _slice_source(a_set: OperatorSet, width: int):
-    """The rows :func:`_slice_counts` scatters to count ``width`` columns, and
-    their weights: each member's keys K + d*[S < 0], unweighted, or (see
-    :func:`_grouping`) each pairing's K, weighted by the counts of its
-    members at sign -1 and +1 at each pair r < s, (|pi| -+ W_pi[r, s])/2."""
+def _slice_source(a_set: OperatorSet):
+    """The rows :func:`_slice_counts` scatters, and their weights: each
+    member's keys K + d*[S < 0], unweighted, or (see :func:`_grouping`) each
+    pairing's K, weighted by the counts of its members at sign -1 and +1 at
+    each pair r < s, (|pi| -+ W_pi[r, s])/2."""
     k, sign = a_set.index_arrays
     d = a_set.dim
-    if not _grouping(a_set, width):
+    if not _grouping(a_set):
         return k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
     first, _, count = a_set._pairings
     rows, cols = _layout(d)[1][:, d:]
@@ -138,9 +140,9 @@ def _slice_source(a_set: OperatorSet, width: int):
     return k[first], weights.astype(np.min_scalar_type(count.max()))
 
 
-def _slice_counts(source, start: int, stop: int):
-    """Yield (first, last, table) over the columns start:stop in blocks of about
-    _BLOCK entries, scattered from ``source`` (:func:`_slice_source`).  Row C*j + g,
+def _slice_counts(source):
+    """Yield (first, table) over all C columns in blocks of about _BLOCK
+    entries, scattered from ``source`` (:func:`_slice_source`).  Row C*j + g,
     column t: members with {k_r, k_s} = pair g and S[r]*S[s] = (+1 if t else -1),
     for (r, s) the pair first + j; row C*j + first + j is the pair slice {r, s}.
     The keys K + d*[S < 0] at r and s give key_code 2g + [S[r] = S[s]]; a
@@ -150,11 +152,12 @@ def _slice_counts(source, start: int, stop: int):
     keys, weights = source
     d = keys.shape[1]
     pairs, entries, column_code, key_code, _ = _layout(d)
-    most = max(1, _BLOCK // (2 * len(pairs)))
-    for first in range(start, stop, most):
-        last = min(first + most, stop)
+    columns = len(pairs)
+    most = max(1, _BLOCK // (2 * columns))
+    for first in range(0, columns, most):
+        last = min(first + most, columns)
         rs, width = entries[:, d + first:d + last], last - first
-        size = 2 * len(pairs) * width
+        size = 2 * columns * width
         step = max(1, max(_CHUNK, size) // (width if weights is None else 2 * width))
         for m in range(0, len(keys), step):
             kk = keys[m:m + step].take(rs, axis=1)
@@ -165,41 +168,45 @@ def _slice_counts(source, start: int, stop: int):
                 codes, part = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
             counts = np.bincount(codes.ravel(), part, size)  # with weights, floats of exact integers
             table = np.add(table, counts, out=table) if m else counts
-        yield first, last, table.reshape(-1, 2)
+        yield first, table.reshape(-1, 2)
 
 
-def _column_tables(a_set: OperatorSet):
-    """A function of (start, stop) that yields what :func:`_slice_counts` yields over
-    those of the C = d(d-1)/2 columns, scattered at width C.  Where all C columns fit
-    one table of _BLOCK entries (d <= 18), a set scatters them once, whichever of
-    :func:`is_balanced` and :func:`_form_rows` comes first, and keeps the table
-    read-only, as it keeps its pairing grouping."""
-    d = a_set.dim
-    columns = d * (d - 1) // 2
-    if 2 * columns * columns > _BLOCK:
-        return partial(_slice_counts, _slice_source(a_set, columns))
-    table = vars(a_set).get("_slice_table")
-    if table is None:
-        _, _, table = next(_slice_counts(_slice_source(a_set, columns), 0, columns))
-        table.flags.writeable = False
-        vars(a_set)["_slice_table"] = table
-    return lambda start, stop: ([(start, stop, table[columns * start:columns * stop])]
-                                if start < stop else [])
+def _decoded(a_set: OperatorSet):
+    """(balanced, codes, slices), from one :func:`_slice_counts` pass on first
+    use, kept read-only as the set keeps its pairing grouping: ``codes``, C*c + g
+    ascending, of each slice of pair g at column c whose two counts differ, and
+    ``slices`` their (count_minus, count_plus).  These are the pair slices
+    (g = c, all at sign -1) where #A_{r,s} > 0, and the failures of condition ii."""
+    decode = vars(a_set).get("_decode")
+    if decode is None:
+        d, size = a_set.dim, len(a_set)
+        columns = d * (d - 1) // 2
+        parts = []
+        for first, table in _slice_counts(_slice_source(a_set)):
+            rows = (table[:, 1] != table[:, 0]).nonzero()[0]
+            parts.append((rows + columns * first, table.take(rows, axis=0)))
+        codes, slices = map(np.concatenate, zip(*parts)) if len(parts) > 1 else parts[0]
+        slices = slices.astype(int, copy=False)  # ints also from weights
+        codes.flags.writeable = slices.flags.writeable = False
+        count, rest = divmod(size, d - 1)
+        balanced = (len(codes) == columns and not rest  # the pair slices, at codes c*(C + 1)
+                    and codes.tolist() == list(range(0, columns * columns, columns + 1))
+                    and slices.tolist() == [[count, 0]] * columns)
+        decode = vars(a_set)["_decode"] = (balanced, codes, slices)
+    return decode
 
 
 def count_pair_slice(a_set: OperatorSet, p: int, q: int) -> int:
     """Number of members whose pairing matches coordinate p with coordinate q."""
-    d = a_set.dim
-    _check_indices(d, p=p, q=q)
+    _check_indices(a_set.dim, p=p, q=q)
     if p == q:
         raise ValueError(f"p and q must differ, both are {p}")
-    column = int(_layout(d)[4][p - 1, q - 1])
-    _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
-    return int(table[column, 0])
+    return int(np.count_nonzero(a_set.index_arrays[0][:, p - 1] == q - 1))
 
 
 def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: int) -> int:
-    """Number of members with sign[p]*sign[q] == sign and {k_r, k_s} == {p, q}."""
+    """Number of members with sign[p]*sign[q] == sign and {k_r, k_s} == {p, q}:
+    as {k_p, k_q} = {r, s} and S[k_i] = -S[i], sign[p]*sign[q] = sign[r]*sign[s]."""
     d = a_set.dim
     if d < 4:
         raise ValueError("sign slices need four distinct indices, so dimension >= 4")
@@ -208,10 +215,9 @@ def count_sign_slice(a_set: OperatorSet, p: int, q: int, r: int, s: int, sign: i
         raise ValueError(f"indices must be distinct, got p={p} q={q} r={r} s={s}")
     if not is_integer(sign) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    pair_id = _layout(d)[4]
-    column = int(pair_id[r - 1, s - 1])
-    _, _, table = next(_slice_counts(_slice_source(a_set, 1), column, column + 1))
-    return int(table[pair_id[p - 1, q - 1], int(sign > 0)])
+    k, signs = (array[:, [r - 1, s - 1]] for array in a_set.index_arrays)
+    return int(np.count_nonzero((np.sort(k, axis=1) == sorted((p - 1, q - 1))).all(axis=1)
+                                & (signs[:, 0] * signs[:, 1] == sign)))
 
 
 def is_balanced(a_set: OperatorSet) -> BalanceReport:
@@ -220,53 +226,56 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     Condition i requires every pair slice to hold exactly #A/(2n-1) members;
     the comparison is done as #A_{p,q} * (2n-1) == #A so a non-divisible set
     size fails automatically.  Condition ii compares the two sign slices of
-    every four distinct indices; it is vacuous for n = 1.  Both are read
-    from the tables of :func:`_slice_counts`, never a d^4 table, at the rows
-    whose two signs differ.
+    every four distinct indices; it is vacuous for n = 1.  Both are worded
+    from the set's one decode of the slice tables (:func:`_decoded`), never
+    a d^4 table: the pair counts, and the sign slices whose two counts differ.
     """
     d, size = a_set.dim, len(a_set)
     pairs = _layout(d)[0]
     columns = len(pairs)
+    balanced, codes, slices = _decoded(a_set)
     pair_counts, cond_ii = [0] * columns, []
-    for start, _, table in _column_tables(a_set)(0, columns):
-        differ = (table[:, 1] != table[:, 0]).nonzero()[0]
-        counts = table.take(differ, axis=0).astype(int, copy=False)  # ints also from weights
-        for row, (minus, plus) in zip(differ.tolist(), counts.tolist()):
-            j, g = divmod(row, columns)
-            if g == start + j:  # the pair slice {r, s}, all at sign -1
-                pair_counts[g] = minus
-            else:
-                cond_ii.append((*pairs[g], *pairs[start + j], plus, minus))
+    for code, (minus, plus) in zip(codes.tolist(), slices.tolist()):
+        column, pair = divmod(code, columns)
+        if pair == column:  # the pair slice {r, s}, all at sign -1
+            pair_counts[pair] = minus
+        else:
+            cond_ii.append((*pairs[pair], *pairs[column], plus, minus))
     cond_ii.sort()
     required = Fraction(size, d - 1)
     cond_i = [(*pair, count, required) for pair, count in zip(pairs, pair_counts)
               if count * (d - 1) != size]
-    return BalanceReport(balanced=not cond_i and not cond_ii, set_size=size,
+    return BalanceReport(balanced=balanced, set_size=size,
                          condition_i_failures=cond_i, condition_ii_failures=cond_ii)
 
 
-def _form_rows(a_set: OperatorSet):
-    """Yield (first, F[first:stop]) over row blocks of at most _FORM floats of
-    F, the last first.  F holds the E x E integer coefficients of the frame
-    check's sum_U U(a)U(a)^T: as U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s]
-    at the monomial {K[r], K[s]} of entry (r, s), both numbered as the entries
-    of :func:`_layout`.  So F is read from the slice tables: entry r < s holds
-    count_plus - count_minus of each slice of column (r, s), and entry (r, r)
-    the pair counts #A_{r,p} at a_p^2, from the later blocks."""
-    d = a_set.dim
-    _, entries, _, _, pair_id = _layout(d)
-    size = entries.shape[1]
-    tables = _column_tables(a_set)
-    counts = np.zeros(size - d + 1)  # #A_{r,s} of each pair, as the pair slices come, then 0
-    for first, stop in reversed(_blocks(size, max(1, _FORM // size))):
-        form = np.zeros((stop - first, size))
-        for start, end, table in tables(max(first - d, 0), stop - d):
-            block = form[start + d - first:end + d - first, d:]
-            counts_by_sign = table.reshape(end - start, -1, 2)
-            np.subtract(counts_by_sign[..., 1], counts_by_sign[..., 0], out=block)  # plus - minus
-            np.negative(block.diagonal(start), out=counts[start:end])
-        pair = pair_id[first:min(d, stop)]  # the pair {r, p} of each (r, r) and a_p^2
-        form[:len(pair), :d] = counts[pair]
+def _defect_rows(a_set: OperatorSet):
+    """Yield (first, (d-1)*D[first:stop]) over row blocks of at most _FORM floats,
+    in order.  D holds the E x E integer coefficients of the frame check's
+    S(a) - C*|a|^2*I, entries and monomials numbered as in :func:`_layout`, and
+    is 0 exactly when the set is balanced.  As U(a)_r = -S[r]*a[K[r]], a member
+    adds S[r]*S[s] at the monomial {K[r], K[s]} of entry (r, s), so (d-1)*D is
+    written from the decode: at a_p^2 of entry (r, r), (d-1)*#A_{r,p} - #A
+    (0 at p = r); in entry (r, s), (d-1)*(count_plus - count_minus) at each
+    decoded slice of column (r, s), and #A more at its own monomial.  These
+    integers are at most d*#A in magnitude, so float64 holds them exactly."""
+    _, codes, slices = _decoded(a_set)
+    d, size = a_set.dim, len(a_set)
+    pair_id = _layout(d)[4]
+    entries = d * (d + 1) // 2
+    column, pair = np.divmod(codes, entries - d)
+    values = (d - 1) * (slices[:, 1] - slices[:, 0])
+    own = pair == column  # the pair slices: (d-1)*#A_{r,s} = -values
+    defects = np.full(entries - d + 1, -size)  # (d-1)*#A_{r,s} - #A of each pair, -#A where p = q
+    defects[pair[own]] -= values[own]
+    at = column * entries + pair  # monomial d + g of entry d + c is at + d*(E + 1) in D
+    for first, stop in _blocks(entries, max(1, _FORM // entries)):
+        form = np.zeros((stop - first, entries))
+        diagonal = pair_id[first:min(d, stop)]  # the pair {r, p} of each (r, r) and a_p^2
+        form[:len(diagonal), :d] = defects[diagonal]
+        lo, hi = column.searchsorted(first - d), column.searchsorted(stop - d)
+        form.ravel()[at[lo:hi] + (d - first) * entries + d] = values[lo:hi]
+        form.ravel()[first::entries + 1] += size  # at (e, e) for e = first, first + 1, ...
         yield first, form
 
 

@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify a moving tight frame, exactly, with a float cross-check")
     p.add_argument("file")
     p.add_argument("--tol", type=at_least(0.0, float), default=DEFAULT_TIGHTNESS_TOL,
-                   help="bound on the float cross-check; the exact coefficients decide "
-                        f"(default {DEFAULT_TIGHTNESS_TOL})")
+                   help="bound on the float cross-check, times max(1, C) for the frame "
+                        f"constant C; the exact coefficients decide (default {DEFAULT_TIGHTNESS_TOL})")
     p.add_argument("--samples", type=at_least(1), default=DEFAULT_NUM_SAMPLES,
                    help=f"random sphere points to check (default {DEFAULT_NUM_SAMPLES})")
     p.add_argument("--seed", type=at_least(0), default=0,

@@ -5,12 +5,12 @@ every tangent space.  Tightness of a subspace frame is tested by adjoining
 a scaled copy of the normal vector and checking that the augmented system
 is tight for the whole ambient space; the expected frame constant of the
 augmented system is #A/(2n-1).  :func:`verify_moving_funtf` decides it from
-the exact integer coefficients F of a quadratic form, read once per set from
-the balance slice tables: the set is tight exactly when F, plus C on each
-entry's own monomial and minus C at each a_p^2 of a diagonal entry, is zero.
-The float deviations at sampled points, and a direct re-check at the worst
-of them, cross-check that verdict.  Sets for which F costs more are first
-evaluated from their image rows.
+the exact integer coefficients D of a quadratic form, S(a) - C*|a|^2*I,
+which vanish exactly when the set is balanced: its verdict is read from the
+set's one decode of the balance slice tables, and the nonzero row blocks of
+D are written from that decode.  The float deviations at sampled points,
+and a direct re-check at the worst of them, cross-check that verdict.  Sets
+for which D costs more are first evaluated from their image rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import sqrt
 
 import numpy as np
 
-from .balance import BalanceReport, _blocks, _form_rows, _layout
+from .balance import BalanceReport, _blocks, _decoded, _defect_rows, _layout
 from .operators import OperatorSet
 from .sphere import UNIT_POINT_TOL, _as_floats, check_draw, is_integer, sample_sphere, unit_point
 
@@ -200,40 +200,19 @@ def _route(a_set: OperatorSet) -> bool:
     return d <= _SMALL or size * size <= _DENSE * (len(a_set) + 1) * d * d
 
 
-def _defect_rows(a_set: OperatorSet):
-    """Yield (first, diagonal, (d-1)*D[first:stop]) over the row blocks of F
-    from balance._form_rows, their first ``diagonal`` rows the diagonal
-    entries.  D = F + C*P, P being +1 at each entry's own monomial and -1 at
-    each a_p^2 of each diagonal entry (r, r), holds the coefficients of
-    S(a) - C*|a|^2*I, so the set is tight at every point of the sphere
-    exactly when D = 0.  (d-1)*D = (d-1)*F + #A*P is an array of integers of
-    at most d*#A in magnitude (0 <= F <= #A on the diagonal rows, |F| <= #A
-    elsewhere), far below 2^53 for any set that fits in memory, so float64
-    holds it exactly."""
-    d, size = a_set.dim, len(a_set)
-    entries = d * (d + 1) // 2
-    for first, form in _form_rows(a_set):
-        form *= d - 1
-        form.ravel()[first::entries + 1] += size  # at (e, e) for e = first, first + 1, ...
-        diagonal = max(0, d - first)  # entries below d are the diagonal
-        form[:diagonal, :d] -= size
-        yield first, diagonal, form
-
-
 def _form_deviations(a_set: OperatorSet, points: np.ndarray):
     """Per point, the largest off-diagonal |S_rs| and the largest
     |S_rr - C*|a|^2|, both times d - 1, from the nonzero row blocks of
-    :func:`_defect_rows` times the monomials X: one matmul per block of about
-    _BLOCK floats of X and nonzero row block.  None where D = 0.  Entries go
-    down the rows, so each point's reductions run along the fast axis."""
-    rows, cols = _layout(a_set.dim)[1]
-    deviations = None
-    for _, diagonal, form in _defect_rows(a_set):
+    :func:`balance._defect_rows` times the monomials X: one matmul per block
+    of about _BLOCK floats of X and nonzero row block.  Entries go down the
+    rows, so each point's reductions run along the fast axis."""
+    d = a_set.dim
+    rows, cols = _layout(d)[1]
+    off, diag = deviations = np.zeros((2, len(points)))
+    for first, form in _defect_rows(a_set):
         if not form.any():
             continue
-        if deviations is None:
-            deviations = np.zeros((2, len(points)))
-        off, diag = deviations
+        diagonal = max(0, d - first)  # entries below d are the diagonal
         for lo, hi in _blocks(len(points), max(1, _BLOCK // len(rows))):
             a = points[lo:hi].T
             s = np.abs(form @ (a.take(rows, axis=0) * a.take(cols, axis=0)))
@@ -279,21 +258,23 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     """Certify tightness of the tangent images: exactly, with a float cross-check.
 
     S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), is C*I on the whole
-    sphere exactly when the integer coefficients D of :func:`_defect_rows`
-    vanish.  The set is tight when D = 0, the largest deviation |S - C*I|
+    sphere exactly when the integer coefficients D of :func:`balance._defect_rows`
+    vanish, that is when the set's one decode (:func:`balance._decoded`) finds
+    it balanced.  The set is tight when D = 0, the largest deviation |S - C*I|
     over the probe points (e_p + e_q)/sqrt(2) and ``num_samples`` seeded
-    random points (drawn once per dimension, num_samples and seed) is at
-    most ``tolerance``, and so is max |S - C*I| for S built at the worst of
-    them from every member's image row.  Each part is evaluated only while
-    the verdict is open, so no tolerance passes a set with D != 0.
+    random points (drawn once per dimension, num_samples and seed) is at most
+    ``tolerance * max(1, C)``, as rounding grows with C, and so is max |S - C*I|
+    for S built at the worst of them from every member's image row.  Each part
+    is evaluated only while the verdict is open, so no tolerance passes a set
+    with D != 0.
 
     On F's route a set with D = 0 evaluates no point: S(a) = C*|a|^2*I, so
     its off-diagonal deviation is exactly 0.0 and its worst point the first
     at which ||a|^2 - 1| is largest.  Any other set is refused by D, and its
     deviations come from the nonzero row blocks of D
     (:func:`_form_deviations`).  Where F would cost more (:func:`_route`),
-    the image rows give the deviations (:func:`_row_deviations`), and D is
-    read last.  The report is that of the first point of largest deviation
+    the image rows give the deviations (:func:`_row_deviations`), and D = 0
+    is asked last.  The report is that of the first point of largest deviation
     (or the first NaN); its frame constant is the mean diagonal of S there,
     C*|a|^2 on F's route, as trace S(a) = d*C*|a|^2 for every set.
     """
@@ -303,28 +284,31 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     d, expected = a_set.dim, _frame_constant(a_set)
     # checked before the cache, to which True and 1.0 are the key 1, and passed on as ints
     points, errors = _points(*check_draw(d, num_samples, seed))
-    if _route(a_set):
-        deviations = _form_deviations(a_set, points)
-        exact = deviations is None  # D = 0
-        if exact:
+    bound = tolerance * max(1.0, expected)
+    form = _route(a_set)
+    if form:
+        balanced = _decoded(a_set)[0]  # D = 0
+        if balanced:
             worst = int(np.argmax(np.abs(errors)))
             off, diag = 0.0, expected * abs(float(errors[worst]))
         else:
+            deviations = _form_deviations(a_set, points)
             worst = int(np.argmax(np.maximum(*deviations)))
             off, diag = (float(x[worst]) / (d - 1) for x in deviations)
         deviation, constant = max(off, diag), expected * (1.0 + float(errors[worst]))
     else:
-        exact = None  # D is read below, if still needed
         total, off, diag = _row_deviations(a_set, points, expected)
         deviation = np.maximum(off, diag)
         worst = int(np.argmax(deviation))  # the first point of largest deviation, or the first NaN
         deviation, constant = deviation[worst], float(total[worst] / d)
         off, diag = float(off[worst]), float(diag[worst])
     point = points[worst].copy()
-    # D = 0 comes first on F's route, where it is known, and last on the rows'
-    tight = (exact is not False and deviation <= tolerance
-             and _direct_deviation(a_set, point, expected) <= tolerance
-             and (exact or not any(form.any() for *_, form in _defect_rows(a_set))))
+
+    def floats_pass():
+        return deviation <= bound and _direct_deviation(a_set, point, expected) <= bound
+
+    # D = 0 is known first on F's route, and asked last on the rows'
+    tight = balanced and floats_pass() if form else floats_pass() and _decoded(a_set)[0]
     return FrameReport(bool(tight), constant, off, diag, len(points), point, expected)
 
 

@@ -103,12 +103,12 @@ def sylvester_set(n):
     return signed_pairings(extract_pairings(build_pairing_matrix(n)), design[:, :n])
 
 
-def group_always(a_set, width):
+def group_always(a_set):
     """A stand-in for balance._grouping that counts every set pairing by pairing."""
     return True
 
 
-def group_never(a_set, width):
+def group_never(a_set):
     """A stand-in for balance._grouping that counts every set member by member."""
     return False
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import movingframes
-from movingframes import cli, read_document
+from movingframes import balance, cli, read_document
 from movingframes.cli import main
 
 
@@ -190,6 +190,24 @@ class TestCheckFuntf:
         report = json.loads(out)
         assert report["tight"] is False
         assert "witness" in report
+
+    def test_an_unbalanced_document_is_scattered_once(self, tmp_path, capsys, monkeypatch):
+        """gen-min 10 minus its last operator (d = 20, where the slice counts
+        take two tables): the frame check and the witness's balance report
+        read one decode, from one _slice_counts pass."""
+        path = tmp_path / "doc.json"
+        assert run(capsys, "gen-min", 10, "-o", path)[0] == 0
+        doc = json.loads(path.read_text())
+        doc["operators"].pop()
+        path.write_text(json.dumps(doc))
+        passes, slice_counts = [], balance._slice_counts
+        monkeypatch.setattr(balance, "_slice_counts",
+                            lambda source: passes.append(1) or slice_counts(source))
+        code, out, _ = run(capsys, "check-funtf", path)
+        assert code == 1
+        report = json.loads(out)
+        assert report["tight"] is False and "witness" in report
+        assert len(passes) == 1
 
     def test_deterministic_reports(self, min2_file, capsys):
         _, out1, _ = run(capsys, "check-funtf", min2_file, "--samples", 10, "--seed", 4)

@@ -23,6 +23,7 @@ from test_balance import (failures_by_pair, failures_from_definitions, group_alw
 MODULES = {"balance": balance, "framecheck": framecheck}
 
 MIN2 = build_minimal_balanced(2)
+MIN10, MIN12 = build_minimal_balanced(10), build_minimal_balanced(12)
 # full n = 2 with pairing (2, 1, 4, 3) whole (4 members) and one member of
 # each other pairing: unbalanced, with pairings of unequal sizes
 MIXED = OperatorSet(4, [enumerate_full(2)[i] for i in (0, 1, 2, 3, 4, 8)])
@@ -35,7 +36,7 @@ def subset(a_set, pick):
 
 
 def fresh(a_set):
-    """The same members in a new set, which holds no grouping and no slice table yet."""
+    """The same members in a new set, which holds no grouping and no decode yet."""
     k, sign = a_set.index_arrays
     return OperatorSet.from_arrays(k + 1, sign)
 
@@ -130,18 +131,22 @@ def reference_form(a_set):
     return form
 
 
-def whole_form(a_set):
-    """F of verify_moving_funtf, its row blocks stacked in order."""
-    blocks = dict(balance._form_rows(a_set))
-    return np.vstack([blocks[first] for first in sorted(blocks)])
+def whole_defect(a_set):
+    """(d-1)*D of verify_moving_funtf, written from the set's decode, its row
+    blocks stacked in the order they come."""
+    blocks = list(balance._defect_rows(a_set))
+    assert [first for first, _ in blocks] == sorted(first for first, _ in blocks)
+    return np.vstack([form for _, form in blocks])
 
 
-def reference_defect(a_set):
-    """(d-1)*D of verify_moving_funtf, from its own F: (d-1)*F, plus #A on each
-    entry's own monomial and minus #A at each a_p^2 of each diagonal entry, the
-    coefficients of (d-1)*(S(a) - C*|a|^2*I)."""
+def reference_defect(a_set, form=None):
+    """(d-1)*D of verify_moving_funtf, from ``form`` (by default its own F,
+    reference_form): (d-1)*F, plus #A on each entry's own monomial and minus
+    #A at each a_p^2 of each diagonal entry, the coefficients of
+    (d-1)*(S(a) - C*|a|^2*I)."""
     d, size = a_set.dim, len(a_set)
-    defect = (d - 1) * reference_form(a_set) + size * np.eye(d * (d + 1) // 2)
+    form = reference_form(a_set) if form is None else form
+    defect = (d - 1) * form + size * np.eye(d * (d + 1) // 2)
     defect[:d, :d] -= size
     return defect
 
@@ -402,10 +407,11 @@ class TestVerifyMovingFuntf:
             "one-per-pairing", "min8", "sylvester16-minus-one"])
     def test_grouped_and_per_member_forms_are_identical(self, a_set, monkeypatch):
         """The slice tables scattered member by member and pairing by pairing
-        (each pairing's W_pi) give the same F, whole or in row blocks, from
-        large tables or from tables of 3 columns, an array of exact integers;
-        and the same balance report and slice counts, those of the definitions.
-        Each mode gets a fresh set, so a table kept by one never serves the other."""
+        (each pairing's W_pi) give the same (d-1)*D, whole or in row blocks,
+        from large tables or from tables of 3 columns, an array of exact
+        integers; and the same balance report, that of the definitions.  The
+        slice counts read the definitions themselves.  Each mode and table
+        size gets a fresh set, so a decode kept by one never serves another."""
         d = a_set.dim
         size = d * (d + 1) // 2
         k, sign = a_set.index_arrays
@@ -416,14 +422,14 @@ class TestVerifyMovingFuntf:
         for grouping in (group_always, group_never):
             monkeypatch.setattr(balance, "_grouping", grouping)
             a_set = fresh(a_set)
-            keys, weights = balance._slice_source(a_set, size - d)
+            keys, weights = balance._slice_source(a_set)
             assert len(keys) == (pairings if grouping is group_always else len(a_set))
             assert (weights is None) == (grouping is group_never)
-            forms.append(whole_form(a_set))
+            forms.append(whole_defect(a_set))
             with monkeypatch.context() as patch:
                 patch.setattr(balance, "_FORM", 4 * size)
                 patch.setattr(balance, "_BLOCK", 2 * (size - d) * 3)
-                forms.append(whole_form(a_set))
+                forms.append(whole_defect(fresh(a_set)))
             report = is_balanced(a_set)
             assert (report.condition_i_failures, report.condition_ii_failures) == failures_by_pair(a_set)
             counts.append([count_pair_slice(a_set, *pick[:2]) for pick in picks])
@@ -433,7 +439,7 @@ class TestVerifyMovingFuntf:
         for form in forms[1:]:
             assert np.array_equal(form, forms[0])
         if len(a_set) * size <= 10 ** 5:
-            assert np.array_equal(forms[0], reference_form(a_set))
+            assert np.array_equal(forms[0], reference_defect(a_set))
         # the slice counts as defined: members with k_p = q, and members with
         # {k_r, k_s} = {p, q} and sign[p]*sign[q] equal to the given sign
         assert counts[0] == counts[len(counts) // 2] == [
@@ -447,30 +453,31 @@ class TestVerifyMovingFuntf:
     @settings(max_examples=60, deadline=None)
     @given(sweep_shaped_sets())
     def test_form_coefficients_are_the_balance_counts(self, a_set):
-        """F against the reference loop, and read as the counts of the balance
-        definitions (failures_from_definitions): on the diagonal the pair
-        counts of condition i, at each entry's own monomial minus its pair
-        count, and elsewhere count_plus - count_minus of the failing sign
-        slices of condition ii, 0 at every other one."""
+        """(d-1)*D written from the decode, against the reference loop, and its
+        F read as the counts of the balance definitions
+        (failures_from_definitions): on the diagonal the pair counts of
+        condition i, at each entry's own monomial minus its pair count, and
+        elsewhere count_plus - count_minus of the failing sign slices of
+        condition ii, 0 at every other one."""
         d = a_set.dim
         rows, cols = balance._layout(d)[1]
         order = entry_order(d)
         assert [tuple(e) for e in zip(rows.tolist(), cols.tolist())] == order
         number = {pair: m for m, pair in enumerate(order)}
-        form = whole_form(a_set)
-        assert np.array_equal(form, reference_form(a_set))
+        defect = whole_defect(a_set)
+        assert np.array_equal(defect, reference_defect(a_set))
         cond_i, cond_ii = failures_from_definitions(a_set)
         counts = np.full((d, d), float(Fraction(len(a_set), d - 1)))  # condition i holds...
         for p, q, observed, _ in cond_i:  # ...except where it fails
             counts[p - 1, q - 1] = counts[q - 1, p - 1] = observed
-        expected = np.zeros_like(form)
+        expected = np.zeros_like(defect)
         for r, p in zip(*np.nonzero(~np.eye(d, dtype=bool))):
             expected[number[r, r], number[p, p]] = counts[r, p]
         for e in range(d, len(rows)):
             expected[e, e] = -counts[rows[e], cols[e]]
         for p, q, r, s, plus, minus in cond_ii:
             expected[number[r - 1, s - 1], number[p - 1, q - 1]] = plus - minus
-        assert np.array_equal(form, expected)
+        assert np.array_equal(defect, reference_defect(a_set, expected))
 
     @pytest.mark.parametrize("a_set,num_samples,shrunk", [
         (MIN2, 10, {}), (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
@@ -485,13 +492,12 @@ class TestVerifyMovingFuntf:
         """The row route, taken by every set here with F refused: the scaled
         normal and every member's image row, also in pairings of at least d
         members (one of MIXED's, 12 of full3-subset's and all of
-        reversed-min5's).  F is read only for the sets that pass the rows and
-        the re-check."""
+        reversed-min5's).  The decode is asked only for the sets that pass the
+        rows and the re-check."""
         monkeypatch.setattr(framecheck, "_SMALL", 0)
         monkeypatch.setattr(framecheck, "_DENSE", 0)
-        reads, form_rows = [], balance._form_rows
-        monkeypatch.setattr(framecheck, "_form_rows",
-                            lambda a_set: reads.append(1) or form_rows(a_set))
+        reads, decoded = [], balance._decoded
+        monkeypatch.setattr(framecheck, "_decoded", lambda a_set: reads.append(1) or decoded(a_set))
         for name, value in shrunk.items():
             monkeypatch.setattr(framecheck, name, value)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
@@ -517,17 +523,17 @@ class TestVerifyMovingFuntf:
         sets against 2 (#A + 1) d^2 = 800 (#A + 1) for the rows: so the first
         54 members of the Theorem 3.4 set take the rows, the first 55 take F.
         Either route gives the same verdict and worst deviation, and the rows
-        never build F."""
+        never write D."""
         assert (44_100 <= 2 * (len(pick) + 1) * 400) == (route == "form")
         a_set = subset(build_minimal_balanced(10), pick)
         assert framecheck._route(a_set) == (route == "form")
-        patched = "_row_deviations" if route == "form" else "_form_rows"
+        patched = "_row_deviations" if route == "form" else "_defect_rows"
         with monkeypatch.context() as patch:
             patch.setattr(framecheck, patched, None)
             report = verify_moving_funtf(a_set, num_samples=10, seed=4)
         with monkeypatch.context() as patch:  # the other route
             patch.setattr(framecheck, *(("_DENSE", 0) if route == "form" else ("_SMALL", 20)))
-            patch.setattr(framecheck, "_form_rows" if route == "form" else "_row_deviations", None)
+            patch.setattr(framecheck, "_defect_rows" if route == "form" else "_row_deviations", None)
             other = verify_moving_funtf(a_set, num_samples=10, seed=4)
         # each U is an isometry, so trace S(a) = C + #A at every unit point
         assert report.frame_constant == pytest.approx((1 / 19 + 1) * len(pick) / 20, abs=1e-12)
@@ -539,12 +545,9 @@ class TestVerifyMovingFuntf:
 
     def test_the_direct_recheck_refuses_what_the_form_missed(self, monkeypatch):
         """The verdict also needs S rebuilt from the image rows at the worst
-        point: with D stubbed to zero on an unbalanced set, only that re-check
-        is left to refuse it."""
-        def vanishing(a_set):
-            size = a_set.dim * (a_set.dim + 1) // 2
-            yield 0, a_set.dim, np.zeros((size, size))
-        monkeypatch.setattr(framecheck, "_defect_rows", vanishing)
+        point: with the decode stubbed to say D = 0 on an unbalanced set, only
+        that re-check is left to refuse it."""
+        monkeypatch.setattr(framecheck, "_decoded", lambda a_set: (True,))
         assert verify_moving_funtf(MIN2, num_samples=5).tight
         report = verify_moving_funtf(OperatorSet(4, MIN2.members[:-1]), num_samples=5)
         assert not report.tight
@@ -578,15 +581,22 @@ class TestVerifyMovingFuntf:
         (subset(build_minimal_balanced(3), np.arange(19)), 1e-9),
         (build_minimal_balanced(9), 1e-9),
         (subset(build_minimal_balanced(9), np.arange(4351)), 1e-9),
-        # one member at d = 16 takes the image rows, and reads F only where a
-        # large tolerance lets them and the re-check pass
+        # one member at d = 16 takes the image rows, and asks the decode only
+        # where a large tolerance lets them and the re-check pass
         (subset(build_minimal_balanced(8), [0]), 1e3),
-    ], ids=["min3", "min3-minus-last", "min9", "min9-minus-last", "one-member-d16"])
+        # d = 20 and 24: all C columns take more than one table
+        (MIN10, 1e-9), (subset(MIN10, np.arange(len(MIN10) - 1)), 1e-9),
+        (MIN12, 1e-9), (subset(MIN12, np.arange(len(MIN12) - 1)), 1e-9),
+    ], ids=["min3", "min3-minus-last", "min9", "min9-minus-last", "one-member-d16",
+            "min10", "min10-minus-last", "min12", "min12-minus-last"])
     @pytest.mark.parametrize("balance_first", [True, False], ids=["balance-first", "frame-first"])
     def test_one_scatter_per_set(self, a_set, tolerance, balance_first, monkeypatch):
-        """Up to d = 18 a set keeps its slice tables, so exact balance and the
-        frame check, in either order, scatter it once: one np.bincount, as
-        each set here fits one chunk."""
+        """A set decodes its slice tables once, so exact balance and the frame
+        check, in either order and at every d, make one _slice_counts pass
+        between them: up to d = 18 one np.bincount, as each such set here
+        fits one table and one chunk."""
+        passes, slice_counts = [], balance._slice_counts
+        monkeypatch.setattr(balance, "_slice_counts", lambda source: passes.append(1) or slice_counts(source))
         calls, bincount = [], np.bincount
         monkeypatch.setattr(np, "bincount", lambda *args: calls.append(1) or bincount(*args))
         a_set = fresh(a_set)
@@ -594,31 +604,41 @@ class TestVerifyMovingFuntf:
                  lambda: verify_moving_funtf(a_set, num_samples=5, tolerance=tolerance).tight]
         verdicts = [step() for step in (steps if balance_first else steps[::-1])]
         assert verdicts[0] == verdicts[1]
-        assert len(calls) == 1
+        assert len(passes) == 1
+        if a_set.dim <= 18:
+            assert len(calls) == 1
 
-    @pytest.mark.parametrize("n,kept", [(1, True), (3, True), (9, True), (10, False)])
-    def test_tables_are_kept_read_only_up_to_d18(self, n, kept):
-        """All C = d(d-1)/2 columns fit one table of balance._BLOCK entries up
-        to d = 18, where 2*C^2 = 46,818; at d = 20 it would take 72,200."""
-        a_set = fresh(build_minimal_balanced(n))
-        assert is_balanced(a_set).balanced and verify_moving_funtf(a_set, num_samples=5).tight
-        assert ("_slice_table" in vars(a_set)) == kept
-        if kept:
-            table = vars(a_set)["_slice_table"]
-            assert table.shape == (n * (2 * n - 1) * n * (2 * n - 1), 2)
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0
-            is_balanced(a_set)
-            assert vars(a_set)["_slice_table"] is table
+    @pytest.mark.parametrize("n", [1, 3, 9, 10])
+    def test_the_decode_is_kept_read_only_at_every_d(self, n):
+        """A set keeps its one decode read-only at every d, also at d = 20,
+        where its C = d(d-1)/2 columns take two tables of balance._BLOCK
+        entries; and each report's failure lists are its own, so mutating one
+        leaves the next call's report unchanged."""
+        whole = build_minimal_balanced(n)
+        for a_set in [fresh(whole), *([subset(whole, np.arange(len(whole) - 1))] if n > 1 else [])]:
+            report = is_balanced(a_set)
+            assert report.balanced == verify_moving_funtf(a_set, num_samples=5).tight == (len(a_set) == len(whole))
+            decode = vars(a_set)["_decode"]
+            # balanced: the n(2n-1) pair slices, and no other slice whose counts differ
+            assert decode[0] == report.balanced == (decode[1].shape == (n * (2 * n - 1),))
+            for array in decode[1:]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+            words = report.to_dict()
+            report.condition_i_failures.append((1, 2, 0, Fraction(1)))
+            report.condition_ii_failures.clear()
+            assert is_balanced(a_set).to_dict() == words
+            assert vars(a_set)["_decode"] is decode
 
     def test_heavy_pairings_take_the_rows(self, monkeypatch):
         """Pairings of at least d members take the route of their member count:
-        256 members at d = 32 take F, 256 at d = 64 the rows, which never build F."""
+        256 members at d = 32 take F, 256 at d = 64 the rows, which never write D."""
         for (n, pairings, members), form in (((16, 4, 64), True), ((32, 2, 128), False)):
             a_set = heavy_pairings(n, pairings, members)
             assert framecheck._route(a_set) == form
             with monkeypatch.context() as patch:
-                patch.setattr(framecheck, "_row_deviations" if form else "_form_rows", None)
+                patch.setattr(framecheck, "_row_deviations" if form else "_defect_rows", None)
                 assert verify_moving_funtf(a_set, num_samples=5).tight == is_balanced(a_set).balanced
 
     @pytest.mark.parametrize("a_set", [
@@ -741,6 +761,22 @@ class TestVerifyMovingFuntf:
         assert report.max_offdiag > 0.1
         assert report.points_checked == 11  # 6 probes + 5 samples
 
+    @pytest.mark.parametrize("n,tolerance", [(10, 1e-13), (12, 1e-12)], ids=["min10", "min12"])
+    def test_the_float_bound_is_relative_to_the_frame_constant(self, n, tolerance):
+        """Both float cross-checks are bounded by tolerance * max(1, C), as the
+        rounding of S grows with C: the re-check of a balanced set reads above
+        the absolute tolerance (6.8e-13 at C = 512 and 4.5e-12 at C = 2048),
+        and the set is tight.  Without its last member it stays refused, also
+        at tolerance 1000."""
+        whole = build_minimal_balanced(n)
+        report = verify_moving_funtf(whole, tolerance=tolerance)
+        expected = len(whole) / (2 * n - 1)
+        assert tolerance < framecheck._direct_deviation(whole, report.worst_point, expected)
+        assert report.tight
+        clipped = subset(whole, np.arange(len(whole) - 1))
+        for bound in (tolerance, 1e3):
+            assert not verify_moving_funtf(clipped, tolerance=bound).tight
+
 
 @st.composite
 def sylvester_sets(draw):
@@ -757,7 +793,8 @@ class TestExactVerdict:
 
     @staticmethod
     def check(a_set, balanced):
-        assert (not any(form.any() for *_, form in framecheck._defect_rows(a_set))) == balanced
+        assert balance._decoded(a_set)[0] == balanced
+        assert (not any(form.any() for _, form in balance._defect_rows(a_set))) == balanced
         for tolerance in (framecheck.DEFAULT_TIGHTNESS_TOL, 1e3):
             report = verify_moving_funtf(a_set, num_samples=5, tolerance=tolerance)
             assert report.tight == balanced
@@ -770,11 +807,11 @@ class TestExactVerdict:
     ], ids=["min3", "min3-minus-last", "one-member-d16"])
     def test_each_part_only_while_the_verdict_is_open(self, a_set, route, monkeypatch):
         """At tolerance 1000 every float check passes, so the parts run are
-        those the rule leaves open: F is read once, and on F's route only a
-        set with D = 0 is re-checked."""
+        those the rule leaves open: the decode is asked once, and on F's route
+        only a set with D = 0 is re-checked."""
         reads, rechecks = [], []
-        form_rows, direct = framecheck._form_rows, framecheck._direct_deviation
-        monkeypatch.setattr(framecheck, "_form_rows", lambda s: reads.append(1) or form_rows(s))
+        decoded, direct = framecheck._decoded, framecheck._direct_deviation
+        monkeypatch.setattr(framecheck, "_decoded", lambda s: reads.append(1) or decoded(s))
         monkeypatch.setattr(framecheck, "_direct_deviation",
                             lambda *args: rechecks.append(1) or direct(*args))
         balanced = is_balanced(a_set).balanced
