@@ -172,27 +172,30 @@ def _slice_counts(source):
 
 
 def _decoded(a_set: OperatorSet):
-    """(balanced, codes, slices), from one :func:`_slice_counts` pass on first
-    use, kept read-only as the set keeps its pairing grouping: ``codes``, C*c + g
-    ascending, of each slice of pair g at column c whose two counts differ, and
-    ``slices`` their (count_minus, count_plus).  These are the pair slices
-    (g = c, all at sign -1) where #A_{r,s} > 0, and the failures of condition ii."""
+    """(balanced, codes, slices, counts), from one :func:`_slice_counts` pass on
+    first use, kept read-only as the set keeps its pairing grouping: ``counts``,
+    the pair counts #A_{r,s} by ``pair_id`` of :func:`_layout`, read from the
+    pair slices (all at sign -1); ``codes``, C*c + g ascending, of each other
+    slice of pair g at column c whose two counts differ, that is each failure
+    of condition ii, and ``slices`` their (count_minus, count_plus)."""
     decode = vars(a_set).get("_decode")
     if decode is None:
         d, size = a_set.dim, len(a_set)
         columns = d * (d - 1) // 2
         parts = []
         for first, table in _slice_counts(_slice_source(a_set)):
+            pair = table[first::columns + 1]  # row C*j + first + j: the pair slice of column first + j
+            counts = pair[:, 0].copy()
+            pair[...] = 0  # so only the sign slices are left to differ
             rows = (table[:, 1] != table[:, 0]).nonzero()[0]
-            parts.append((rows + columns * first, table.take(rows, axis=0)))
-        codes, slices = map(np.concatenate, zip(*parts)) if len(parts) > 1 else parts[0]
-        slices = slices.astype(int, copy=False)  # ints also from weights
-        codes.flags.writeable = slices.flags.writeable = False
+            parts.append((rows + columns * first, table.take(rows, axis=0), counts))
+        codes, slices, counts = map(np.concatenate, zip(*parts)) if len(parts) > 1 else parts[0]
+        # ints also from weights
+        slices, counts = slices.astype(int, copy=False), counts.astype(int, copy=False)
+        codes.flags.writeable = slices.flags.writeable = counts.flags.writeable = False
         count, rest = divmod(size, d - 1)
-        balanced = (len(codes) == columns and not rest  # the pair slices, at codes c*(C + 1)
-                    and codes.tolist() == list(range(0, columns * columns, columns + 1))
-                    and slices.tolist() == [[count, 0]] * columns)
-        decode = vars(a_set)["_decode"] = (balanced, codes, slices)
+        balanced = not rest and not len(codes) and counts.tolist() == [count] * columns
+        decode = vars(a_set)["_decode"] = (balanced, codes, slices, counts)
     return decode
 
 
@@ -233,17 +236,14 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
     d, size = a_set.dim, len(a_set)
     pairs = _layout(d)[0]
     columns = len(pairs)
-    balanced, codes, slices = _decoded(a_set)
-    pair_counts, cond_ii = [0] * columns, []
+    balanced, codes, slices, counts = _decoded(a_set)
+    cond_ii = []
     for code, (minus, plus) in zip(codes.tolist(), slices.tolist()):
         column, pair = divmod(code, columns)
-        if pair == column:  # the pair slice {r, s}, all at sign -1
-            pair_counts[pair] = minus
-        else:
-            cond_ii.append((*pairs[pair], *pairs[column], plus, minus))
+        cond_ii.append((*pairs[pair], *pairs[column], plus, minus))
     cond_ii.sort()
     required = Fraction(size, d - 1)
-    cond_i = [(*pair, count, required) for pair, count in zip(pairs, pair_counts)
+    cond_i = [(*pair, count, required) for pair, count in zip(pairs, counts.tolist())
               if count * (d - 1) != size]
     return BalanceReport(balanced=balanced, set_size=size,
                          condition_i_failures=cond_i, condition_ii_failures=cond_ii)
@@ -255,27 +255,30 @@ def _defect_rows(a_set: OperatorSet):
     S(a) - C*|a|^2*I, entries and monomials numbered as in :func:`_layout`, and
     is 0 exactly when the set is balanced.  As U(a)_r = -S[r]*a[K[r]], a member
     adds S[r]*S[s] at the monomial {K[r], K[s]} of entry (r, s), so (d-1)*D is
-    written from the decode: at a_p^2 of entry (r, r), (d-1)*#A_{r,p} - #A
-    (0 at p = r); in entry (r, s), (d-1)*(count_plus - count_minus) at each
-    decoded slice of column (r, s), and #A more at its own monomial.  These
-    integers are at most d*#A in magnitude, so float64 holds them exactly."""
-    _, codes, slices = _decoded(a_set)
+    written from the decode.  From its pair counts: at a_p^2 of entry (r, r),
+    (d-1)*#A_{r,p} - #A (0 at p = r), and at the own monomial a_r*a_s of entry
+    (r, s), #A - (d-1)*#A_{r,s}; each entry's own monomial is on D's diagonal.
+    At the other monomials of (r, s), (d-1)*(count_plus - count_minus) of each
+    decoded sign slice of column (r, s), put at its code, as the codes C*c + g
+    number the pair rows' pair monomials D[d:, d:] row by row.  These integers
+    are at most d*#A in magnitude, so float64 holds them exactly."""
+    _, codes, slices, counts = _decoded(a_set)
     d, size = a_set.dim, len(a_set)
     pair_id = _layout(d)[4]
     entries = d * (d + 1) // 2
-    column, pair = np.divmod(codes, entries - d)
-    values = (d - 1) * (slices[:, 1] - slices[:, 0])
-    own = pair == column  # the pair slices: (d-1)*#A_{r,s} = -values
-    defects = np.full(entries - d + 1, -size)  # (d-1)*#A_{r,s} - #A of each pair, -#A where p = q
-    defects[pair[own]] -= values[own]
-    at = column * entries + pair  # monomial d + g of entry d + c is at + d*(E + 1) in D
+    columns = entries - d
+    defects = counts * float(d - 1) - size  # at a_p^2 of (r, r), p != r
+    diagonal = np.zeros(entries)  # D's own monomials: 0 at a_r^2 of (r, r)
+    np.negative(defects, out=diagonal[d:])  # #A - (d-1)*#A_{r,s} at a_r*a_s of (r, s)
+    change = slices[:, 1] - slices[:, 0]
     for first, stop in _blocks(entries, max(1, _FORM // entries)):
         form = np.zeros((stop - first, entries))
-        diagonal = pair_id[first:min(d, stop)]  # the pair {r, p} of each (r, r) and a_p^2
-        form[:len(diagonal), :d] = defects[diagonal]
-        lo, hi = column.searchsorted(first - d), column.searchsorted(stop - d)
-        form.ravel()[at[lo:hi] + (d - first) * entries + d] = values[lo:hi]
-        form.ravel()[first::entries + 1] += size  # at (e, e) for e = first, first + 1, ...
+        split = max(0, min(d, stop) - first)  # rows of diagonal entries, then of pairs low, low + 1, ...
+        defects.take(pair_id[first:stop], out=form[:split, :d], mode="wrap")  # (r, r) set below
+        low = first + split - d
+        lo, hi = codes.searchsorted((columns * low, columns * (stop - d)))
+        form[split:, d:].put(codes[lo:hi] - columns * low, change[lo:hi] * (d - 1))
+        form.ravel()[first::entries + 1] = diagonal[first:stop]  # at (e, e) for e = first, first + 1, ...
         yield first, form
 
 

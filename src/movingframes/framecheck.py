@@ -7,8 +7,8 @@ is tight for the whole ambient space; the expected frame constant of the
 augmented system is #A/(2n-1).  :func:`verify_moving_funtf` decides it from
 the exact integer coefficients D of a quadratic form, S(a) - C*|a|^2*I,
 which vanish exactly when the set is balanced: its verdict is read from the
-set's one decode of the balance slice tables, and the nonzero row blocks of
-D are written from that decode.  The float deviations at sampled points,
+set's one decode of the balance slice tables, and the row blocks of D are
+written from that decode.  The float deviations at sampled points,
 and a direct re-check at the worst of them, cross-check that verdict.  Sets
 for which D costs more are first evaluated from their image rows.
 """
@@ -176,13 +176,32 @@ def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _points(dim: int, num_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probe points, then ``sample_sphere(dim, num_samples, seed)``, and
-    |a|^2 - 1 at each; read-only, as shared."""
+def _points(dim: int, num_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The probe points, then ``sample_sphere(dim, num_samples, seed)``, |a|^2 - 1
+    at each, and a list that keeps the monomials of their first block once
+    formed (:func:`_monomials`); read-only, as shared."""
     points = np.vstack([probe_points(dim), sample_sphere(dim, num_samples, seed)])
     errors = np.square(points).sum(axis=1) - 1.0
     points.flags.writeable = errors.flags.writeable = False
-    return points, errors
+    return points, errors, []
+
+
+def _monomials(draw: tuple, lo: int, hi: int) -> np.ndarray:
+    """The monomials a_p*a_q of points lo..hi of a draw of :func:`_points`,
+    E x (hi - lo) in the order of :func:`balance._layout`.  Those of the first
+    block, at most _BLOCK floats, are formed on first use and kept in the draw,
+    read-only; later blocks, and a first block of another length than the kept
+    one (under another _BLOCK), are formed on each use."""
+    points, _, kept = draw
+    if lo == 0 and kept and kept[0].shape[1] == hi:
+        return kept[0]
+    rows, cols = _layout(points.shape[1])[1]
+    a = points[lo:hi].T
+    monomials = a.take(rows, axis=0) * a.take(cols, axis=0)
+    if lo == 0 and not kept:
+        monomials.flags.writeable = False
+        kept.append(monomials)
+    return monomials
 
 
 def _route(a_set: OperatorSet) -> bool:
@@ -200,25 +219,28 @@ def _route(a_set: OperatorSet) -> bool:
     return d <= _SMALL or size * size <= _DENSE * (len(a_set) + 1) * d * d
 
 
-def _form_deviations(a_set: OperatorSet, points: np.ndarray):
-    """Per point, the largest off-diagonal |S_rs| and the largest
-    |S_rr - C*|a|^2|, both times d - 1, from the nonzero row blocks of
-    :func:`balance._defect_rows` times the monomials X: one matmul per block
-    of about _BLOCK floats of X and nonzero row block.  Entries go down the
+def _form_deviations(a_set: OperatorSet, draw: tuple) -> tuple[int, float, float]:
+    """The first point of largest deviation, with its largest off-diagonal
+    |S_rs| and largest |S_rr - C*|a|^2|, both times d - 1: every row block of
+    :func:`balance._defect_rows` times the monomials of each block of about
+    _BLOCK floats (:func:`_monomials`), one matmul each.  Entries go down the
     rows, so each point's reductions run along the fast axis."""
     d = a_set.dim
-    rows, cols = _layout(d)[1]
-    off, diag = deviations = np.zeros((2, len(points)))
+    size = d * (d + 1) // 2
+    blocks = _blocks(len(draw[0]), max(1, _BLOCK // size))
+    deviations = None
     for first, form in _defect_rows(a_set):
-        if not form.any():
-            continue
-        diagonal = max(0, d - first)  # entries below d are the diagonal
-        for lo, hi in _blocks(len(points), max(1, _BLOCK // len(rows))):
-            a = points[lo:hi].T
-            s = np.abs(form @ (a.take(rows, axis=0) * a.take(cols, axis=0)))
-            np.maximum(diag[lo:hi], s[:diagonal].max(axis=0, initial=0.0), out=diag[lo:hi])
-            np.maximum(off[lo:hi], s[diagonal:].max(axis=0, initial=0.0), out=off[lo:hi])
-    return deviations
+        split = max(0, d - first)  # the rows of diagonal entries
+        largest = np.empty((2, len(draw[0])))  # per point: the diagonal's, then the other entries'
+        for lo, hi in blocks:
+            s = form @ _monomials(draw, lo, hi)
+            np.abs(s, out=s)
+            s[:split].max(axis=0, initial=0.0, out=largest[0, lo:hi])
+            s[split:].max(axis=0, initial=0.0, out=largest[1, lo:hi])
+        deviations = largest if deviations is None else np.maximum(deviations, largest, out=deviations)
+    worst = int(deviations.max(axis=0).argmax())
+    diag, off = deviations[:, worst].tolist()
+    return worst, off, diag
 
 
 def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
@@ -271,19 +293,20 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     On F's route a set with D = 0 evaluates no point: S(a) = C*|a|^2*I, so
     its off-diagonal deviation is exactly 0.0 and its worst point the first
     at which ||a|^2 - 1| is largest.  Any other set is refused by D, and its
-    deviations come from the nonzero row blocks of D
-    (:func:`_form_deviations`).  Where F would cost more (:func:`_route`),
-    the image rows give the deviations (:func:`_row_deviations`), and D = 0
-    is asked last.  The report is that of the first point of largest deviation
-    (or the first NaN); its frame constant is the mean diagonal of S there,
-    C*|a|^2 on F's route, as trace S(a) = d*C*|a|^2 for every set.
+    deviations come from the row blocks of D times the monomials of the
+    points, the first block of which the draw keeps (:func:`_form_deviations`).
+    Where F would cost more (:func:`_route`), the image rows give the
+    deviations (:func:`_row_deviations`), and D = 0 is asked last.  The
+    report is that of the first point of largest deviation (or the first
+    NaN); its frame constant is the mean diagonal of S there, C*|a|^2 on F's
+    route, as trace S(a) = d*C*|a|^2 for every set.
     """
     if not is_integer(num_samples) or num_samples < 1:
         raise ValueError(f"num_samples must be an integer of at least 1, got {num_samples!r}")
     _check_tolerance(tolerance)
     d, expected = a_set.dim, _frame_constant(a_set)
     # checked before the cache, to which True and 1.0 are the key 1, and passed on as ints
-    points, errors = _points(*check_draw(d, num_samples, seed))
+    points, errors, _ = draw = _points(*check_draw(d, num_samples, seed))
     bound = tolerance * max(1.0, expected)
     form = _route(a_set)
     if form:
@@ -292,9 +315,8 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
             worst = int(np.argmax(np.abs(errors)))
             off, diag = 0.0, expected * abs(float(errors[worst]))
         else:
-            deviations = _form_deviations(a_set, points)
-            worst = int(np.argmax(np.maximum(*deviations)))
-            off, diag = (float(x[worst]) / (d - 1) for x in deviations)
+            worst, off, diag = _form_deviations(a_set, draw)
+            off, diag = off / (d - 1), diag / (d - 1)
         deviation, constant = max(off, diag), expected * (1.0 + float(errors[worst]))
     else:
         total, off, diag = _row_deviations(a_set, points, expected)
@@ -349,10 +371,18 @@ def witness_cross_term(a_set: OperatorSet, witness: UnbalancedWitness) -> float:
     """The frame-operator entry the witness predicts, C*a_r*a_c + sum_U U(a)_r*U(a)_c, at its point.
 
     Only columns r and c of the images are formed, as S[:, j] * a[K[:, j]]:
-    the minus signs of U(a) = -S * a[K] cancel in the product.
+    the minus signs of U(a) = -S * a[K] cancel in the product.  The probe
+    pair must be two integers in 1..2n, not bools.
     """
-    a = unit_point(witness.point, a_set.dim)
+    d = a_set.dim
+    a = unit_point(witness.point, d)
+    try:
+        r, c = witness.probe_pair
+    except (TypeError, ValueError):  # not two items
+        r = c = None
+    if not (is_integer(r) and is_integer(c) and 0 < r <= d and 0 < c <= d):
+        raise ValueError(f"probe_pair must be two integers in 1..{d}, got {witness.probe_pair!r}")
     k, sign = a_set.index_arrays
-    r, c = witness.probe_pair[0] - 1, witness.probe_pair[1] - 1
+    r, c = r - 1, c - 1
     cross = (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]])
     return float(_frame_constant(a_set) * a[r] * a[c] + cross)

@@ -619,8 +619,9 @@ class TestVerifyMovingFuntf:
             report = is_balanced(a_set)
             assert report.balanced == verify_moving_funtf(a_set, num_samples=5).tight == (len(a_set) == len(whole))
             decode = vars(a_set)["_decode"]
-            # balanced: the n(2n-1) pair slices, and no other slice whose counts differ
-            assert decode[0] == report.balanced == (decode[1].shape == (n * (2 * n - 1),))
+            # balanced: every pair count #A/(2n-1), and no sign slice whose counts differ
+            assert decode[0] == report.balanced == (decode[1].shape == (0,))
+            assert (decode[3] * (2 * n - 1) == len(a_set)).all() == report.balanced
             for array in decode[1:]:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -715,15 +716,81 @@ class TestVerifyMovingFuntf:
         assert first.to_dict() == second.to_dict()
         first.worst_point[:] = 0.0
         assert np.array_equal(second.worst_point, reduced_worst_point(clipped, 5, 2)[0])
-        points, errors = framecheck._points(4, 5, 2)
+        points, errors, _ = framecheck._points(4, 5, 2)
         assert errors.tolist() == (np.square(points).sum(axis=1) - 1.0).tolist()
         for array in (points, errors):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        for other, _ in (framecheck._points(4, 5, 3), framecheck._points(4, 6, 2)):
+        for other, *_ in (framecheck._points(4, 5, 3), framecheck._points(4, 6, 2)):
             assert not np.array_equal(other[6:11], points[6:])
         assert framecheck._points.cache_info().maxsize <= 16
+
+    def test_monomials_are_kept_with_the_draw(self, monkeypatch):
+        """An unbalanced set on F's route forms the monomials a_p*a_q of the
+        draw's first point block once, read-only, in the draw's cache entry:
+        every set of that (d, samples, seed) reads them, a balanced set and a
+        set on the row route never form them, and clearing the cache clears them."""
+        formed, layout = [], framecheck._layout
+        monkeypatch.setattr(framecheck, "_layout", lambda d: formed.append(d) or layout(d))
+        framecheck._points.cache_clear()
+        for a_set in (MIN2, build_minimal_balanced(3), subset(build_minimal_balanced(8), [0])):
+            assert not framecheck._route(a_set) or is_balanced(a_set).balanced
+            verify_moving_funtf(a_set)
+        assert formed == []
+        assert all(draw[2] == [] for draw in map(framecheck._points, (4, 6, 16), [100] * 3, [0] * 3))
+        for a_set in (OperatorSet(4, MIN2.members[:-1]), MIXED, OperatorSet(4, enumerate_full(2)[:1])):
+            assert not verify_moving_funtf(a_set).tight
+        assert formed == [4]
+        assert framecheck._points.cache_info().currsize == 3
+        points, _, kept = framecheck._points(4, 100, 0)
+        (monomials,) = kept
+        rows, cols = balance._layout(4)[1]
+        assert np.array_equal(monomials, points.T[rows] * points.T[cols])
+        assert monomials.size <= framecheck._BLOCK
+        assert not monomials.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            monomials[0, 0] = 1.0
+        verify_moving_funtf(MIXED)
+        assert framecheck._points(4, 100, 0)[2][0] is monomials and formed == [4]
+        # at most one block of _BLOCK floats: here the first 35 of the 215 points of d = 6
+        monkeypatch.setattr(framecheck, "_BLOCK", 21 * 40)
+        verify_moving_funtf(fresh(FULL3_SUBSET), num_samples=200, seed=4)
+        (first,) = framecheck._points(6, 200, 4)[2]
+        assert first.shape == (21, 35) and first.size <= framecheck._BLOCK
+        framecheck._points.cache_clear()
+        assert framecheck._points(4, 100, 0)[2] == []
+        assert framecheck._points.cache_info().maxsize == 16
+
+    @pytest.mark.parametrize("a_set,num_samples,shrunk", [
+        (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 100, {}),
+        (subset(build_minimal_balanced(5), np.arange(143)), 100, {}),
+        # the draw in 6 point blocks and D in 3 row blocks, so the kept first
+        # block and the blocks formed on each use are both read
+        (FULL3_SUBSET, 200, SHRUNK),
+        (FULL3_SUBSET, 200, {**SHRUNK, "balance._grouping": group_always}),
+    ], ids=["clipped-min2", "mixed", "min5-minus-last", "full3-subset", "full3-subset-grouped"])
+    def test_cold_and_warm_caches_give_the_same_report(self, a_set, num_samples, shrunk,
+                                                        monkeypatch):
+        for name, value in shrunk.items():
+            module, name = name.split(".")
+            monkeypatch.setattr(MODULES[module], name, value)
+        d = a_set.dim
+        size = d * (d + 1) // 2
+        blocks = balance._blocks(d * (d - 1) // 2 + num_samples, max(1, framecheck._BLOCK // size))
+        assert (len(blocks) > 1) == bool(shrunk)
+        framecheck._points.cache_clear()
+        cold = verify_moving_funtf(fresh(a_set), num_samples=num_samples, seed=4)
+        (kept,) = framecheck._points(d, num_samples, 4)[2]
+        assert kept.shape == (size, blocks[0][1])
+        warm = verify_moving_funtf(fresh(a_set), num_samples=num_samples, seed=4)
+        assert framecheck._points(d, num_samples, 4)[2] == [kept]
+        assert not cold.tight and cold.to_dict() == warm.to_dict()
+        point, max_off, max_diag, constant = reduced_worst_point(a_set, num_samples, 4)
+        for report in (cold, warm):
+            assert np.array_equal(report.worst_point, point)
+            assert (report.max_offdiag, report.max_diag_dev) == (max_off, max_diag)
+            assert report.frame_constant == constant
 
     @pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8])
     def test_numpy_integer_arguments_are_read_as_ints(self, kind):
@@ -747,12 +814,15 @@ class TestVerifyMovingFuntf:
     @settings(max_examples=100, deadline=None)
     @given(sweep_shaped_sets(), st.integers(0, 2 ** 16))
     def test_worst_point_matches_reference_on_sweep_shaped_sets(self, a_set, seed):
-        report = verify_moving_funtf(a_set, num_samples=10, seed=seed)
+        """Twice on each set: the draw's kept monomials serve the second call."""
         point, max_off, max_diag, mean_diagonal = reduced_worst_point(a_set, 10, seed)
-        assert np.array_equal(report.worst_point, point)
-        assert report.max_offdiag == max_off
-        assert report.max_diag_dev == max_diag
-        assert report.frame_constant == mean_diagonal
+        reports = [verify_moving_funtf(a_set, num_samples=10, seed=seed) for _ in range(2)]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        for report in reports:
+            assert np.array_equal(report.worst_point, point)
+            assert report.max_offdiag == max_off
+            assert report.max_diag_dev == max_diag
+            assert report.frame_constant == mean_diagonal
 
     def test_unbalanced_set_fails_at_probe(self):
         clipped = OperatorSet(4, MIN2.members[:-1])
@@ -933,6 +1003,34 @@ class TestWitnessUnbalanced:
         report = is_balanced(MIN2)
         with pytest.raises(ValueError, match="balanced"):
             witness_unbalanced(MIN2, report)
+
+    @pytest.mark.parametrize("pair", [
+        (0, 2), (True, 2), (1, 5), (1.5, 2), (2, 0), (1, True), (1, np.True_), (1, 2.0),
+        (-1, 2), (1,), (1, 2, 3), None, "12",
+    ], ids=repr)
+    def test_refuses_a_probe_pair_that_is_not_two_coordinates(self, pair):
+        """(0, 2) used to read coordinate d and return 0.0 and (True, 2) to be
+        read as (1, 2); (1, 5) and (1.5, 2) raised numpy's IndexError."""
+        clipped = OperatorSet(4, MIN2.members[:-1])
+        witness = witness_unbalanced(clipped, is_balanced(clipped))
+        witness.probe_pair = pair
+        with pytest.raises(ValueError, match=re.escape(f"probe_pair must be two integers in 1..4, got {pair!r}")):
+            witness_cross_term(clipped, witness)
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1), (3, 4), (4, 4), (np.int64(2), 3), [1, 3]],
+                             ids=repr)
+    def test_a_valid_probe_pair_reads_its_entry(self, pair):
+        """The value C*a_r*a_c + sum_U U(a)_r*U(a)_c, as before the pair was
+        checked, and the entry of the augmented frame operator."""
+        clipped = OperatorSet(4, MIN2.members[:-1])
+        witness = witness_unbalanced(clipped, is_balanced(clipped))
+        witness.probe_pair = pair
+        a, (k, sign) = witness.point, clipped.index_arrays
+        r, c = pair[0] - 1, pair[1] - 1
+        before = float(len(clipped) / 3 * a[r] * a[c] + (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]]))
+        assert witness_cross_term(clipped, witness) == before
+        entry = frame_operator(augment_with_normal(clipped, a))[r, c]
+        assert witness_cross_term(clipped, witness) == pytest.approx(entry, abs=1e-12)
 
 
 class TestProbePoints:
