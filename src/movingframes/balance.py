@@ -261,24 +261,28 @@ def _defect_rows(a_set: OperatorSet):
     At the other monomials of (r, s), (d-1)*(count_plus - count_minus) of each
     decoded sign slice of column (r, s), put at its code, as the codes C*c + g
     number the pair rows' pair monomials D[d:, d:] row by row.  These integers
-    are at most d*#A in magnitude, so float64 holds them exactly."""
+    are at most d*#A in magnitude, so float64 holds them exactly.  A D of one
+    block, as every set up to d = 36 has, takes the codes as they are."""
     _, codes, slices, counts = _decoded(a_set)
     d, size = a_set.dim, len(a_set)
     pair_id = _layout(d)[4]
     entries = d * (d + 1) // 2
     columns = entries - d
     defects = counts * float(d - 1) - size  # at a_p^2 of (r, r), p != r
-    diagonal = np.zeros(entries)  # D's own monomials: 0 at a_r^2 of (r, r)
-    np.negative(defects, out=diagonal[d:])  # #A - (d-1)*#A_{r,s} at a_r*a_s of (r, s)
-    change = slices[:, 1] - slices[:, 0]
+    change = slices.dot((1 - d, d - 1))  # (d-1)*(count_plus - count_minus)
     for first, stop in _blocks(entries, max(1, _FORM // entries)):
         form = np.zeros((stop - first, entries))
         split = max(0, min(d, stop) - first)  # rows of diagonal entries, then of pairs low, low + 1, ...
         defects.take(pair_id[first:stop], out=form[:split, :d], mode="wrap")  # (r, r) set below
         low = first + split - d
-        lo, hi = codes.searchsorted((columns * low, columns * (stop - d)))
-        form[split:, d:].put(codes[lo:hi] - columns * low, change[lo:hi] * (d - 1))
-        form.ravel()[first::entries + 1] = diagonal[first:stop]  # at (e, e) for e = first, first + 1, ...
+        if stop - first == entries:  # one block: the codes as they are
+            form[d:, d:].put(codes, change)
+        else:
+            lo, hi = codes.searchsorted((columns * low, columns * (stop - d)))
+            form[split:, d:].put(codes[lo:hi] - columns * low, change[lo:hi])
+        own = form.reshape(-1)[first::entries + 1]  # (e, e) for e = first, first + 1, ...
+        own[:split] = 0.0  # at a_r^2 of (r, r)
+        np.negative(defects[low:stop - d], out=own[split:])  # #A - (d-1)*#A_{r,s} at a_r*a_s of (r, s)
         yield first, form
 
 

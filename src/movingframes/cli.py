@@ -40,6 +40,11 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``, whose reader is gone, at devnull, so the flush at exit cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _emit(chunks: Iterable[str], output: str | None) -> None:
     """Write the text pieces to ``output``, or to stdout for None or "-"."""
     to_stdout = output is None or output == "-"
@@ -48,8 +53,8 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
             fh.writelines(chunks)
             fh.flush()  # so that a closed stdout fails here, not at exit
     except OSError as exc:  # a usage error (exit 2), never a verdict
-        if to_stdout:  # the reader is gone: the flush at exit goes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if to_stdout:
+            _to_devnull(sys.stdout)
         raise ValueError(f"cannot write {'stdout' if to_stdout else output}: "
                          f"{exc.strerror}") from exc
 
@@ -207,18 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> None:
+    """Print the ``error:`` line, which cannot raise: a closed stderr goes to devnull."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_MALFORMED
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_USAGE
     except MemoryError as exc:  # e.g. a sample count too large to allocate
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _error(str(exc) or "out of memory")
         return EXIT_USAGE
 
 

@@ -93,13 +93,8 @@ def operator_images(a_set: OperatorSet, a) -> np.ndarray:
     av = _as_floats(a)
     if av.ndim not in (1, 2) or av.shape[-1] != a_set.dim:
         raise ValueError(f"expected points of length {a_set.dim}, got shape {av.shape}")
-    return _images(a_set, av)
-
-
-def _images(a_set: OperatorSet, a: np.ndarray) -> np.ndarray:
-    """What :func:`operator_images` returns, for points already checked."""
     k, sign = a_set.index_arrays
-    return sign * np.negative(a)[..., k]
+    return sign * np.negative(av)[..., k]
 
 
 def frame_operator(vectors) -> np.ndarray:
@@ -235,10 +230,10 @@ def _form_deviations(a_set: OperatorSet, draw: tuple) -> tuple[int, float, float
         for lo, hi in blocks:
             s = form @ _monomials(draw, lo, hi)
             np.abs(s, out=s)
-            s[:split].max(axis=0, initial=0.0, out=largest[0, lo:hi])
-            s[split:].max(axis=0, initial=0.0, out=largest[1, lo:hi])
+            np.maximum.reduce(s[:split], axis=0, initial=0.0, out=largest[0, lo:hi])
+            np.maximum.reduce(s[split:], axis=0, initial=0.0, out=largest[1, lo:hi])
         deviations = largest if deviations is None else np.maximum(deviations, largest, out=deviations)
-    worst = int(deviations.max(axis=0).argmax())
+    worst = int(np.maximum(deviations[0], deviations[1]).argmax())
     diag, off = deviations[:, worst].tolist()
     return worst, off, diag
 
@@ -267,11 +262,15 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> 
 
 
 def _direct_deviation(a_set: OperatorSet, point: np.ndarray, expected: float) -> float:
-    """max |S - C*I| for S built at ``point`` from the scaled normal and every member's image row."""
-    images = _images(a_set, point)
-    direct = expected * np.outer(point, point) + images.T @ images
+    """max |S - C*I| for S built at ``point`` from the scaled normal and every member's image row.
+    The rows are formed as S*a[K] = -U(a), whose minus signs cancel in S."""
+    k, sign = a_set.index_arrays
+    images = sign * point[k]
+    direct = np.multiply.outer(point, point)
+    direct *= expected
+    direct += images.T @ images
     direct.ravel()[::a_set.dim + 1] -= expected
-    return float(np.abs(direct).max())
+    return float(np.maximum.reduce(np.abs(direct, out=direct), axis=None))
 
 
 def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -355,9 +354,9 @@ def witness_unbalanced(a_set: OperatorSet, report: BalanceReport) -> UnbalancedW
         raise ValueError("witness requested for a balanced set")
     d = a_set.dim
     if report.condition_i_failures:
-        p, q, observed, required = min(report.condition_i_failures)
+        p, q, observed, _ = min(report.condition_i_failures)
         probe = (p, q)
-        defect = (required - observed) / 2
+        defect = Fraction(len(a_set) - (d - 1) * observed, 2 * (d - 1))
     else:
         p, q, r, s, plus, minus = min(report.condition_ii_failures)
         probe = (r, s)

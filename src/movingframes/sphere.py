@@ -5,6 +5,7 @@ integer and :func:`_as_floats` an array of numbers."""
 from __future__ import annotations
 
 import random
+from math import sqrt
 
 import numpy as np
 
@@ -25,13 +26,18 @@ def is_integer(value) -> bool:
 
 def _as_floats(x) -> np.ndarray:
     """``x`` as a float array, refused if an entry is a string, bytes or a bool,
-    which ``np.asarray(x, dtype=float)`` would take as a number; any other
-    number (a Fraction too) is converted."""
+    which ``np.asarray(x, dtype=float)`` would take as a number, or if ``x`` is
+    a ragged sequence; any other number (a Fraction too) is converted."""
     entries = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
     if entries.dtype.kind in "bSU" or entries.dtype.kind == "O" and any(
             isinstance(entry, (str, bytes, bool, np.bool_)) for entry in entries.flat):
         raise ValueError("entries must be real numbers, not strings, bytes or booleans")
-    return np.asarray(entries, dtype=float)
+    try:
+        return np.asarray(entries, dtype=float)
+    except ValueError as exc:
+        if any(hasattr(entry, "__len__") for entry in entries.flat):  # sequences left by a ragged nesting
+            raise ValueError("expected an array of numbers, got a ragged sequence") from exc
+        raise
 
 
 def unit_point(a, dim: int) -> np.ndarray:
@@ -41,8 +47,10 @@ def unit_point(a, dim: int) -> np.ndarray:
         raise ValueError(f"expected one point of length {dim}, got shape {av.shape}")
     if av.size != dim:
         raise ValueError(f"point has length {av.size}, expected {dim}")
-    if not abs(np.linalg.norm(av) - 1.0) <= UNIT_POINT_TOL:  # so NaN fails too
-        raise ValueError(f"expected a unit vector, got norm {np.linalg.norm(av)}")
+    flat = av.ravel(order="K")  # np.linalg.norm's own product, so the same bits
+    norm = sqrt(flat.dot(flat))
+    if not abs(norm - 1.0) <= UNIT_POINT_TOL:  # so NaN fails too
+        raise ValueError(f"expected a unit vector, got norm {norm}")
     return av
 
 
@@ -88,7 +96,7 @@ def sample_sphere(dim: int, count: int, seed: int) -> np.ndarray:
 
 def project_tangent(a, x) -> np.ndarray:
     """Orthogonal projection of x onto the tangent space at the unit point a: x - <x,a> a."""
-    av = unit_point(a, np.size(a))
+    av = unit_point(a, _as_floats(a).size)
     xv = _as_floats(x)
     if xv.ndim != 1:
         raise ValueError(f"expected one vector of length {av.size}, got shape {xv.shape}")
@@ -104,7 +112,7 @@ def tangent_basis(a) -> np.ndarray:
     |a_i| is largest so the remaining directions stay well separated from a.
     One reorthogonalization pass keeps the basis orthonormal to ~1e-15.
     """
-    av = unit_point(a, np.size(a))
+    av = unit_point(a, _as_floats(a).size)
     d = av.size
     pivot = int(np.argmax(np.abs(av)))
     basis: list[np.ndarray] = []

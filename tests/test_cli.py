@@ -286,6 +286,32 @@ class TestOptions:
         assert proc.returncode == 2
         assert err.decode() == "error: cannot write stdout: Broken pipe\n"
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["gen-min", "8"], ["check-balance"], ["check-funtf"]],
+                             ids=["gen-min-8", "check-balance", "check-funtf"])
+    def test_a_closed_pipe_on_both_streams_is_a_usage_error(self, argv, unbuffered, min2_file):
+        """One pipe takes stdout and stderr, so the error line cannot be written
+        either: it goes to devnull, and the exit code stays 2.  That line used
+        to raise out of main (exit 1, which reads as "verdict false") or fail
+        the flush at exit (120).  gen-min 8 fills the pipe, which is closed
+        after 5 bytes; the checks of a balanced document, which would exit 0,
+        write to a pipe whose reader has already closed it."""
+        env = dict(os.environ, PYTHONPATH=str(Path(movingframes.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "movingframes.cli", *argv]
+        if argv[0] == "gen-min":
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+            assert len(proc.stdout.read(5)) == 5
+            proc.stdout.close()
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            proc = subprocess.Popen([*command, str(min2_file)], stdout=write, stderr=write, env=env)
+            os.close(write)
+        assert proc.wait(timeout=60) == 2
+
 
 # SHA-256 of `gen-min n --no-timestamp` and `gen-full n --no-timestamp`, as
 # written by json.dumps(doc, indent=2) from one dict per operator

@@ -70,13 +70,18 @@ def relabel(a_set, perm):
 
 
 @st.composite
-def sweep_shaped_sets(draw):
+def sweep_shaped_sets(draw, clipped=False):
     """A seeded random nonempty subset of enumerate_full(2) or enumerate_full(3),
-    or a Theorem 3.4 set for n <= 4 under a random relabelling."""
+    or a Theorem 3.4 set under a random relabelling: for n <= 4, or with
+    ``clipped`` for 2 <= n <= 5 minus a drawn member, the sweep benchmark's
+    relabelled sets made unbalanced."""
     kind = draw(st.sampled_from(["full2", "full3", "theorem"]))
     if kind == "theorem":
-        theorem = build_minimal_balanced(draw(st.integers(1, 4)))
-        return relabel(theorem, np.array(draw(st.permutations(range(theorem.dim)))))
+        theorem = build_minimal_balanced(draw(st.integers(2, 5) if clipped else st.integers(1, 4)))
+        a_set = relabel(theorem, np.array(draw(st.permutations(range(theorem.dim)))))
+        if clipped:
+            a_set = subset(a_set, np.delete(np.arange(len(a_set)), draw(st.integers(0, len(a_set) - 1))))
+        return a_set
     full = enumerate_full(int(kind[-1]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return subset(full, np.sort(rng.choice(len(full), rng.integers(1, len(full) + 1),
@@ -199,6 +204,15 @@ def reduced_row_worst_point(a_set, num_samples, seed):
             worst_dev = max(max_off, max_diag)
             worst = (a, max_off, max_diag, float(np.diagonal(s).sum() / d))
     return worst
+
+
+def rebuilt_cross_term(a_set, a, pair):
+    """C*a_r*a_c + sum_U U(a)_r*U(a)_c, entry (r, c) of the augmented frame
+    operator at ``a``, from columns r and c of the images S*a[K] = -U(a)."""
+    k, sign = a_set.index_arrays
+    r, c = pair[0] - 1, pair[1] - 1
+    return float(len(a_set) / (a_set.dim - 1) * a[r] * a[c]
+                 + (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]]))
 
 
 def direct_deviation(a_set, a):
@@ -1025,12 +1039,49 @@ class TestWitnessUnbalanced:
         clipped = OperatorSet(4, MIN2.members[:-1])
         witness = witness_unbalanced(clipped, is_balanced(clipped))
         witness.probe_pair = pair
-        a, (k, sign) = witness.point, clipped.index_arrays
-        r, c = pair[0] - 1, pair[1] - 1
-        before = float(len(clipped) / 3 * a[r] * a[c] + (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]]))
-        assert witness_cross_term(clipped, witness) == before
-        entry = frame_operator(augment_with_normal(clipped, a))[r, c]
+        assert witness_cross_term(clipped, witness) == rebuilt_cross_term(clipped, witness.point, pair)
+        entry = frame_operator(augment_with_normal(clipped, witness.point))[pair[0] - 1, pair[1] - 1]
         assert witness_cross_term(clipped, witness) == pytest.approx(entry, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_shaped_sets(clipped=True), st.integers(0, 2 ** 16))
+    def test_small_sets_keep_their_bytes(self, a_set, seed):
+        """On sets shaped as the sweep benchmark's unbalanced ones: D in one row
+        block and D in row blocks of four entries give the same worst point and
+        maxima, bit for bit; the direct re-check at the worst point is max
+        |S - C*I| of S built from the images U(a), bit for bit; the witness
+        defect is the exact rational of the first failing slice; and its cross
+        term is rebuilt_cross_term's, bit for bit, and the defect's value."""
+        d, size = a_set.dim, len(a_set)
+        entries, expected = d * (d + 1) // 2, size / (d - 1)
+        draw = framecheck._points(d, 10, seed)
+        worst, off, diag = framecheck._form_deviations(a_set, draw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(balance, "_FORM", 4 * entries)
+            assert len(list(balance._defect_rows(a_set))) > 1
+            assert framecheck._form_deviations(a_set, draw) == (worst, off, diag)
+        point = draw[0][worst]
+        k, sign = a_set.index_arrays
+        images = -sign * point[k]
+        direct = expected * np.outer(point, point) + images.T @ images
+        direct.ravel()[::d + 1] -= expected
+        assert framecheck._direct_deviation(a_set, point, expected) == float(np.abs(direct).max())
+        report = is_balanced(a_set)
+        if report.balanced:  # a drawn subset of a full set may be balanced
+            return
+        witness = witness_unbalanced(a_set, report)
+        if report.condition_i_failures:
+            p, q, observed, _ = min(report.condition_i_failures)
+            assert witness.probe_pair == (p, q)
+            assert witness.defect == (Fraction(size, d - 1) - observed) / 2
+        else:
+            p, q, r, s, plus, minus = min(report.condition_ii_failures)
+            assert witness.probe_pair == (r, s)
+            assert witness.defect == Fraction(plus - minus, 2)
+        assert type(witness.defect) is Fraction and witness.defect != 0
+        cross = witness_cross_term(a_set, witness)
+        assert cross == rebuilt_cross_term(a_set, witness.point, witness.probe_pair)
+        assert abs(cross - float(witness.defect)) <= 1e-12
 
 
 class TestProbePoints:

@@ -82,6 +82,59 @@ def test_no_vector_is_coerced(call, length):
     call([Fraction(1)] + [Fraction(0)] * (length - 1))
 
 
+RAGGED = [[1.0], [2.0, 3.0], [4.0], [5.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct(s3_basis(), E1, [[1.0], [2.0, 3.0], [4.0]]),
+    lambda: operator_images(s3_basis(), RAGGED),
+    lambda: check_tight(RAGGED),
+    lambda: project_tangent(E1, RAGGED),
+    lambda: tangent_basis(RAGGED),
+], ids=["reconstruct", "operator_images", "check_tight", "project_tangent", "tangent_basis"])
+def test_a_ragged_sequence_gets_the_package_message(call):
+    """Every vector of numbers is read by sphere._as_floats, which names a
+    ragged sequence as u(a) does, not with numpy's "setting an array element
+    with a sequence"."""
+    with pytest.raises(ValueError, match="^expected an array of numbers, got a ragged sequence$"):
+        call()
+
+
+def norm_cases():
+    """Vectors whose np.linalg.norm lies at, just inside and just outside
+    1 +- UNIT_POINT_TOL, or is NaN, infinite, overflowed or underflowed, and
+    a strided one."""
+    cases = []
+    for edge in (1.0 - UNIT_POINT_TOL, 1.0 + UNIT_POINT_TOL):
+        for steps in range(-3, 4):
+            x = edge
+            for _ in range(abs(steps)):
+                x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+            cases += [np.array([x, 0.0, 0.0, 0.0]), np.array([0.6 * x, 0.0, 0.8 * x, 0.0])]
+    cases += [np.array(v) for v in ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
+                                    [0.0, -np.inf, 0.0, 0.0], [np.inf, -np.inf, 0.0, 0.0],
+                                    [1e200, 0.0, 0.0, 0.0], [1e200] * 4, [1e-200] * 4,
+                                    [1.0, 1e-200, 0.0, 0.0], [0.5] * 4, [0.6, 0.8, 0.0, 0.0])]
+    cases.append(np.random.default_rng(4).standard_normal((4, 3))[:, 1])
+    cases.append(cases[-1] / np.linalg.norm(cases[-1]))
+    return cases
+
+
+@pytest.mark.parametrize("a", norm_cases(), ids=repr)
+def test_unit_point_decides_as_the_norm_of_numpy(a):
+    """unit_point forms sqrt(a.a), the product np.linalg.norm forms for a
+    vector, so it accepts and refuses at the same points, with the same message.
+    Both warn alike where a.a overflows."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+        if abs(norm - 1.0) <= UNIT_POINT_TOL:
+            assert unit_point(a, 4) is a
+        else:
+            with pytest.raises(ValueError) as exc:
+                unit_point(a, 4)
+            assert str(exc.value) == f"expected a unit vector, got norm {norm}"
+
+
 class TestRandomSpherePoint:
     """Seeded random points of the sphere come from sample_sphere."""
 
