@@ -215,6 +215,23 @@ def rebuilt_cross_term(a_set, a, pair):
                  + (sign[:, r] * a[k[:, r]]) @ (sign[:, c] * a[k[:, c]]))
 
 
+def row_block_deviations(blocks, draw):
+    """What framecheck._form_deviations returns, from the row blocks
+    (first, rows) of (d-1)*D, each times the monomials of every point in one
+    matmul: BLAS may round a row's product differently with the row count of
+    its block, so a D cut otherwise gives maxima a last bit apart."""
+    d = draw[0].shape[1]
+    monomials = framecheck._monomials(draw, 0, len(draw[0]))
+    largest = np.zeros((2, len(draw[0])))  # the diagonal's, then the other entries'
+    for first, rows in blocks:
+        s = np.abs(rows @ monomials)
+        split = max(0, d - first)
+        largest = np.maximum(largest, [s[:split].max(axis=0, initial=0.0),
+                                       s[split:].max(axis=0, initial=0.0)])
+    worst = int(largest.max(axis=0).argmax())
+    return worst, float(largest[1, worst]), float(largest[0, worst])
+
+
 def direct_deviation(a_set, a):
     """max |S(a) - C*I| for the directly built augmented system at ``a``."""
     s = frame_operator(augment_with_normal(a_set, a))
@@ -1047,19 +1064,26 @@ class TestWitnessUnbalanced:
     @given(sweep_shaped_sets(clipped=True), st.integers(0, 2 ** 16))
     def test_small_sets_keep_their_bytes(self, a_set, seed):
         """On sets shaped as the sweep benchmark's unbalanced ones: D in one row
-        block and D in row blocks of four entries give the same worst point and
-        maxima, bit for bit; the direct re-check at the worst point is max
-        |S - C*I| of S built from the images U(a), bit for bit; the witness
-        defect is the exact rational of the first failing slice; and its cross
-        term is rebuilt_cross_term's, bit for bit, and the defect's value."""
+        block and D in row blocks of four entries are the same array, bit for
+        bit, and each gives the worst point and maxima of its own row products
+        (row_block_deviations), bit for bit; the direct re-check at the worst
+        point is max |S - C*I| of S built from the images U(a), bit for bit;
+        the witness defect is the exact rational of the first failing slice;
+        and its cross term is rebuilt_cross_term's, bit for bit, and the
+        defect's value."""
         d, size = a_set.dim, len(a_set)
         entries, expected = d * (d + 1) // 2, size / (d - 1)
         draw = framecheck._points(d, 10, seed)
+        whole = list(balance._defect_rows(a_set))
+        assert [first for first, _ in whole] == [0]
         worst, off, diag = framecheck._form_deviations(a_set, draw)
+        assert (worst, off, diag) == row_block_deviations(whole, draw)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(balance, "_FORM", 4 * entries)
-            assert len(list(balance._defect_rows(a_set))) > 1
-            assert framecheck._form_deviations(a_set, draw) == (worst, off, diag)
+            blocks = list(balance._defect_rows(a_set))
+            assert len(blocks) > 1
+            assert np.array_equal(np.vstack([rows for _, rows in blocks]), whole[0][1])
+            assert framecheck._form_deviations(a_set, draw) == row_block_deviations(blocks, draw)
         point = draw[0][worst]
         k, sign = a_set.index_arrays
         images = -sign * point[k]
