@@ -23,11 +23,10 @@ from .operators import OperatorSet, SignedInvolution, check_cap, sign_design, si
 from .sphere import is_integer
 
 # Working sizes of the slice counts: entries of one table; the least codes one np.bincount
-# scatters; one pairing's W_pi, in scattered entries; and floats of a row block of D (4 MB).
+# scatters; and one pairing's W_pi, in scattered entries.
 _BLOCK = 1 << 16
 _CHUNK = 1 << 12
 _GROUP = 1 << 8
-_FORM = 1 << 19
 # default caps on n: (2n-1) * 2^(n-1) operators (47,104 at n = 12) and a 2n x 2n matrix
 DEFAULT_THEOREM_SET_CAP = 12
 DEFAULT_MATRIX_CAP = 100
@@ -65,16 +64,6 @@ def _check_indices(d: int, **indices: int) -> None:
             raise ValueError(f"index {name}={value} out of range 1..{d}")
 
 
-def _blocks(total: int, most: int) -> list[tuple[int, int]]:
-    """range(total) cut into the fewest slices of at most ``most``, of near-equal
-    lengths, so no block is left with a sliver of one or two points."""
-    if total <= most:
-        return [(0, total)]
-    count = -(-total // most)
-    bounds = [total * j // count for j in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 @lru_cache(maxsize=16)
 def _layout(d: int):
     """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
@@ -96,11 +85,19 @@ def _layout(d: int):
     return pairs, entries, column_code, key_code, pair_id
 
 
-def _pairing_grams(a_set: OperatorSet):
-    """W_pi = S_pi^T S_pi of each pairing pi, in pairing order, shape (P, d, d):
-    sums of +-1 terms, exact.  The pairings of one member count go through
-    one batched float32 matmul, exact below 2^24."""
-    sign, (_, group, count) = a_set.index_arrays[1], a_set._pairings
+def _pairings(k: np.ndarray):
+    """The members grouped by pairing, i.e. by partner row K: each pairing's
+    first member, each member's pairing and each pairing's member count."""
+    narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted faster
+    keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
+
+
+def _pairing_grams(sign: np.ndarray, grouping):
+    """W_pi = S_pi^T S_pi of each pairing pi of ``grouping`` (:func:`_pairings`),
+    in pairing order, shape (P, d, d): sums of +-1 terms, exact.  The pairings
+    of one member count go through one batched float32 matmul, exact below 2^24."""
+    _, group, count = grouping
     signs = sign.astype(np.int8)[np.lexsort((group, count[group]))]
     grams, start = np.empty((len(count), sign.shape[1], sign.shape[1])), 0
     for size in sorted(set(count.tolist())):  # members by count, then by pairing
@@ -111,17 +108,19 @@ def _pairing_grams(a_set: OperatorSet):
     return grams
 
 
-def _grouping(a_set: OperatorSet) -> bool:
-    """Whether the C = d(d-1)/2 columns are counted pairing by pairing: where
-    2*C entries per pairing, _GROUP for its W_pi and #A*d for finding the
-    pairings come to less than #A*C member by member.  The pairings are
-    looked for only where that could save more than a table, so small sets
-    never pay for ``np.unique``."""
-    size, d = a_set.index_arrays[0].shape
+def _grouping(a_set: OperatorSet):
+    """The set's grouping by pairing (:func:`_pairings`) where its C = d(d-1)/2
+    columns are counted pairing by pairing, else None: where 2*C entries per
+    pairing, _GROUP for its W_pi and #A*d for finding the pairings come to
+    less than #A*C member by member.  The pairings are looked for only where
+    that could save more than a table, so small sets never pay for ``np.unique``."""
+    k = a_set.index_arrays[0]
+    size, d = k.shape
     width = d * (d - 1) // 2
     if size * (width - d) <= _BLOCK:
-        return False
-    return len(a_set._pairings[2]) * (2 * width + _GROUP) + size * d < size * width
+        return None
+    grouping = _pairings(k)
+    return grouping if len(grouping[2]) * (2 * width + _GROUP) + size * d < size * width else None
 
 
 def _slice_source(a_set: OperatorSet):
@@ -131,11 +130,12 @@ def _slice_source(a_set: OperatorSet):
     each pair r < s, (|pi| -+ W_pi[r, s])/2."""
     k, sign = a_set.index_arrays
     d = a_set.dim
-    if not _grouping(a_set):
+    grouping = _grouping(a_set)
+    if grouping is None:
         return k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
-    first, _, count = a_set._pairings
+    first, _, count = grouping
     rows, cols = _layout(d)[1][:, d:]
-    grams, counts = _pairing_grams(a_set)[:, rows, cols], count[:, None]
+    grams, counts = _pairing_grams(sign, grouping)[:, rows, cols], count[:, None]
     weights = np.stack([counts - grams, counts + grams]) / 2  # exact halves of even integers
     return k[first], weights.astype(np.min_scalar_type(count.max()))
 
@@ -173,11 +173,11 @@ def _slice_counts(source):
 
 def _decoded(a_set: OperatorSet):
     """(balanced, codes, slices, counts), from one :func:`_slice_counts` pass on
-    first use, kept read-only as the set keeps its pairing grouping: ``counts``,
-    the pair counts #A_{r,s} by ``pair_id`` of :func:`_layout`, read from the
-    pair slices (all at sign -1); ``codes``, C*c + g ascending, of each other
-    slice of pair g at column c whose two counts differ, that is each failure
-    of condition ii, and ``slices`` their (count_minus, count_plus)."""
+    first use, kept read-only in the set: ``counts``, the pair counts #A_{r,s}
+    by ``pair_id`` of :func:`_layout`, read from the pair slices (all at sign
+    -1); ``codes``, C*c + g ascending, of each other slice of pair g at column
+    c whose two counts differ, that is each failure of condition ii, and
+    ``slices`` their (count_minus, count_plus).  No grouping is kept."""
     decode = vars(a_set).get("_decode")
     if decode is None:
         d, size = a_set.dim, len(a_set)
@@ -247,43 +247,6 @@ def is_balanced(a_set: OperatorSet) -> BalanceReport:
               if count * (d - 1) != size]
     return BalanceReport(balanced=balanced, set_size=size,
                          condition_i_failures=cond_i, condition_ii_failures=cond_ii)
-
-
-def _defect_rows(a_set: OperatorSet):
-    """Yield (first, (d-1)*D[first:stop]) over row blocks of at most _FORM floats,
-    in order.  D holds the E x E integer coefficients of the frame check's
-    S(a) - C*|a|^2*I, entries and monomials numbered as in :func:`_layout`, and
-    is 0 exactly when the set is balanced.  As U(a)_r = -S[r]*a[K[r]], a member
-    adds S[r]*S[s] at the monomial {K[r], K[s]} of entry (r, s), so (d-1)*D is
-    written from the decode.  From its pair counts: at a_p^2 of entry (r, r),
-    (d-1)*#A_{r,p} - #A (0 at p = r), and at the own monomial a_r*a_s of entry
-    (r, s), #A - (d-1)*#A_{r,s}; each entry's own monomial is on D's diagonal.
-    At the other monomials of (r, s), (d-1)*(count_plus - count_minus) of each
-    decoded sign slice of column (r, s), put at its code, as the codes C*c + g
-    number the pair rows' pair monomials D[d:, d:] row by row.  These integers
-    are at most d*#A in magnitude, so float64 holds them exactly.  A D of one
-    block, as every set up to d = 36 has, takes the codes as they are."""
-    _, codes, slices, counts = _decoded(a_set)
-    d, size = a_set.dim, len(a_set)
-    pair_id = _layout(d)[4]
-    entries = d * (d + 1) // 2
-    columns = entries - d
-    defects = counts * float(d - 1) - size  # at a_p^2 of (r, r), p != r
-    change = slices.dot((1 - d, d - 1))  # (d-1)*(count_plus - count_minus)
-    for first, stop in _blocks(entries, max(1, _FORM // entries)):
-        form = np.zeros((stop - first, entries))
-        split = max(0, min(d, stop) - first)  # rows of diagonal entries, then of pairs low, low + 1, ...
-        defects.take(pair_id[first:stop], out=form[:split, :d], mode="wrap")  # (r, r) set below
-        low = first + split - d
-        if stop - first == entries:  # one block: the codes as they are
-            form[d:, d:].put(codes, change)
-        else:
-            lo, hi = codes.searchsorted((columns * low, columns * (stop - d)))
-            form[split:, d:].put(codes[lo:hi] - columns * low, change[lo:hi])
-        own = form.reshape(-1)[first::entries + 1]  # (e, e) for e = first, first + 1, ...
-        own[:split] = 0.0  # at a_r^2 of (r, r)
-        np.negative(defects[low:stop - d], out=own[split:])  # #A - (d-1)*#A_{r,s} at a_r*a_s of (r, s)
-        yield first, form
 
 
 def sign_flip_bijection(u: SignedInvolution, p: int) -> SignedInvolution:

@@ -33,8 +33,7 @@ import numpy as np
 from .operators import OperatorSet, make_operator
 from .sphere import is_integer
 
-_CHUNK = 1024  # records tiled from the template and filled from the token table at a time
-_BLOCK = 1 << 18  # bytes of written records read at a time
+_BLOCK = 1 << 18  # bytes of written records read, or tiled from the template, at a time
 
 _HEADER = re.compile(rb'\{\n  "n": ([1-9][0-9]{0,17}),\n  "operators": \[\n')
 _METADATA = b',\n  "metadata": '
@@ -52,13 +51,13 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     """The document of ``a_set`` in pieces, which together are the text of
     ``json.dumps(doc, indent=2)`` and a newline.
 
-    Records are written straight from the set's arrays as bytes, _CHUNK at
-    a time, so the whole text is never held at once; only the metadata goes
-    through ``json``.  This is the inverse of :func:`_written_arrays`: each
-    number a record can hold, -1 to d, is formatted once, NUL-padded to one
-    width, and a chunk tiles ",\\n" and the record template with that many
-    NULs in each number slot, writes the tokens of its pairings and signs
-    into the slots and drops every NUL.
+    Records are written straight from the set's arrays as bytes, about
+    _BLOCK bytes of them at a time, as they are read, so the whole text is
+    never held at once; only the metadata goes through ``json``.  This is the
+    inverse of :func:`_written_arrays`: each number a record can hold, -1 to
+    d, is formatted once, NUL-padded to one width, and a chunk tiles ",\\n"
+    and the record template with that many NULs in each number slot, writes
+    the tokens of its pairings and signs into the slots and drops every NUL.
     """
     metadata = {}
     if generator is not None:
@@ -72,8 +71,9 @@ def document_chunks(a_set: OperatorSet, generator: str | None = None,
     template = np.frombuffer(template.encode(), np.uint8)
     slots = np.flatnonzero(template == 0)
     k, sign = a_set.index_arrays
-    for start in range(0, len(k), _CHUNK):
-        rows = np.hstack([k[start:start + _CHUNK] + 2, sign[start:start + _CHUNK] + 1])
+    step = max(1, _BLOCK // len(template))
+    for start in range(0, len(k), step):
+        rows = np.hstack([k[start:start + step] + 2, sign[start:start + step] + 1])
         records = np.tile(template, (len(rows), 1))
         records[:, slots] = table[rows].view(np.uint8)
         flat = records.ravel()

@@ -22,17 +22,18 @@ from math import sqrt
 
 import numpy as np
 
-from .balance import BalanceReport, _blocks, _decoded, _defect_rows, _layout
+from .balance import BalanceReport, _decoded, _layout
 from .operators import OperatorSet
 from .sphere import UNIT_POINT_TOL, _as_floats, check_draw, is_integer, sample_sphere, unit_point
 
 DEFAULT_TIGHTNESS_TOL = 1e-9
 DEFAULT_NUM_SAMPLES = 100
 
-# Working sizes of verify_moving_funtf, in floats: point monomials per block
-# of points through F; and image rows per block of points on the row route.
+# Working sizes of verify_moving_funtf, in floats: a block of points' monomials
+# through D, and on the row route of their image rows V and of their S each;
+# and a row block of D (4 MB).
 _BLOCK = 2 ** 17
-_ROWS = 2 ** 14
+_FORM = 2 ** 19
 
 # Where F pays, as timed (see :func:`_route`): up to d = _SMALL always, above
 # it where E^2 <= _DENSE (#A + 1) d^2.
@@ -170,6 +171,16 @@ def augment_with_normal(a_set: OperatorSet, a) -> np.ndarray:
     return np.vstack([sqrt(_frame_constant(a_set)) * av, operator_images(a_set, av)])
 
 
+def _blocks(total: int, most: int) -> list[tuple[int, int]]:
+    """range(total) cut into the fewest slices of at most ``most``, of near-equal
+    lengths, so no block is left with a sliver of one or two points."""
+    if total <= most:
+        return [(0, total)]
+    count = -(-total // most)
+    bounds = [total * j // count for j in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @lru_cache(maxsize=16)
 def _points(dim: int, num_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, list]:
     """The probe points, then ``sample_sphere(dim, num_samples, seed)``, |a|^2 - 1
@@ -185,10 +196,9 @@ def _monomials(draw: tuple, lo: int, hi: int) -> np.ndarray:
     """The monomials a_p*a_q of points lo..hi of a draw of :func:`_points`,
     E x (hi - lo) in the order of :func:`balance._layout`.  Those of the first
     block, at most _BLOCK floats, are formed on first use and kept in the draw,
-    read-only; later blocks, and a first block of another length than the kept
-    one (under another _BLOCK), are formed on each use."""
+    read-only; later blocks are formed on each use."""
     points, _, kept = draw
-    if lo == 0 and kept and kept[0].shape[1] == hi:
+    if lo == 0 and kept:
         return kept[0]
     rows, cols = _layout(points.shape[1])[1]
     a = points[lo:hi].T
@@ -214,18 +224,54 @@ def _route(a_set: OperatorSet) -> bool:
     return d <= _SMALL or size * size <= _DENSE * (len(a_set) + 1) * d * d
 
 
+def _defect_rows(a_set: OperatorSet):
+    """Yield (split, (d-1)*D[first:stop]) over row blocks of at most _FORM
+    floats, in order, ``split`` the block's rows of diagonal entries.  D holds
+    the E x E integer coefficients of S(a) - C*|a|^2*I, entries and monomials
+    numbered as in :func:`balance._layout`, and is 0 exactly when the set is
+    balanced.  As U(a)_r = -S[r]*a[K[r]], a member adds S[r]*S[s] at the
+    monomial {K[r], K[s]} of entry (r, s), so (d-1)*D is written from the
+    decode.  From its pair counts: at a_p^2 of entry (r, r),
+    (d-1)*#A_{r,p} - #A (0 at p = r), and at the own monomial a_r*a_s of entry
+    (r, s), #A - (d-1)*#A_{r,s}; each entry's own monomial is on D's diagonal.
+    At the other monomials of (r, s), (d-1)*(count_plus - count_minus) of each
+    decoded sign slice of column (r, s), put at its code, as the codes C*c + g
+    number the pair rows' pair monomials D[d:, d:] row by row.  These integers
+    are at most d*#A in magnitude, so float64 holds them exactly.  A D of one
+    block, as every set up to d = 36 has, takes the codes as they are."""
+    _, codes, slices, counts = _decoded(a_set)
+    d, size = a_set.dim, len(a_set)
+    pair_id = _layout(d)[4]
+    entries = d * (d + 1) // 2
+    columns = entries - d
+    defects = counts * float(d - 1) - size  # at a_p^2 of (r, r), p != r
+    change = slices.dot((1 - d, d - 1))  # (d-1)*(count_plus - count_minus)
+    for first, stop in _blocks(entries, max(1, _FORM // entries)):
+        form = np.zeros((stop - first, entries))
+        split = max(0, min(d, stop) - first)  # rows of diagonal entries, then of pairs low, low + 1, ...
+        defects.take(pair_id[first:stop], out=form[:split, :d], mode="wrap")  # (r, r) set below
+        low = first + split - d
+        if stop - first == entries:  # one block: the codes as they are
+            form[d:, d:].put(codes, change)
+        else:
+            lo, hi = codes.searchsorted((columns * low, columns * (stop - d)))
+            form[split:, d:].put(codes[lo:hi] - columns * low, change[lo:hi])
+        own = form.reshape(-1)[first::entries + 1]  # (e, e) for e = first, first + 1, ...
+        own[:split] = 0.0  # at a_r^2 of (r, r)
+        np.negative(defects[low:stop - d], out=own[split:])  # #A - (d-1)*#A_{r,s} at a_r*a_s of (r, s)
+        yield split, form
+
+
 def _form_deviations(a_set: OperatorSet, draw: tuple) -> tuple[int, float, float]:
     """The first point of largest deviation, with its largest off-diagonal
     |S_rs| and largest |S_rr - C*|a|^2|, both times d - 1: every row block of
-    :func:`balance._defect_rows` times the monomials of each block of about
-    _BLOCK floats (:func:`_monomials`), one matmul each.  Entries go down the
-    rows, so each point's reductions run along the fast axis."""
+    :func:`_defect_rows` times the monomials of each block of about _BLOCK
+    floats (:func:`_monomials`), one matmul each.  Entries go down the rows,
+    so each point's reductions run along the fast axis."""
     d = a_set.dim
-    size = d * (d + 1) // 2
-    blocks = _blocks(len(draw[0]), max(1, _BLOCK // size))
+    blocks = _blocks(len(draw[0]), max(1, _BLOCK // (d * (d + 1) // 2)))
     deviations = None
-    for first, form in _defect_rows(a_set):
-        split = max(0, d - first)  # the rows of diagonal entries
+    for split, form in _defect_rows(a_set):
         largest = np.empty((2, len(draw[0])))  # per point: the diagonal's, then the other entries'
         for lo, hi in blocks:
             s = form @ _monomials(draw, lo, hi)
@@ -241,12 +287,12 @@ def _form_deviations(a_set: OperatorSet, draw: tuple) -> tuple[int, float, float
 def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> np.ndarray:
     """Per point: the sum of the diagonal of S, the largest off-diagonal
     |S_rs| and the largest |S_rr - C|, with S = V^T V for V the scaled
-    normal and every member's image row in set order, one batched matmul
-    per block of about _ROWS floats of V."""
+    normal and every member's image row in set order, one batched matmul per
+    block of points whose V and S each take at most about _BLOCK floats."""
     d = a_set.dim
     k, sign = a_set.index_arrays
     total, off, diag = deviations = np.empty((3, len(points)))
-    blocks = _blocks(len(points), max(1, _ROWS // ((len(k) + 1) * d)))
+    blocks = _blocks(len(points), max(1, _BLOCK // max((len(k) + 1) * d, d * d)))
     v = np.empty((max(hi - lo for lo, hi in blocks), len(k) + 1, d))  # the normal, then the images
     for lo, hi in blocks:
         a, vb = points[lo:hi], v[:hi - lo]
@@ -257,7 +303,7 @@ def _row_deviations(a_set: OperatorSet, points: np.ndarray, expected: float) -> 
         total[lo:hi] = diagonal.sum(axis=1)
         diag[lo:hi] = np.abs(diagonal - expected).max(axis=1)  # NaN stays NaN, as above
         diagonal[...] = 0.0
-        off[lo:hi] = np.abs(s).max(axis=1)
+        off[lo:hi] = np.abs(s, out=s).max(axis=1)
     return deviations
 
 
@@ -279,7 +325,7 @@ def verify_moving_funtf(a_set: OperatorSet, num_samples: int = DEFAULT_NUM_SAMPL
     """Certify tightness of the tangent images: exactly, with a float cross-check.
 
     S(a) = C*a*a^T + sum_U U(a)U(a)^T, C = #A/(2n-1), is C*I on the whole
-    sphere exactly when the integer coefficients D of :func:`balance._defect_rows`
+    sphere exactly when the integer coefficients D of :func:`_defect_rows`
     vanish, that is when the set's one decode (:func:`balance._decoded`) finds
     it balanced.  The set is tight when D = 0, the largest deviation |S - C*I|
     over the probe points (e_p + e_q)/sqrt(2) and ``num_samples`` seeded

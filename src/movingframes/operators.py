@@ -183,19 +183,6 @@ class OperatorSet:
         k.flags.writeable = sign.flags.writeable = False
         return k, sign
 
-    @cached_property
-    def _pairings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The members grouped by pairing, i.e. by partner row K: each pairing's first
-        member, each member's pairing and each pairing's member count.  Found on
-        first use, never by a constructor, then shared read-only by every consumer."""
-        k = self.index_arrays[0]
-        narrow = k.astype(np.min_scalar_type(k.shape[1] - 1))  # the same grouping, sorted faster
-        keys = narrow.view(np.dtype((np.void, narrow.itemsize * k.shape[1]))).ravel()
-        grouping = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
-        for array in grouping:
-            array.flags.writeable = False
-        return grouping
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorSet):
             return NotImplemented

@@ -25,13 +25,15 @@ def is_integer(value) -> bool:
 
 
 def _as_floats(x) -> np.ndarray:
-    """``x`` as a float array, refused if an entry is a string, bytes or a bool,
-    which ``np.asarray(x, dtype=float)`` would take as a number, or if ``x`` is
-    a ragged sequence; any other number (a Fraction too) is converted."""
+    """``x`` as a float array, refused if an entry is a string, bytes, a bool,
+    None or complex, which ``np.asarray(x, dtype=float)`` would take as a
+    number, NaN or its real part, or if ``x`` is a ragged sequence; any other
+    number (a Fraction too) is converted."""
     entries = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-    if entries.dtype.kind in "bSU" or entries.dtype.kind == "O" and any(
-            isinstance(entry, (str, bytes, bool, np.bool_)) for entry in entries.flat):
-        raise ValueError("entries must be real numbers, not strings, bytes or booleans")
+    if entries.dtype.kind in "bSUc" or entries.dtype.kind == "O" and any(
+            entry is None or isinstance(entry, (str, bytes, bool, np.bool_, complex, np.complexfloating))
+            for entry in entries.flat):
+        raise ValueError("entries must be real numbers, not strings, bytes, booleans, None or complex")
     try:
         return np.asarray(entries, dtype=float)
     except ValueError as exc:

@@ -96,18 +96,21 @@ class TestWrittenText:
         a_set = build_minimal_balanced(7)  # 1,664 records
         assert "".join(document_chunks(a_set, timestamp=False)) == json_document(a_set)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    # chunks of max(1, block // record) records, records of 112 (d = 2) to 400
+    # bytes (d = 14) with their ",\n" and padding: one, one to four, or 655 to 2,340
+    @pytest.mark.parametrize("block", [1, 500, documents._BLOCK], ids=["one", "few", "block"])
     @settings(max_examples=60, deadline=None)
     @given(a_set=written_sets())
-    def test_any_subset_at_any_chunk_boundary(self, chunk, a_set, tmp_path_factory):
+    def test_any_subset_at_any_chunk_boundary(self, block, a_set, tmp_path_factory):
         """The text is json.dumps's wherever the chunks are cut, and it is read
-        back by the byte route as the same set."""
+        back by the byte route as the same set, also when that reads a block
+        of about as few bytes."""
         def refuse(doc):
             raise AssertionError("the json route was taken")
 
         path = tmp_path_factory.getbasetemp() / "subset.json"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(documents, "_CHUNK", chunk)
+            patch.setattr(documents, "_BLOCK", block)
             patch.setattr(documents, "parse_document", refuse)
             write_document(path, a_set, timestamp=False)
             assert path.read_text(encoding="utf-8") == json_document(a_set)

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -138,9 +139,12 @@ def reference_form(a_set):
 
 def whole_defect(a_set):
     """(d-1)*D of verify_moving_funtf, written from the set's decode, its row
-    blocks stacked in the order they come."""
-    blocks = list(balance._defect_rows(a_set))
-    assert [first for first, _ in blocks] == sorted(first for first, _ in blocks)
+    blocks stacked in the order they come, each with its own count of rows of
+    diagonal entries."""
+    blocks, first = list(framecheck._defect_rows(a_set)), 0
+    for split, form in blocks:
+        assert split == min(max(0, a_set.dim - first), len(form))
+        first += len(form)
     return np.vstack([form for _, form in blocks])
 
 
@@ -217,17 +221,18 @@ def rebuilt_cross_term(a_set, a, pair):
 
 def row_block_deviations(blocks, draw):
     """What framecheck._form_deviations returns, from the row blocks
-    (first, rows) of (d-1)*D, each times the monomials of every point in one
-    matmul: BLAS may round a row's product differently with the row count of
-    its block, so a D cut otherwise gives maxima a last bit apart."""
-    d = draw[0].shape[1]
-    monomials = framecheck._monomials(draw, 0, len(draw[0]))
-    largest = np.zeros((2, len(draw[0])))  # the diagonal's, then the other entries'
-    for first, rows in blocks:
-        s = np.abs(rows @ monomials)
-        split = max(0, d - first)
-        largest = np.maximum(largest, [s[:split].max(axis=0, initial=0.0),
-                                       s[split:].max(axis=0, initial=0.0)])
+    (split, rows) of (d-1)*D, each times the monomials of each block of points
+    of framecheck._BLOCK floats in one matmul: BLAS may round a row's product
+    differently with the shape of the product, so D or the points cut
+    otherwise give maxima a last bit apart."""
+    points, size = draw[0], blocks[0][1].shape[1]
+    largest = np.zeros((2, len(points)))  # the diagonal's, then the other entries'
+    for lo, hi in framecheck._blocks(len(points), max(1, framecheck._BLOCK // size)):
+        monomials = framecheck._monomials(draw, lo, hi)
+        for split, rows in blocks:
+            s = np.abs(rows @ monomials)
+            largest[:, lo:hi] = np.maximum(largest[:, lo:hi], [s[:split].max(axis=0, initial=0.0),
+                                                               s[split:].max(axis=0, initial=0.0)])
     worst = int(largest.max(axis=0).argmax())
     return worst, float(largest[1, worst]), float(largest[0, worst])
 
@@ -355,8 +360,18 @@ class TestAugmentWithNormal:
             augment_with_normal(MIN2, np.array([1.0, 0.0]))
 
 
-SHRUNK = {"framecheck._BLOCK": 21 * 40, "balance._FORM": 21 * 8, "balance._BLOCK": 30 * 4,
+SHRUNK = {"framecheck._BLOCK": 21 * 40, "framecheck._FORM": 21 * 8, "balance._BLOCK": 30 * 4,
           "balance._CHUNK": 1}
+
+
+def shrink(monkeypatch, shrunk):
+    """Patch the working sizes named in ``shrunk`` for one test, which gets a
+    point cache of its own: a draw keeps the monomials of its first block of
+    points at the framecheck._BLOCK in force when they were formed."""
+    for name, value in shrunk.items():
+        module, name = name.split(".")
+        monkeypatch.setattr(MODULES[module], name, value)
+    monkeypatch.setattr(framecheck, "_points", lru_cache(maxsize=16)(framecheck._points.__wrapped__))
 
 
 class TestVerifyMovingFuntf:
@@ -412,15 +427,24 @@ class TestVerifyMovingFuntf:
     ], ids=["min2", "min3", "min4", "min5", "clipped-min2", "mixed", "reversed-min5",
             "full3-subset", "one-per-pairing", "full3-subset-grouped"])
     def test_worst_point_matches_reference_loop(self, a_set, num_samples, shrunk, monkeypatch):
-        for name, value in shrunk.items():
-            module, name = name.split(".")
-            monkeypatch.setattr(MODULES[module], name, value)
+        """Bit for bit against products of the same shapes: reduced_worst_point's
+        one matmul where D and the points each take one block, the same row
+        and point blocks (row_block_deviations) where they are cut."""
+        shrink(monkeypatch, shrunk)
         a_set = fresh(a_set)  # so no table kept by another case serves this one
+        d = a_set.dim
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, _ = reduced_worst_point(a_set, num_samples, 4)
-        assert np.array_equal(report.worst_point, point)
-        assert report.max_offdiag == max_off
-        assert report.max_diag_dev == max_diag
+        if shrunk:
+            draw = framecheck._points(d, num_samples, 4)
+            worst, off, diag = row_block_deviations(list(framecheck._defect_rows(a_set)), draw)
+            assert np.array_equal(report.worst_point, draw[0][worst])
+            assert (report.max_offdiag, report.max_diag_dev) == (off / (d - 1), diag / (d - 1))
+            assert abs(max(report.max_offdiag, report.max_diag_dev) - max(max_off, max_diag)) <= 1e-12
+        else:
+            assert np.array_equal(report.worst_point, point)
+            assert report.max_offdiag == max_off
+            assert report.max_diag_dev == max_diag
         # the direct loop over every member's image rows agrees on the worst
         # deviation and at the reported worst point (its worst point may differ
         # on near ties)
@@ -458,7 +482,7 @@ class TestVerifyMovingFuntf:
             assert (weights is None) == (grouping is group_never)
             forms.append(whole_defect(a_set))
             with monkeypatch.context() as patch:
-                patch.setattr(balance, "_FORM", 4 * size)
+                patch.setattr(framecheck, "_FORM", 4 * size)
                 patch.setattr(balance, "_BLOCK", 2 * (size - d) * 3)
                 forms.append(whole_defect(fresh(a_set)))
             report = is_balanced(a_set)
@@ -513,9 +537,9 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("a_set,num_samples,shrunk", [
         (MIN2, 10, {}), (OperatorSet(4, MIN2.members[:-1]), 10, {}), (MIXED, 10, {}),
         (build_minimal_balanced(3), 10, {}), (reversed_coordinates(build_minimal_balanced(5)), 10, {}),
-        # the normal and 100 image rows: 606 floats a point, so 215 points in
-        # 22 blocks of up to 10
-        (FULL3_SUBSET, 200, {"_ROWS": 606 * 10}),
+        # the normal and 100 image rows: 606 floats a point (and 36 of S), so
+        # 215 points in 22 blocks of up to 10
+        (FULL3_SUBSET, 200, {"framecheck._BLOCK": 606 * 10}),
         (one_member_per_pairing(), 10, {}),
     ], ids=["min2", "clipped-min2", "mixed", "min3", "reversed-min5", "full3-subset",
             "one-per-pairing"])
@@ -529,8 +553,7 @@ class TestVerifyMovingFuntf:
         monkeypatch.setattr(framecheck, "_DENSE", 0)
         reads, decoded = [], balance._decoded
         monkeypatch.setattr(framecheck, "_decoded", lambda a_set: reads.append(1) or decoded(a_set))
-        for name, value in shrunk.items():
-            monkeypatch.setattr(framecheck, name, value)
+        shrink(monkeypatch, shrunk)
         report = verify_moving_funtf(a_set, num_samples=num_samples, seed=4)
         point, max_off, max_diag, mean = reduced_row_worst_point(a_set, num_samples, 4)
         assert np.array_equal(report.worst_point, point)
@@ -594,7 +617,8 @@ class TestVerifyMovingFuntf:
     ], ids=["min8-minus-one", "full5-minus-three", "heavy-d32"])
     def test_the_grouping_is_found_once(self, a_set, monkeypatch):
         """check-funtf on an unbalanced set: the frame check by F, then exact
-        balance, both reading the set's one grouping by pairing."""
+        balance, both reading the set's one decode, whose one pass found the
+        grouping by pairing and kept only the decode."""
         assert framecheck._route(a_set)
         calls, unique = [], np.unique
         monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
@@ -602,10 +626,8 @@ class TestVerifyMovingFuntf:
         assert not verify_moving_funtf(a_set, num_samples=5).tight
         assert not is_balanced(a_set).balanced
         assert len(calls) == 1
-        for array in a_set._pairings:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        assert sorted(vars(a_set)) == ["_decode", "_size", "dim", "index_arrays"]
+        assert balance._grouping(a_set) is not None
 
     @pytest.mark.parametrize("a_set,tolerance", [
         (build_minimal_balanced(3), 1e-9),
@@ -697,7 +719,7 @@ class TestVerifyMovingFuntf:
             patch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
             for built in (OperatorSet(a_set.dim, a_set.members), OperatorSet.from_arrays(k + 1, sign)):
                 assert verify_moving_funtf(built, num_samples=5).tight == is_balanced(built).balanced
-                assert "_pairings" not in vars(built)
+                assert balance._grouping(built) is None
         assert calls == []
 
     def test_distinct_pairings_stay_within_three_times_the_index_arrays(self):
@@ -711,6 +733,25 @@ class TestVerifyMovingFuntf:
             tracemalloc.stop()
         assert not report.tight
         assert peak <= 3 * (k.nbytes + sign.nbytes)
+
+    def test_the_row_route_holds_its_blocks_within_the_budget(self):
+        """The rows bound both V and S = V^T V of a block of points by
+        framecheck._BLOCK floats each: one operator at d = 100, whose S takes
+        10^4 floats a point, checks its 4,955 points within three budgets'
+        bytes beside the cached draw (12.6 MiB when only V was bounded)."""
+        d = 100
+        a_set = OperatorSet(d, [make_operator(d, [i + 2 - 2 * (i % 2) for i in range(d)],
+                                              [1 - 2 * (i % 2) for i in range(d)])])
+        assert not framecheck._route(a_set)
+        verify_moving_funtf(a_set, num_samples=5)  # the draw, cached before tracing
+        tracemalloc.start()
+        try:
+            report = verify_moving_funtf(a_set, num_samples=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.tight
+        assert peak <= 3 * 8 * framecheck._BLOCK
 
     @pytest.mark.parametrize("bad", [
         {"tolerance": float("nan")}, {"tolerance": -1e-12}, {"tolerance": float("inf")},
@@ -762,8 +803,16 @@ class TestVerifyMovingFuntf:
         draw's first point block once, read-only, in the draw's cache entry:
         every set of that (d, samples, seed) reads them, a balanced set and a
         set on the row route never form them, and clearing the cache clears them."""
-        formed, layout = [], framecheck._layout
-        monkeypatch.setattr(framecheck, "_layout", lambda d: formed.append(d) or layout(d))
+        formed, monomials_of = [], framecheck._monomials
+
+        def counted(draw, lo, hi):  # the d of each block formed, not read from the draw
+            kept = draw[2][:]
+            block = monomials_of(draw, lo, hi)
+            if not any(block is old for old in kept):
+                formed.append(draw[0].shape[1])
+            return block
+
+        monkeypatch.setattr(framecheck, "_monomials", counted)
         framecheck._points.cache_clear()
         for a_set in (MIN2, build_minimal_balanced(3), subset(build_minimal_balanced(8), [0])):
             assert not framecheck._route(a_set) or is_balanced(a_set).balanced
@@ -803,12 +852,10 @@ class TestVerifyMovingFuntf:
     ], ids=["clipped-min2", "mixed", "min5-minus-last", "full3-subset", "full3-subset-grouped"])
     def test_cold_and_warm_caches_give_the_same_report(self, a_set, num_samples, shrunk,
                                                         monkeypatch):
-        for name, value in shrunk.items():
-            module, name = name.split(".")
-            monkeypatch.setattr(MODULES[module], name, value)
+        shrink(monkeypatch, shrunk)
         d = a_set.dim
         size = d * (d + 1) // 2
-        blocks = balance._blocks(d * (d - 1) // 2 + num_samples, max(1, framecheck._BLOCK // size))
+        blocks = framecheck._blocks(d * (d - 1) // 2 + num_samples, max(1, framecheck._BLOCK // size))
         assert (len(blocks) > 1) == bool(shrunk)
         framecheck._points.cache_clear()
         cold = verify_moving_funtf(fresh(a_set), num_samples=num_samples, seed=4)
@@ -895,7 +942,7 @@ class TestExactVerdict:
     @staticmethod
     def check(a_set, balanced):
         assert balance._decoded(a_set)[0] == balanced
-        assert (not any(form.any() for _, form in balance._defect_rows(a_set))) == balanced
+        assert (not any(form.any() for _, form in framecheck._defect_rows(a_set))) == balanced
         for tolerance in (framecheck.DEFAULT_TIGHTNESS_TOL, 1e3):
             report = verify_moving_funtf(a_set, num_samples=5, tolerance=tolerance)
             assert report.tight == balanced
@@ -908,8 +955,9 @@ class TestExactVerdict:
     ], ids=["min3", "min3-minus-last", "one-member-d16"])
     def test_each_part_only_while_the_verdict_is_open(self, a_set, route, monkeypatch):
         """At tolerance 1000 every float check passes, so the parts run are
-        those the rule leaves open: the decode is asked once, and on F's route
-        only a set with D = 0 is re-checked."""
+        those the rule leaves open: the decode is asked once for the verdict
+        (and once more by D's writer on F's route for a set with D != 0), and
+        on F's route only a set with D = 0 is re-checked."""
         reads, rechecks = [], []
         decoded, direct = framecheck._decoded, framecheck._direct_deviation
         monkeypatch.setattr(framecheck, "_decoded", lambda s: reads.append(1) or decoded(s))
@@ -918,7 +966,8 @@ class TestExactVerdict:
         balanced = is_balanced(a_set).balanced
         assert framecheck._route(a_set) == (route == "form")
         assert verify_moving_funtf(a_set, num_samples=5, tolerance=1e3).tight == balanced
-        assert (len(reads), len(rechecks)) == (1, int(balanced or route == "rows"))
+        form = route == "form"
+        assert (len(reads), len(rechecks)) == (1 + (form and not balanced), int(balanced or not form))
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_shaped_sets())
@@ -1074,13 +1123,13 @@ class TestWitnessUnbalanced:
         d, size = a_set.dim, len(a_set)
         entries, expected = d * (d + 1) // 2, size / (d - 1)
         draw = framecheck._points(d, 10, seed)
-        whole = list(balance._defect_rows(a_set))
-        assert [first for first, _ in whole] == [0]
+        whole = list(framecheck._defect_rows(a_set))
+        assert [split for split, _ in whole] == [d]
         worst, off, diag = framecheck._form_deviations(a_set, draw)
         assert (worst, off, diag) == row_block_deviations(whole, draw)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(balance, "_FORM", 4 * entries)
-            blocks = list(balance._defect_rows(a_set))
+            patch.setattr(framecheck, "_FORM", 4 * entries)
+            blocks = list(framecheck._defect_rows(a_set))
             assert len(blocks) > 1
             assert np.array_equal(np.vstack([rows for _, rows in blocks]), whole[0][1])
             assert framecheck._form_deviations(a_set, draw) == row_block_deviations(blocks, draw)

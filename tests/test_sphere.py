@@ -57,7 +57,8 @@ def not_numbers(length):
 E1 = [1.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("call, length", [
+NOT_NUMBERS = "^entries must be real numbers, not strings, bytes, booleans, None or complex$"
+READERS = pytest.mark.parametrize("call, length", [
     (lambda v: augment_with_normal(s3_basis(), v), 4),
     (lambda v: reconstruct(s3_basis(), v, [1.0, 0.0, 0.0]), 4),
     (lambda v: reconstruct(s3_basis(), E1, v), 3),
@@ -72,14 +73,28 @@ E1 = [1.0, 0.0, 0.0, 0.0]
 ], ids=["augment_with_normal", "reconstruct-point", "reconstruct-coefficients",
         "tangency_defect", "u(a)", "project_tangent-point", "project_tangent-vector", "tangent_basis",
         "operator_images", "frame_operator", "check_tight"])
+
+
+@READERS
 def test_no_vector_is_coerced(call, length):
     """Strings, bytes and bools are refused, not read as numbers; Fractions
     are numbers, which tangency_defect needs for its exact zeros."""
     for vector in not_numbers(length):
-        with pytest.raises(ValueError, match="^entries must be real numbers, not strings, "
-                                             "bytes or booleans$"):
+        with pytest.raises(ValueError, match=NOT_NUMBERS):
             call(vector)
     call([Fraction(1)] + [Fraction(0)] * (length - 1))
+
+
+@READERS
+def test_none_and_complex_entries_are_refused(call, length):
+    """None, which np.asarray(x, dtype=float) reads as NaN, and complex
+    entries, which it refuses with a TypeError among floats and reads as
+    their real parts in a complex array, get the package's message."""
+    rest = [0.0] * (length - 1)
+    for vector in ([None] + rest, rest + [None], [1 + 0j] + rest, [np.complex64(1)] + rest,
+                   np.array([1 + 0j] + rest)):
+        with pytest.raises(ValueError, match=NOT_NUMBERS):
+            call(vector)
 
 
 RAGGED = [[1.0], [2.0, 3.0], [4.0], [5.0]]
