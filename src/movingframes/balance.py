@@ -66,7 +66,7 @@ def _check_indices(d: int, **indices: int) -> None:
 
 @lru_cache(maxsize=16)
 def _layout(d: int):
-    """Constants of :func:`_slice_counts` in dimension d: ``pairs`` (the pairs r < s,
+    """Constants of :func:`_decoded` in dimension d: ``pairs`` (the pairs r < s,
     lexicographic, 1-based), ``entries`` (rows and columns of the entries r <= s,
     0-based: the diagonal, then the pairs, so table column c is entry d + c, as
     the frame check's D is ordered), ``column_code`` (2C*c for pair c), ``key_code``
@@ -123,67 +123,55 @@ def _grouping(a_set: OperatorSet):
     return grouping if len(grouping[2]) * (2 * width + _GROUP) + size * d < size * width else None
 
 
-def _slice_source(a_set: OperatorSet):
-    """The rows :func:`_slice_counts` scatters, and their weights: each
-    member's keys K + d*[S < 0], unweighted, or (see :func:`_grouping`) each
-    pairing's K, weighted by the counts of its members at sign -1 and +1 at
-    each pair r < s, (|pi| -+ W_pi[r, s])/2."""
-    k, sign = a_set.index_arrays
-    d = a_set.dim
-    grouping = _grouping(a_set)
-    if grouping is None:
-        return k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
-    first, _, count = grouping
-    rows, cols = _layout(d)[1][:, d:]
-    grams, counts = _pairing_grams(sign, grouping)[:, rows, cols], count[:, None]
-    weights = np.stack([counts - grams, counts + grams]) / 2  # exact halves of even integers
-    return k[first], weights.astype(np.min_scalar_type(count.max()))
-
-
-def _slice_counts(source):
-    """Yield (first, table) over all C columns in blocks of about _BLOCK
-    entries, scattered from ``source`` (:func:`_slice_source`).  Row C*j + g,
-    column t: members with {k_r, k_s} = pair g and S[r]*S[s] = (+1 if t else -1),
-    for (r, s) the pair first + j; row C*j + first + j is the pair slice {r, s}.
-    The keys K + d*[S < 0] at r and s give key_code 2g + [S[r] = S[s]]; a
-    pairing's keys, under d, give 2g + 1, and it adds its weights at 2g and
-    2g + 1.  Each ``np.bincount`` scatters at least _CHUNK codes and as many as
-    its table holds."""
-    keys, weights = source
-    d = keys.shape[1]
-    pairs, entries, column_code, key_code, _ = _layout(d)
-    columns = len(pairs)
-    most = max(1, _BLOCK // (2 * columns))
-    for first in range(0, columns, most):
-        last = min(first + most, columns)
-        rs, width = entries[:, d + first:d + last], last - first
-        size = 2 * columns * width
-        step = max(1, max(_CHUNK, size) // (width if weights is None else 2 * width))
-        for m in range(0, len(keys), step):
-            kk = keys[m:m + step].take(rs, axis=1)
-            codes = key_code.take(kk[:, 0] * (2 * d) + kk[:, 1])  # key_code[key_r, key_s]
-            codes += column_code[:width]
-            part = None
-            if weights is not None:
-                codes, part = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
-            counts = np.bincount(codes.ravel(), part, size)  # with weights, floats of exact integers
-            table = np.add(table, counts, out=table) if m else counts
-        yield first, table.reshape(-1, 2)
-
-
 def _decoded(a_set: OperatorSet):
-    """(balanced, codes, slices, counts), from one :func:`_slice_counts` pass on
-    first use, kept read-only in the set: ``counts``, the pair counts #A_{r,s}
-    by ``pair_id`` of :func:`_layout`, read from the pair slices (all at sign
-    -1); ``codes``, C*c + g ascending, of each other slice of pair g at column
-    c whose two counts differ, that is each failure of condition ii, and
-    ``slices`` their (count_minus, count_plus).  No grouping is kept."""
+    """(balanced, codes, slices, counts), decoded on first use from the set's
+    slice tables and kept read-only in the set; no grouping is kept.
+
+    The tables cover all C columns in blocks of about _BLOCK entries.  Row
+    C*j + g, column t of the block from column ``first``: members with
+    {k_r, k_s} = pair g and S[r]*S[s] = (+1 if t else -1), for (r, s) the pair
+    first + j; row C*j + first + j is the pair slice {r, s}.  They are
+    scattered by ``np.bincount``, at least _CHUNK codes and as many as a table
+    holds at a time, either member by member, each member's keys
+    K + d*[S < 0] at r and s giving key_code 2g + [S[r] = S[s]] (:func:`_layout`),
+    or (see :func:`_grouping`) pairing by pairing, each pairing's K, under d,
+    giving 2g + 1, where it adds the counts of its members at sign -1 and +1,
+    (|pi| -+ W_pi[r, s])/2, at 2g and 2g + 1.  Each table is decoded as soon
+    as it is filled: ``counts``, the pair counts #A_{r,s} by ``pair_id``, read
+    from the pair slices (all at sign -1); ``codes``, C*c + g ascending, of
+    each other slice of pair g at column c whose two counts differ, that is
+    each failure of condition ii, and ``slices`` their (count_minus, count_plus)."""
     decode = vars(a_set).get("_decode")
     if decode is None:
+        k, sign = a_set.index_arrays
         d, size = a_set.dim, len(a_set)
-        columns = d * (d - 1) // 2
+        pairs, entries, column_code, key_code, _ = _layout(d)
+        columns = len(pairs)
+        grouping = _grouping(a_set)
+        if grouping is None:
+            keys, weights = k + (1 - sign) * (d // 2), None  # (1 - S)/2 = [S < 0]
+        else:
+            members = grouping[2][:, None]
+            grams = _pairing_grams(sign, grouping)[:, entries[0, d:], entries[1, d:]]
+            weights = np.stack([members - grams, members + grams]) / 2  # exact halves of even integers
+            keys, weights = k[grouping[0]], weights.astype(np.min_scalar_type(members.max()))
+        most = max(1, _BLOCK // (2 * columns))
         parts = []
-        for first, table in _slice_counts(_slice_source(a_set)):
+        for first in range(0, columns, most):
+            last = min(first + most, columns)
+            rs, width = entries[:, d + first:d + last], last - first
+            cells = 2 * columns * width
+            step = max(1, max(_CHUNK, cells) // (width if weights is None else 2 * width))
+            for m in range(0, len(keys), step):
+                kk = keys[m:m + step].take(rs, axis=1)
+                codes = key_code.take(kk[:, 0] * (2 * d) + kk[:, 1])  # key_code[key_r, key_s]
+                codes += column_code[:width]
+                part = None
+                if weights is not None:
+                    codes, part = np.concatenate([codes - 1, codes]), weights[:, m:m + step, first:last].ravel()
+                scattered = np.bincount(codes.ravel(), part, cells)  # with weights, floats of exact integers
+                table = np.add(table, scattered, out=table) if m else scattered
+            table = table.reshape(-1, 2)
             pair = table[first::columns + 1]  # row C*j + first + j: the pair slice of column first + j
             counts = pair[:, 0].copy()
             pair[...] = 0  # so only the sign slices are left to differ

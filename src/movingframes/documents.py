@@ -38,8 +38,6 @@ _BLOCK = 1 << 18  # bytes of written records read, or tiled from the template, a
 _HEADER = re.compile(rb'\{\n  "n": ([1-9][0-9]{0,17}),\n  "operators": \[\n')
 _METADATA = b',\n  "metadata": '
 _NUMBER = b"-0123456789"
-# a %d of at most this many characters, "-" included, fits in np.intp
-_MAX_NUMBER = len(str(np.iinfo(np.intp).max)) - 1
 
 
 class DocumentError(ValueError):
@@ -144,7 +142,7 @@ def _written_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
       number slots of each record, and two runs in one slot would be one run,
       so with 2d runs per record each slot holds exactly one run.
     * Every run is a canonical %d: "-" only first, no leading zero, no "-0",
-      at most ``_MAX_NUMBER`` characters.
+      at most len(str(d)) + 1 characters, as every number written, -1 to d, has.
     * After R come ``\\n  ]\\n}\\n``, or ``\\n  ],\\n  "metadata": X\\n}\\n`` with X
       valid UTF-8 that ``json.loads`` reads as one value.
 
@@ -172,14 +170,17 @@ def _written_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         except (ValueError, RecursionError):
             return None
     skeleton = _record_template(dim).replace("%d", "").encode()
-    longest = len(skeleton) + 2 * dim * _MAX_NUMBER
+    # the characters of a written number, "-" included; as d <= len(data) / 22,
+    # a run of this many fits np.intp for any file that can be read
+    width = len(str(dim)) + 1
+    longest = len(skeleton) + 2 * dim * width
     pairings, signs = [], []
     while start < end:
         cut = data.find(b"},\n    {", start + _BLOCK, end)
         stop = end if cut < 0 else cut + 1
         if stop - start > _BLOCK + longest:  # a record longer than any written one
             return None
-        arrays = _block_arrays(data[start:stop], skeleton, dim)
+        arrays = _block_arrays(data[start:stop], skeleton, dim, width)
         if arrays is None:
             return None
         pairings.append(arrays[0])
@@ -188,10 +189,11 @@ def _written_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return np.concatenate(pairings), np.concatenate(signs)
 
 
-def _block_arrays(block: bytes, skeleton: bytes, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _block_arrays(block: bytes, skeleton: bytes, dim: int,
+                  width: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The pairing and sign arrays of a block of whole written records, each
-    ``skeleton`` with one canonical %d in each of its 2 * dim slots, when
-    every sign is +-1; otherwise None."""
+    ``skeleton`` with one canonical %d of at most ``width`` characters in each
+    of its 2 * dim slots, when every sign is +-1; otherwise None."""
     stripped = block.translate(None, _NUMBER)
     count, rest = divmod(len(stripped) + 2, len(skeleton) + 2)
     if rest or stripped != b",\n".join([skeleton] * count):
@@ -212,7 +214,7 @@ def _block_arrays(block: bytes, skeleton: bytes, dim: int) -> tuple[np.ndarray, 
     values = (buf[first] - ord("0")).astype(np.intp)  # above 9 unless a digit
     if not (np.all(buf[starts - 1] == ord(" "))
             and np.all((after == ord(",")) | (after == ord("\n")))
-            and (ends - starts).max() <= _MAX_NUMBER and values.max() <= 9
+            and (ends - starts).max() <= width and values.max() <= 9
             and not np.any((values == 0) & ((digits > 1) | negative))):
         return None
     for j in range(1, int(digits.max())):

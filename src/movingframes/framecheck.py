@@ -216,8 +216,13 @@ def _route(a_set: OperatorSet) -> bool:
     2-vCPU machine, against the rows of :func:`_row_deviations`): up to
     d = 14, F was faster for every member count tried.  Above, F costs E^2
     products per point and the rows (#A + 1) d^2, for the members and the
-    normal; they took equal time at about E^2 = 3 (#A + 1) d^2.  F is taken
-    where E^2 <= 2 (#A + 1) d^2, so only where the timings put it clearly ahead.
+    normal.  Against rows in blocks of 2^14 floats of V they took equal time
+    at about E^2 = 3 (#A + 1) d^2, so F is taken where E^2 <= 2 (#A + 1) d^2.
+    Re-timed in October 2026 against rows in blocks of _BLOCK floats of V and
+    of S (unbalanced sets of d = 16 to 64, best of 5), the point is about 1.7
+    from d = 32 and 3 to 4 at d = 16 and 24, so near the bound F may take up
+    to 1.2 times the rows' time.  The bound stays: the routes round
+    differently, and moving it moves the reports of the sets it crosses.
     """
     d = a_set.dim
     size = d * (d + 1) // 2

@@ -194,15 +194,14 @@ class TestCheckFuntf:
     def test_an_unbalanced_document_is_scattered_once(self, tmp_path, capsys, monkeypatch):
         """gen-min 10 minus its last operator (d = 20, where the slice counts
         take two tables): the frame check and the witness's balance report
-        read one decode, from one _slice_counts pass."""
+        read one decode, which asks balance._grouping once."""
         path = tmp_path / "doc.json"
         assert run(capsys, "gen-min", 10, "-o", path)[0] == 0
         doc = json.loads(path.read_text())
         doc["operators"].pop()
         path.write_text(json.dumps(doc))
-        passes, slice_counts = [], balance._slice_counts
-        monkeypatch.setattr(balance, "_slice_counts",
-                            lambda source: passes.append(1) or slice_counts(source))
+        passes, grouping = [], balance._grouping
+        monkeypatch.setattr(balance, "_grouping", lambda a_set: passes.append(1) or grouping(a_set))
         code, out, _ = run(capsys, "check-funtf", path)
         assert code == 1
         report = json.loads(out)

@@ -466,7 +466,8 @@ class TestVerifyMovingFuntf:
         from large tables or from tables of 3 columns, an array of exact
         integers; and the same balance report, that of the definitions.  The
         slice counts read the definitions themselves.  Each mode and table
-        size gets a fresh set, so a decode kept by one never serves another."""
+        size gets a fresh set, so a decode kept by one never serves another;
+        only the grouped decode forms each pairing's W_pi, once."""
         d = a_set.dim
         size = d * (d + 1) // 2
         k, sign = a_set.index_arrays
@@ -477,10 +478,12 @@ class TestVerifyMovingFuntf:
         for grouping in (group_always, group_never):
             monkeypatch.setattr(balance, "_grouping", grouping)
             a_set = fresh(a_set)
-            keys, weights = balance._slice_source(a_set)
-            assert len(keys) == (pairings if grouping is group_always else len(a_set))
-            assert (weights is None) == (grouping is group_never)
-            forms.append(whole_defect(a_set))
+            grams, pairing_grams = [], balance._pairing_grams
+            with monkeypatch.context() as patch:
+                patch.setattr(balance, "_pairing_grams",
+                              lambda sign, groups: grams.append(len(groups[2])) or pairing_grams(sign, groups))
+                forms.append(whole_defect(a_set))
+            assert grams == ([pairings] if grouping is group_always else [])
             with monkeypatch.context() as patch:
                 patch.setattr(framecheck, "_FORM", 4 * size)
                 patch.setattr(balance, "_BLOCK", 2 * (size - d) * 3)
@@ -504,6 +507,32 @@ class TestVerifyMovingFuntf:
                 int(((np.sort(k[:, [r - 1, s - 1]], axis=1) == sorted((p - 1, q - 1))).all(axis=1)
                      & (sign[:, p - 1] * sign[:, q - 1] == product)).sum())
                 for p, q, r, s in picks for product in (1, -1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sweep_shaped_sets(), sweep_shaped_sets(clipped=True)))
+    def test_one_decode_whatever_the_blocks_chunks_and_mode(self, a_set):
+        """balance._decoded gives one (balanced, codes, slices, counts), equal
+        in dtype and entry for entry, member by member and pairing by pairing,
+        from tables of all C columns or of one column each, scattered in chunks
+        of at least balance._CHUNK codes or of only as many as a table holds;
+        and is_balanced words it as the definitions do."""
+        decodes = []
+        with pytest.MonkeyPatch.context() as patch:
+            for shrunk in (False, True):
+                if shrunk:  # one column a table, each np.bincount only what the table holds
+                    patch.setattr(balance, "_BLOCK", 1)
+                    patch.setattr(balance, "_CHUNK", 1)
+                for grouping in (group_always, group_never):
+                    patch.setattr(balance, "_grouping", grouping)
+                    decodes.append(balance._decoded(fresh(a_set)))
+        balanced, *arrays = decodes[0]
+        for other in decodes[1:]:
+            assert type(other[0]) is type(balanced) and other[0] == balanced
+            for array, same in zip(arrays, other[1:]):
+                assert array.dtype == same.dtype and np.array_equal(array, same)
+        report = is_balanced(a_set)
+        assert report.balanced == balanced
+        assert (report.condition_i_failures, report.condition_ii_failures) == failures_by_pair(a_set)
 
     @settings(max_examples=60, deadline=None)
     @given(sweep_shaped_sets())
@@ -645,11 +674,11 @@ class TestVerifyMovingFuntf:
     @pytest.mark.parametrize("balance_first", [True, False], ids=["balance-first", "frame-first"])
     def test_one_scatter_per_set(self, a_set, tolerance, balance_first, monkeypatch):
         """A set decodes its slice tables once, so exact balance and the frame
-        check, in either order and at every d, make one _slice_counts pass
-        between them: up to d = 18 one np.bincount, as each such set here
-        fits one table and one chunk."""
-        passes, slice_counts = [], balance._slice_counts
-        monkeypatch.setattr(balance, "_slice_counts", lambda source: passes.append(1) or slice_counts(source))
+        check, in either order and at every d, make one scatter between them,
+        which asks balance._grouping once: up to d = 18 one np.bincount, as
+        each such set here fits one table and one chunk."""
+        passes, grouping = [], balance._grouping
+        monkeypatch.setattr(balance, "_grouping", lambda a_set: passes.append(1) or grouping(a_set))
         calls, bincount = [], np.bincount
         monkeypatch.setattr(np, "bincount", lambda *args: calls.append(1) or bincount(*args))
         a_set = fresh(a_set)

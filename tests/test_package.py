@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
 
 
 def test_tuning_constants_are_pinned():
-    """The private all-caps ints of every module of the package, ten in
+    """The private all-caps ints of every module of the package, nine in
     all: a new one changes this pin and the count in the ROADMAP together."""
     constants = {}
     for info in pkgutil.iter_modules(movingframes.__path__, "movingframes."):
@@ -45,7 +45,7 @@ def test_tuning_constants_are_pinned():
             constants[info.name] = names
     assert constants == {
         "movingframes.balance": ["_BLOCK", "_CHUNK", "_GROUP"],
-        "movingframes.documents": ["_BLOCK", "_MAX_NUMBER"],
+        "movingframes.documents": ["_BLOCK"],
         "movingframes.framecheck": ["_BLOCK", "_DENSE", "_FORM", "_SMALL"],
         "movingframes.sphere": ["_DRAW_PAIRS"],
     }
